@@ -8,12 +8,12 @@ under bracketed section headers, with ``#`` starting a comment::
     preset = dynkin-flat
     l_lo = -1.0
     [grid]
-    n_steps = 80
+    n_steps = 500
 
 Sections and keys (case-sensitive; unknown keys are fatal):
 
     [problem]  preset (dynkin-flat) plus that preset's documented parameters
-    [grid]     n_steps (80), n_nodes (81), x_min (-2.0), x_max (2.0), x0 (0.0)
+    [grid]     n_steps (500), n_nodes (41), x_min (-2.0), x_max (2.0), x0 (0.0)
     [mc]       n_paths (10000), seed (0), samples (1000)
     [solver]   order (supinf), mode (lattice), basis_degree (3),
                t_mid (0.5), trials (100)
@@ -41,7 +41,7 @@ from . import __version__
 from .model import (NumericsError, PRESETS, ProblemError, make_preset,
                     validate_problem)
 from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
-from .game import (build_lattice, dpp_check, dpp_cross_resolution,
+from .game import (_ORDERS, build_lattice, dpp_check, dpp_cross_resolution,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
 from .pde import (cross_check, make_pde_grid, refinement_study,
@@ -59,31 +59,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
-# section -> key -> (type tag, default); the problem section is handled
-# separately because its key set depends on the chosen preset.
+# section -> key -> type tag; defaults live in RunConfig.  The problem
+# section is handled separately because its key set depends on the preset.
 _SCHEMA = {
-    "grid": {
-        "n_steps": ("int", 80),
-        "n_nodes": ("int", 81),
-        "x_min": ("float", -2.0),
-        "x_max": ("float", 2.0),
-        "x0": ("float", 0.0),
-    },
-    "mc": {
-        "n_paths": ("int", 10000),
-        "seed": ("int", 0),
-        "samples": ("int", 1000),
-    },
-    "solver": {
-        "order": ("str", "supinf"),
-        "mode": ("str", "lattice"),
-        "basis_degree": ("int", 3),
-        "t_mid": ("float", 0.5),
-        "trials": ("int", 100),
-    },
-    "output": {
-        "dir": ("str", "out"),
-    },
+    "grid": {"n_steps": "int", "n_nodes": "int", "x_min": "float",
+             "x_max": "float", "x0": "float"},
+    "mc": {"n_paths": "int", "seed": "int", "samples": "int"},
+    "solver": {"order": "str", "mode": "str", "basis_degree": "int",
+               "t_mid": "float", "trials": "int"},
+    "output": {"dir": "str"},
 }
 
 _SECTIONS = ("problem",) + tuple(_SCHEMA)
@@ -93,8 +77,8 @@ _SECTIONS = ("problem",) + tuple(_SCHEMA)
 class RunConfig:
     preset: str = "dynkin-flat"
     problem_params: dict = field(default_factory=dict)
-    n_steps: int = 80
-    n_nodes: int = 81
+    n_steps: int = 500
+    n_nodes: int = 41
     x_min: float = -2.0
     x_max: float = 2.0
     x0: float = 0.0
@@ -217,8 +201,7 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: unknown key {key!r} in [{section}]; "
                 f"documented keys: {sorted(schema)}"
             )
-        tag, _ = schema[key]
-        setattr(cfg, _FIELD_OF[(section, key)], _convert(raw, tag, lineno, key))
+        setattr(cfg, _FIELD_OF[(section, key)], _convert(raw, schema[key], lineno, key))
 
     _validate_config(cfg)
     return cfg
@@ -244,7 +227,7 @@ def _validate_config(cfg: RunConfig):
         bad("trials", f"must be >= 1, got {cfg.trials}")
     if cfg.basis_degree < 0:
         bad("basis_degree", f"must be >= 0, got {cfg.basis_degree}")
-    if cfg.order not in ("supinf", "infsup"):
+    if cfg.order not in _ORDERS:
         bad("order", f"must be supinf or infsup, got {cfg.order!r}")
     if cfg.mode not in ("lattice", "lsmc"):
         bad("mode", f"must be lattice or lsmc, got {cfg.mode!r}")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, NumericsError, ProblemError
-from .game import Lattice, lattice_occupancy
-from .paths import StatePaths, TimeGrid
+from .game import Lattice, _node_controls, backward_sweep, lattice_occupancy
+from .paths import StatePaths, TimeGrid, _control_pairs
 
 __all__ = [
     "DrbsdeSolution",
@@ -86,35 +86,33 @@ class DrbsdeSolution:
         return "\n".join(lines) + "\n"
 
 
-def _check_terminal_sandwich(lo, y, hi, what):
+def _terminal(p, x, what):
+    """Terminal layer h(x), checked to sit between the obstacles at T."""
+    y = np.asarray(p.terminal(x), dtype=float)
+    lo = np.asarray(p.lower_obstacle(p.horizon, x), dtype=float)
+    hi = np.asarray(p.upper_obstacle(p.horizon, x), dtype=float)
     viol = max(float(np.max(lo - y)), float(np.max(y - hi)))
     if viol > 1e-12:
         raise ProblemError(
             f"obstacle violation at the terminal layer ({what}): "
             f"margin {viol:.3e}; the problem data are inconsistent"
         )
+    return y
+
+
+def _generator(p, t, x, e, z, ui, vi):
+    """f(t, x, e, z, u, v) per point, one call per control pair in use."""
+    fv = np.empty(len(e))
+    for u, v, sel in _control_pairs(ui, vi):
+        fv[sel] = np.asarray(p.generator(t, x[sel], e[sel], z[sel],
+                                         p.u_grid.point(u), p.v_grid.point(v)),
+                             dtype=float)
+    return fv
 
 
 # ---------------------------------------------------------------------------
 # lattice mode
 # ---------------------------------------------------------------------------
-
-def _lattice_controls(ctrl, n_steps, n_nodes, grid_size, name):
-    if np.isscalar(ctrl) or isinstance(ctrl, (int, np.integer)):
-        idx = int(ctrl)
-        if not 0 <= idx < grid_size:
-            raise ProblemError(f"{name} control index out of range")
-        return None, idx
-    arr = np.asarray(ctrl, dtype=np.int64)
-    if arr.shape != (n_steps, n_nodes):
-        raise ProblemError(
-            f"{name} node-control assignment must be an index or an array "
-            f"of shape ({n_steps}, {n_nodes})"
-        )
-    if arr.min() < 0 or arr.max() >= grid_size:
-        raise ProblemError(f"{name} control index out of range")
-    return arr, None
-
 
 def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolution:
     """Backward clamp recursion on the lattice under fixed node controls.
@@ -122,66 +120,24 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     ``mu``/``nu`` are either a single grid index (control frozen everywhere)
     or (n_steps, n_nodes) index tables.
     """
-    n_steps, n_u, n_v, n = lat.p_up.shape
-    mu_tab, mu_c = _lattice_controls(mu, n_steps, n, p.u_grid.size, "mu")
-    nu_tab, nu_c = _lattice_controls(nu, n_steps, n, p.v_grid.size, "nu")
-    if p.u_grid.size > n_u or p.v_grid.size > n_v:
+    n_steps, n = lat.grid.n_steps, lat.n_nodes
+    mu_at = _node_controls(mu, n_steps, n, p.u_grid.size, "mu")
+    nu_at = _node_controls(nu, n_steps, n, p.v_grid.size, "nu")
+    if p.u_grid.size > lat.problem.u_grid.size or p.v_grid.size > lat.problem.v_grid.size:
         raise ProblemError("lattice was built for a smaller control grid")
 
-    dt = lat.grid.dt
-    knots = lat.grid.knots
+    dt = lat.dt
     xb = lat.x_nodes[:, None]
-    Y = np.empty((n_steps + 1, n))
     Z = np.zeros((n_steps + 1, n, p.noise_dim))
-    dK_lo = np.zeros((n_steps, n))
-    dK_hi = np.zeros((n_steps, n))
 
-    Y[-1] = np.asarray(p.terminal(xb), dtype=float)
-    loT = np.asarray(p.lower_obstacle(p.horizon, xb), dtype=float)
-    hiT = np.asarray(p.upper_obstacle(p.horizon, xb), dtype=float)
-    _check_terminal_sandwich(loT, Y[-1], hiT, "lattice")
+    def step(j, t, nxt):
+        st = lat.stencil(t, mu_at(j), nu_at(j))
+        e = lat.expectation(st, nxt)
+        Z[j, :, 0] = lat.z_moment(st, nxt)
+        return e + dt * _generator(p, t, xb, e, Z[j], mu_at(j), nu_at(j))
 
-    nodes = np.arange(n)
-    for j in range(n_steps - 1, -1, -1):
-        t = float(knots[j])
-        nxt = Y[j + 1]
-        if mu_tab is None and nu_tab is None:
-            e = lat.expectation(j, nxt, mu_c, nu_c)
-            z = lat.z_moment(j, nxt, mu_c, nu_c)
-            fv = np.asarray(p.generator(t, xb, e, z[:, None],
-                                        p.u_grid.point(mu_c),
-                                        p.v_grid.point(nu_c)), dtype=float)
-        else:
-            mrow = mu_tab[j] if mu_tab is not None else np.full(n, mu_c)
-            nrow = nu_tab[j] if nu_tab is not None else np.full(n, nu_c)
-            e = np.empty(n)
-            z = np.empty(n)
-            fv = np.empty(n)
-            for ui in np.unique(mrow):
-                for vi in np.unique(nrow):
-                    sel = nodes[(mrow == ui) & (nrow == vi)]
-                    if sel.size == 0:
-                        continue
-                    e_all = lat.expectation(j, nxt, ui, vi)
-                    z_all = lat.z_moment(j, nxt, ui, vi)
-                    e[sel] = e_all[sel]
-                    z[sel] = z_all[sel]
-                    fv[sel] = np.asarray(p.generator(
-                        t, xb[sel], e[sel], z[sel][:, None],
-                        p.u_grid.point(int(ui)), p.v_grid.point(int(vi))),
-                        dtype=float)
-        y_hat = e + dt * fv
-        lo = np.asarray(p.lower_obstacle(t, xb), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, xb), dtype=float)
-        dK_lo[j] = np.maximum(lo - y_hat, 0.0)
-        dK_hi[j] = np.maximum(y_hat - hi, 0.0)
-        Y[j] = np.minimum(hi, np.maximum(lo, y_hat))
-        Z[j, :, 0] = z
-        if not np.all(np.isfinite(Y[j])):
-            raise NumericsError(f"non-finite Y layer at time index {j}")
-
-    K_lo = np.vstack([np.zeros((1, n)), np.cumsum(dK_lo, axis=0)])
-    K_hi = np.vstack([np.zeros((1, n)), np.cumsum(dK_hi, axis=0)])
+    Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step,
+                                   terminal=_terminal(p, xb, "lattice"))
     return DrbsdeSolution(grid=lat.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
                           mode="lattice")
 
@@ -238,52 +194,19 @@ def _project(design, targets, step):
 
 
 def _lsmc_backward(p, X, dW, mu_vals, nu_vals, basis, degree, n_bins, knots, dt):
-    n_paths, n_plus1, k = X.shape
-    n_steps = n_plus1 - 1
-    d = dW.shape[2]
+    n_paths, n_plus1 = X.shape[:2]
+    Z = np.zeros((n_plus1, n_paths, dW.shape[2]))
 
-    Y = np.empty((n_steps + 1, n_paths))
-    Z = np.zeros((n_steps + 1, n_paths, d))
-    dK_lo = np.zeros((n_steps, n_paths))
-    dK_hi = np.zeros((n_steps, n_paths))
-
-    xT = X[:, n_steps]
-    Y[-1] = np.asarray(p.terminal(xT), dtype=float)
-    loT = np.asarray(p.lower_obstacle(p.horizon, xT), dtype=float)
-    hiT = np.asarray(p.upper_obstacle(p.horizon, xT), dtype=float)
-    _check_terminal_sandwich(loT, Y[-1], hiT, "lsmc")
-
-    for j in range(n_steps - 1, -1, -1):
-        t = float(knots[j])
+    def step(j, t, nxt):
         xj = X[:, j]
-        targets = np.column_stack([Y[j + 1]] +
-                                  [Y[j + 1] * dW[:, j, c] for c in range(d)])
-        design = _basis_matrix(p, t, xj, basis, degree, n_bins)
-        fit = _project(design, targets, j)
+        targets = np.column_stack([nxt] + [nxt * dW[:, j, c] for c in range(dW.shape[2])])
+        fit = _project(_basis_matrix(p, t, xj, basis, degree, n_bins), targets, j)
         e = fit[:, 0]
-        z = fit[:, 1:] / dt
+        Z[j] = fit[:, 1:] / dt
+        return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
 
-        fv = np.empty(n_paths)
-        pair = mu_vals[:, j] * (np.max(nu_vals[:, j]) + 1) + nu_vals[:, j]
-        for code in np.unique(pair):
-            sel = np.nonzero(pair == code)[0]
-            ui = int(mu_vals[sel[0], j])
-            vi = int(nu_vals[sel[0], j])
-            fv[sel] = np.asarray(p.generator(
-                t, xj[sel], e[sel], z[sel], p.u_grid.point(ui),
-                p.v_grid.point(vi)), dtype=float)
-        y_hat = e + dt * fv
-        lo = np.asarray(p.lower_obstacle(t, xj), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, xj), dtype=float)
-        dK_lo[j] = np.maximum(lo - y_hat, 0.0)
-        dK_hi[j] = np.maximum(y_hat - hi, 0.0)
-        Y[j] = np.minimum(hi, np.maximum(lo, y_hat))
-        Z[j] = z
-        if not np.all(np.isfinite(Y[j])):
-            raise NumericsError(f"non-finite Y layer at time index {j}")
-
-    K_lo = np.vstack([np.zeros((1, n_paths)), np.cumsum(dK_lo, axis=0)])
-    K_hi = np.vstack([np.zeros((1, n_paths)), np.cumsum(dK_hi, axis=0)])
+    Y, K_lo, K_hi = backward_sweep(p, knots, lambda j: X[:, j], step,
+                                   terminal=_terminal(p, X[:, -1], "lsmc"))
     return Y, Z, K_lo, K_hi
 
 

@@ -14,7 +14,14 @@ weights are probabilities (up to the drift-dominance corner, which is
 reported as an error).  At the two domain edges the weight of the missing
 neighbour is folded into the node itself (reflecting truncation); the
 folded fractions are kept so occupancy-weighted diagnostics can verify the
-domain was wide enough.
+domain was wide enough.  A lattice stores no per-step arrays: it keeps
+its problem and computes a layer's stencil when the sweep asks for it.
+
+Every backward route (this module's game induction, the DRBSDE lattice and
+Monte Carlo solvers, the finite-difference sweep) runs through
+:func:`backward_sweep`, which owns the saddle reduction, the obstacle clamp
+with its K overshoots and the finiteness check; each route supplies only its
+one-step operator.
 
 Game values come from stepwise optimisation over the control grids:
 ``order='supinf'`` computes the lower value (outer sup over u of inner inf
@@ -32,17 +39,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ControlGrid, GameProblem, NumericsError, ProblemError
-from .paths import TimeGrid
+from .paths import TimeGrid, _control_pairs
 
 __all__ = [
     "CflError",
     "Lattice",
+    "Stencil",
     "ValueSurface",
     "BinaryTree",
     "DppReport",
     "OracleCase",
+    "backward_sweep",
     "build_lattice",
-    "coefficient_tables",
     "value_backward_induction",
     "dynkin_value",
     "dynkin_brute_force",
@@ -86,37 +94,47 @@ class ValueSurface:
         return "\n".join(lines) + "\n"
 
 
-def coefficient_tables(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
-    """Drift/diffusion evaluated on (time knot, u, v, node), plus CFL data.
+# ---------------------------------------------------------------------------
+# coefficients and the monotone scan
+# ---------------------------------------------------------------------------
 
-    Only scalar-state problems are supported on lattices; the returned
-    arrays have shape (n_steps, nU, nV, n_nodes).
+def _coefficients(p: GameProblem, t: float, xb: np.ndarray, ui=None, vi=None):
+    """Scalar drift and diffusion at knot ``t`` on the states ``xb`` (m, 1).
+
+    With control indices ``ui``, ``vi`` the arrays are (m,); without, they
+    cover every control pair, shape (nU, nV, m).
     """
-    if p.state_dim != 1 or p.noise_dim != 1:
-        raise ProblemError("lattice and PDE solvers support state_dim = noise_dim = 1")
-    n_steps = tgrid.n_steps
-    n_nodes = len(x_nodes)
-    nu, nv = p.u_grid.size, p.v_grid.size
-    b_vals = np.empty((n_steps, nu, nv, n_nodes))
-    s_vals = np.empty((n_steps, nu, nv, n_nodes))
-    xb = np.asarray(x_nodes, dtype=float)[:, None]
-    knots = tgrid.knots
-    for j in range(n_steps):
-        t = float(knots[j])
-        for ui in range(nu):
-            for vi in range(nv):
-                u, v = p.u_grid.point(ui), p.v_grid.point(vi)
-                b_vals[j, ui, vi] = np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0]
-                s_vals[j, ui, vi] = np.asarray(
-                    p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0]
-    if not (np.all(np.isfinite(b_vals)) and np.all(np.isfinite(s_vals))):
+    if ui is not None:
+        u, v = p.u_grid.point(ui), p.v_grid.point(vi)
+        return (np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0],
+                np.asarray(p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0])
+    b = np.empty((p.u_grid.size, p.v_grid.size, len(xb)))
+    sig = np.empty_like(b)
+    for ui in range(p.u_grid.size):
+        for vi in range(p.v_grid.size):
+            b[ui, vi], sig[ui, vi] = _coefficients(p, t, xb, ui, vi)
+    return b, sig
+
+
+def _up_down(b, sig, dt, dx):
+    """Unclipped up/down weights: sum sig^2 dt / dx^2, difference b dt / dx."""
+    A = sig ** 2 * dt / (dx * dx)
+    B = b * dt / dx
+    return 0.5 * (A + B), 0.5 * (A - B)
+
+
+def _check_monotone(b, sig, dt: float, dx: float):
+    """Raise unless the three-point weights for (b, sig) are probabilities.
+
+    That is the CFL pair dt * max(sig^2) <= dx^2 and dt * max|b| <= dx, and
+    no drift-dominated node (|b| dx > sig^2).  The lattice stencil and the
+    finite-difference update share these weights, so one check makes both
+    monotone.  ``b`` and ``sig`` may have any common shape.
+    """
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise NumericsError("non-finite coefficient on the lattice grid")
-    return b_vals, s_vals
-
-
-def _check_cfl(p: GameProblem, dt: float, dx: float, b_vals, s_vals):
-    max_sig2 = float(np.max(s_vals ** 2))
-    max_b = float(np.max(np.abs(b_vals)))
+    max_sig2 = float(np.max(sig ** 2))
+    max_b = float(np.max(np.abs(b)))
     if dt * max_sig2 > dx * dx * (1 + 1e-12):
         raise CflError(
             f"CFL violation: dt*max(sigma^2) = {dt * max_sig2:.6g} exceeds "
@@ -126,67 +144,145 @@ def _check_cfl(p: GameProblem, dt: float, dx: float, b_vals, s_vals):
         raise CflError(
             f"CFL violation: dt*max|b| = {dt * max_b:.6g} exceeds dx = {dx:.6g}"
         )
+    p_up, p_dn = _up_down(b, sig, dt, dx)
+    worst = min(float(p_up.min()), float(p_dn.min()))
+    if worst < -1e-12:
+        raise CflError(
+            f"negative stencil probability {worst:.3e}: |b|*dx exceeds sigma^2 "
+            "somewhere; widen sigma, shrink dx, or reduce the drift"
+        )
+    p_stay = 1.0 - np.maximum(p_up, 0.0) - np.maximum(p_dn, 0.0)
+    if float(p_stay.min()) < -1e-12:
+        raise CflError("stencil stay-probability went negative; tighten CFL")
+
+
+def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
+    """Check every layer of a lattice or PDE grid once.
+
+    Coefficients are evaluated one layer at a time for all control pairs
+    and discarded, so the scan holds O(nU nV n) memory at any step count.
+    """
+    if p.state_dim != 1 or p.noise_dim != 1:
+        raise ProblemError("lattice and PDE solvers support state_dim = noise_dim = 1")
+    dt = tgrid.dt
+    dx = float(x_nodes[1] - x_nodes[0])
+    for t in tgrid.knots[:-1]:
+        _check_monotone(*_coefficients(p, float(t), x_nodes[:, None]), dt, dx)
     if p.lipschitz * dt >= 1.0:
         raise CflError(
             f"gamma*dt = {p.lipschitz * dt:.6g} must be < 1; shrink the time step"
         )
 
 
+def _space_grid(n_nodes, x_min, x_max):
+    if n_nodes < 3:
+        raise ProblemError("need at least 3 space nodes")
+    if not x_min < x_max:
+        raise ProblemError("need x_min < x_max")
+    return np.linspace(x_min, x_max, n_nodes)
+
+
+# ---------------------------------------------------------------------------
+# the lattice
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stencil:
+    """Three-point weights out of one knot, per node on the last axis.
+
+    Boundary folding is already applied (p_dn is zero on the first node,
+    p_up on the last), with the folded amounts kept in fold_dn/fold_up for
+    diagnostics.
+    """
+
+    p_up: np.ndarray
+    p_dn: np.ndarray
+    p_stay: np.ndarray
+    b: np.ndarray
+    sig: np.ndarray
+    fold_dn: np.ndarray
+    fold_up: np.ndarray
+
+
 @dataclass
 class Lattice:
     """Controlled Markov chain on a uniform space grid.
 
-    Probability arrays have shape (n_steps, nU, nV, n_nodes); boundary
-    folding is already applied (p_dn is zero on the first node, p_up on the
-    last), with the folded amounts kept in fold_dn/fold_up for diagnostics.
+    The lattice keeps the problem it was built from and computes a layer's
+    stencil when asked (:meth:`stencil`), so it holds no per-step arrays.
+    ``clock`` is the time grid it was built on and ``first`` the index of
+    ``grid.t0`` among the clock's knots: the halves of :meth:`split` keep
+    their parent's clock, so they step with the parent's dt and knots.
     """
 
     grid: TimeGrid
     x_nodes: np.ndarray
     dx: float
-    p_up: np.ndarray
-    p_dn: np.ndarray
-    p_stay: np.ndarray
-    b_vals: np.ndarray
-    sig_vals: np.ndarray
-    fold_dn: np.ndarray
-    fold_up: np.ndarray
+    problem: GameProblem
+    clock: TimeGrid
+    first: int = 0
 
     @property
     def n_nodes(self) -> int:
         return len(self.x_nodes)
 
-    def expectation(self, j, vals, ui, vi):
+    @property
+    def dt(self) -> float:
+        return self.clock.dt
+
+    @property
+    def knots(self) -> np.ndarray:
+        """The lattice's knots, taken from its clock."""
+        return self.clock.knots[self.first:self.first + self.grid.n_steps + 1]
+
+    def stencil(self, t: float, ui=None, vi=None) -> Stencil:
+        """Folded weights out of knot ``t`` of this lattice's problem.
+
+        Without controls the arrays cover every control pair, shape
+        (nU, nV, n); with control indices ``ui``/``vi``, scalars or one per
+        node, they are (n,).
+        """
+        xb = self.x_nodes[:, None]
+        if ui is None:
+            b, sig = _coefficients(self.problem, t, xb)
+        else:
+            b, sig = np.empty(self.n_nodes), np.empty(self.n_nodes)
+            for u, v, sel in _control_pairs(ui, vi):
+                bp, sp = _coefficients(self.problem, t, xb, u, v)
+                b[sel], sig[sel] = bp[sel], sp[sel]
+        p_up, p_dn = _up_down(b, sig, self.dt, self.dx)
+        np.maximum(p_up, 0.0, out=p_up)
+        np.maximum(p_dn, 0.0, out=p_dn)
+        p_stay = np.maximum(1.0 - p_up - p_dn, 0.0)
+        fold_dn, fold_up = p_dn[..., 0].copy(), p_up[..., -1].copy()
+        p_stay[..., 0] += fold_dn
+        p_dn[..., 0] = 0.0
+        p_stay[..., -1] += fold_up
+        p_up[..., -1] = 0.0
+        return Stencil(p_up, p_dn, p_stay, b, sig, fold_dn, fold_up)
+
+    def expectation(self, st: Stencil, vals):
         """One-step conditional expectation of next-layer values per node."""
-        pu = self.p_up[j, ui, vi]
-        pd = self.p_dn[j, ui, vi]
-        ps = self.p_stay[j, ui, vi]
-        out = ps * vals
-        out[1:] += pd[1:] * vals[:-1]
-        out[:-1] += pu[:-1] * vals[1:]
+        out = st.p_stay * vals
+        out[..., 1:] += st.p_dn[..., 1:] * vals[:-1]
+        out[..., :-1] += st.p_up[..., :-1] * vals[1:]
         return out
 
-    def z_moment(self, j, vals, ui, vi):
+    def z_moment(self, st: Stencil, vals):
         """Stencil moment E[next value * dW] / dt per node.
 
         dW is the Euler increment that produces each move, (x_target - x -
         b dt)/sig; the mass folded at a boundary behaves like a stay move.
         Nodes with vanishing diffusion report zero.
         """
-        dt = self.grid.dt
-        sig = self.sig_vals[j, ui, vi]
-        b = self.b_vals[j, ui, vi]
-        pu = self.p_up[j, ui, vi]
-        pd = self.p_dn[j, ui, vi]
-        ps = self.p_stay[j, ui, vi]
-        safe = np.where(np.abs(sig) > 1e-14, sig, 1.0)
-        w_up = (self.dx - b * dt) / safe
-        w_st = (-b * dt) / safe
-        w_dn = (-self.dx - b * dt) / safe
-        acc = ps * vals * w_st
-        acc[1:] += pd[1:] * vals[:-1] * w_dn[1:]
-        acc[:-1] += pu[:-1] * vals[1:] * w_up[:-1]
-        return np.where(np.abs(sig) > 1e-14, acc / dt, 0.0)
+        dt = self.dt
+        moves = np.abs(st.sig) > 1e-14
+        safe = np.where(moves, st.sig, 1.0)
+        bdt = st.b * dt
+        acc = st.p_stay * vals * (-bdt / safe)
+        acc[..., 1:] += st.p_dn[..., 1:] * vals[:-1] * ((-self.dx - bdt) / safe)[..., 1:]
+        acc[..., :-1] += st.p_up[..., :-1] * vals[1:] * ((self.dx - bdt) / safe)[..., :-1]
+        return np.where(moves, acc / dt, 0.0)
 
     def split(self, j_mid: int):
         """Head lattice on [t0, t_mid] and tail lattice on [t_mid, T]."""
@@ -196,74 +292,79 @@ class Lattice:
         head_grid = TimeGrid(self.grid.t0, float(knots[j_mid]), j_mid)
         tail_grid = TimeGrid(float(knots[j_mid]), self.grid.T,
                              self.grid.n_steps - j_mid)
-        head = replace(self, grid=head_grid,
-                       p_up=self.p_up[:j_mid], p_dn=self.p_dn[:j_mid],
-                       p_stay=self.p_stay[:j_mid], b_vals=self.b_vals[:j_mid],
-                       sig_vals=self.sig_vals[:j_mid],
-                       fold_dn=self.fold_dn[:j_mid], fold_up=self.fold_up[:j_mid])
-        tail = replace(self, grid=tail_grid,
-                       p_up=self.p_up[j_mid:], p_dn=self.p_dn[j_mid:],
-                       p_stay=self.p_stay[j_mid:], b_vals=self.b_vals[j_mid:],
-                       sig_vals=self.sig_vals[j_mid:],
-                       fold_dn=self.fold_dn[j_mid:], fold_up=self.fold_up[j_mid:])
-        return head, tail
+        return (replace(self, grid=head_grid),
+                replace(self, grid=tail_grid, first=self.first + j_mid))
 
 
 def build_lattice(p: GameProblem, n_steps: int, x_min: float, x_max: float,
                   n_nodes: int, t0: float = 0.0) -> Lattice:
-    """Bake the three-point transition stencils for every (t, node, u, v)."""
-    if n_nodes < 3:
-        raise ProblemError("need at least 3 space nodes")
-    if not x_min < x_max:
-        raise ProblemError("need x_min < x_max")
+    """Lattice for ``p`` after checking that every layer's stencil is monotone."""
+    x_nodes = _space_grid(n_nodes, x_min, x_max)
     tgrid = TimeGrid(t0, p.horizon, n_steps)
-    x_nodes = np.linspace(x_min, x_max, n_nodes)
-    dx = float(x_nodes[1] - x_nodes[0])
-    dt = tgrid.dt
-
-    b_vals, s_vals = coefficient_tables(p, tgrid, x_nodes)
-    _check_cfl(p, dt, dx, b_vals, s_vals)
-
-    A = s_vals ** 2 * dt / (dx * dx)
-    B = b_vals * dt / dx
-    p_up = 0.5 * (A + B)
-    p_dn = 0.5 * (A - B)
-    worst = min(float(p_up.min()), float(p_dn.min()))
-    if worst < -1e-12:
-        raise CflError(
-            f"negative stencil probability {worst:.3e}: |b|*dx exceeds sigma^2 "
-            "somewhere; widen sigma, shrink dx, or reduce the drift"
-        )
-    p_up = np.clip(p_up, 0.0, None)
-    p_dn = np.clip(p_dn, 0.0, None)
-    p_stay = 1.0 - p_up - p_dn
-    if float(p_stay.min()) < -1e-12:
-        raise CflError("stencil stay-probability went negative; tighten CFL")
-    p_stay = np.clip(p_stay, 0.0, None)
-
-    fold_dn = p_dn[:, :, :, 0].copy()
-    fold_up = p_up[:, :, :, -1].copy()
-    p_stay[:, :, :, 0] += p_dn[:, :, :, 0]
-    p_dn[:, :, :, 0] = 0.0
-    p_stay[:, :, :, -1] += p_up[:, :, :, -1]
-    p_up[:, :, :, -1] = 0.0
-
-    return Lattice(grid=tgrid, x_nodes=x_nodes, dx=dx, p_up=p_up, p_dn=p_dn,
-                   p_stay=p_stay, b_vals=b_vals, sig_vals=s_vals,
-                   fold_dn=fold_dn, fold_up=fold_up)
+    _scan_grid(p, tgrid, x_nodes)
+    return Lattice(grid=tgrid, x_nodes=x_nodes, dx=float(x_nodes[1] - x_nodes[0]),
+                   problem=p, clock=tgrid)
 
 
 # ---------------------------------------------------------------------------
-# backward induction
+# the backward sweep
 # ---------------------------------------------------------------------------
 
-def _terminal_layer(p: GameProblem, lat: Lattice, terminal):
-    if terminal is not None:
-        vals = np.asarray(terminal, dtype=float)
-        if vals.shape != (lat.n_nodes,):
-            raise ProblemError("terminal override must have one value per node")
-        return vals.copy()
-    return np.asarray(p.terminal(lat.x_nodes[:, None]), dtype=float)
+def _check_order(order: str):
+    if order not in _ORDERS:
+        raise ProblemError(f"order must be one of {_ORDERS}")
+
+
+def _saddle(table, order: str):
+    """Saddle value of a table whose first two axes are (u, v).
+
+    ``supinf`` is the lower value (outer max over u of the inner min over
+    v), ``infsup`` the upper one; ties resolve to the first grid index,
+    which numpy's min/max ordering provides.
+    """
+    if order == "supinf":
+        return table.min(axis=1).max(axis=0)
+    return table.max(axis=0).min(axis=0)
+
+
+def backward_sweep(p: GameProblem, knots, states, step, order=None,
+                   terminal=None):
+    """The backward skeleton every route shares.
+
+    ``states(j)`` gives the states (m, k) at knot j.  The last layer is
+    ``terminal`` (default: ``p.terminal`` at the last knot's states).  Each
+    earlier layer j starts from ``step(j, t_j, next_layer)``: a (nU, nV, m)
+    table of control-pair candidates reduced to its saddle value in
+    ``order``, or, with ``order=None``, the (m,) candidate under fixed
+    controls.  The candidate is clamped into [l_lo, l_hi] at (t_j, states),
+    and the clamp overshoots are the pushes of K_lo and K_hi.
+
+    Returns (W, K_lo, K_hi), each of shape (n_knots, m); K is cumulative
+    from the first knot (first row zero).
+    """
+    n_steps = len(knots) - 1
+    if terminal is None:
+        terminal = np.asarray(p.terminal(states(n_steps)), dtype=float)
+    W = np.empty((n_steps + 1,) + terminal.shape)
+    W[-1] = terminal
+    K_lo = np.zeros_like(W)
+    K_hi = np.zeros_like(W)
+    for j in range(n_steps - 1, -1, -1):
+        t = float(knots[j])
+        cand = step(j, t, W[j + 1])
+        if order is not None:
+            cand = _saddle(cand, order)
+        x = states(j)
+        lo = np.asarray(p.lower_obstacle(t, x), dtype=float)
+        hi = np.asarray(p.upper_obstacle(t, x), dtype=float)
+        K_lo[j + 1] = np.maximum(lo - cand, 0.0)
+        K_hi[j + 1] = np.maximum(cand - hi, 0.0)
+        W[j] = np.minimum(hi, np.maximum(lo, cand))
+        if not np.all(np.isfinite(W[j])):
+            raise NumericsError(f"non-finite value layer at time index {j}")
+    np.cumsum(K_lo[1:], axis=0, out=K_lo[1:])
+    np.cumsum(K_hi[1:], axis=0, out=K_hi[1:])
+    return W, K_lo, K_hi
 
 
 def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
@@ -274,40 +375,30 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
     expectation plus the generator contribution f(t, x, E, Z) dt, where E is
     the stencil expectation itself and Z its dW-moment; the chosen order of
     optimisation then picks the saddle value, and the result is pulled back
-    into [l_lo, l_hi].  Ties in the optimisation resolve to the first grid
-    index, which numpy's min/max ordering provides.
+    into [l_lo, l_hi].
     """
-    if order not in _ORDERS:
-        raise ProblemError(f"order must be one of {_ORDERS}")
-    nu, nv = p.u_grid.size, p.v_grid.size
-    n = lat.n_nodes
-    dt = lat.grid.dt
-    knots = lat.grid.knots
+    _check_order(order)
+    if (p.u_grid.size, p.v_grid.size) != (lat.problem.u_grid.size, lat.problem.v_grid.size):
+        raise ProblemError("lattice was built for a different control grid")
+    if terminal is not None:
+        terminal = np.asarray(terminal, dtype=float)
+        if terminal.shape != (lat.n_nodes,):
+            raise ProblemError("terminal override must have one value per node")
+    dt = lat.dt
     xb = lat.x_nodes[:, None]
+    fv = np.empty((p.u_grid.size, p.v_grid.size, lat.n_nodes))
 
-    W = np.empty((lat.grid.n_steps + 1, n))
-    W[-1] = _terminal_layer(p, lat, terminal)
-    scores = np.empty((nu, nv, n))
-    for j in range(lat.grid.n_steps - 1, -1, -1):
-        t = float(knots[j])
-        nxt = W[j + 1]
-        for ui in range(nu):
-            for vi in range(nv):
-                e = lat.expectation(j, nxt, ui, vi)
-                z = lat.z_moment(j, nxt, ui, vi)
-                fv = np.asarray(p.generator(
-                    t, xb, e, z[:, None], p.u_grid.point(ui), p.v_grid.point(vi)),
-                    dtype=float)
-                scores[ui, vi] = e + dt * fv
-        if order == "supinf":
-            opt = scores.min(axis=1).max(axis=0)
-        else:
-            opt = scores.max(axis=0).min(axis=0)
-        lo = np.asarray(p.lower_obstacle(t, xb), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, xb), dtype=float)
-        W[j] = np.minimum(hi, np.maximum(lo, opt))
-        if not np.all(np.isfinite(W[j])):
-            raise NumericsError(f"non-finite value layer at time index {j}")
+    def step(j, t, nxt):
+        st = lat.stencil(t)
+        e = lat.expectation(st, nxt)
+        z = lat.z_moment(st, nxt)
+        for ui in range(p.u_grid.size):
+            for vi in range(p.v_grid.size):
+                fv[ui, vi] = p.generator(t, xb, e[ui, vi], z[ui, vi][:, None],
+                                         p.u_grid.point(ui), p.v_grid.point(vi))
+        return e + dt * fv
+
+    W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal)
     if kind is None:
         kind = "lower-game" if order == "supinf" else "upper-game"
     return ValueSurface(grid=lat.grid, x_nodes=lat.x_nodes.copy(), W=W, kind=kind)
@@ -342,8 +433,7 @@ def dynkin_value(p: GameProblem, lat: Lattice) -> ValueSurface:
     if p.u_grid.size != 1 or p.v_grid.size != 1:
         raise ProblemError("dynkin_value requires singleton control grids")
     _assert_generator_vanishes(p, lat)
-    surf = value_backward_induction(p, lat, order="supinf", kind="dynkin")
-    return surf
+    return value_backward_induction(p, lat, order="supinf", kind="dynkin")
 
 
 def single_control_value(p: GameProblem, lat: Lattice) -> ValueSurface:
@@ -583,8 +673,8 @@ def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
 
     The direct route solves on [t0, T]; the composed route solves [t_mid, T]
     first and feeds W(t_mid, .) as terminal data to a solve on [t0, t_mid].
-    On a shared lattice the two recursions perform the same arithmetic, so
-    the reported gap is zero up to floating-point noise.
+    The halves of a split step on the parent's clock, so the two recursions
+    perform the same arithmetic and the reported gap is exactly zero.
     """
     j_mid = lat.grid.index_of(t_mid)
     if not 0 < j_mid < lat.grid.n_steps:
@@ -635,18 +725,26 @@ def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
 # occupancy
 # ---------------------------------------------------------------------------
 
-def _control_table(ctrl, n_steps, n_nodes, grid_size, name):
+def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
+    """Validated node controls: a grid index, or an (n_steps, n_nodes) table.
+
+    Returns a function of the step index giving the index (scalar) or the
+    per-node index row in force at that step.
+    """
     if np.isscalar(ctrl) or isinstance(ctrl, (int, np.integer)):
         idx = int(ctrl)
         if not 0 <= idx < grid_size:
             raise ProblemError(f"{name} control index out of range")
-        return None, idx
+        return lambda j: idx
     arr = np.asarray(ctrl, dtype=np.int64)
     if arr.shape != (n_steps, n_nodes):
-        raise ProblemError(f"{name} control table must be (n_steps, n_nodes)")
+        raise ProblemError(
+            f"{name} node-control assignment must be an index or an array "
+            f"of shape ({n_steps}, {n_nodes})"
+        )
     if arr.min() < 0 or arr.max() >= grid_size:
         raise ProblemError(f"{name} control index out of range")
-    return arr, None
+    return lambda j: arr[j]
 
 
 def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None,
@@ -658,34 +756,20 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None,
     occupancy-weighted probability mass reflected at the domain edges (small
     when the domain is wide enough).
     """
-    n_steps, nu_g, nv_g, n = lat.p_up.shape
-    mu_tab, mu_c = _control_table(mu, n_steps, n, nu_g, "mu")
-    nu_tab, nu_c = _control_table(nu, n_steps, n, nv_g, "nu")
+    n_steps, n = lat.grid.n_steps, lat.n_nodes
+    mu_at = _node_controls(mu, n_steps, n, lat.problem.u_grid.size, "mu")
+    nu_at = _node_controls(nu, n_steps, n, lat.problem.v_grid.size, "nu")
     if root_index is None:
         root_index = n // 2
     pi = np.zeros((n_steps + 1, n))
     pi[0, root_index] = 1.0
     folded = 0.0
-    nodes = np.arange(n)
-    for j in range(n_steps):
-        if mu_tab is None and nu_tab is None:
-            pu = lat.p_up[j, mu_c, nu_c]
-            pd = lat.p_dn[j, mu_c, nu_c]
-            ps = lat.p_stay[j, mu_c, nu_c]
-            fd = lat.fold_dn[j, mu_c, nu_c]
-            fu = lat.fold_up[j, mu_c, nu_c]
-        else:
-            mrow = mu_tab[j] if mu_tab is not None else np.full(n, mu_c)
-            nrow = nu_tab[j] if nu_tab is not None else np.full(n, nu_c)
-            pu = lat.p_up[j, mrow, nrow, nodes]
-            pd = lat.p_dn[j, mrow, nrow, nodes]
-            ps = lat.p_stay[j, mrow, nrow, nodes]
-            fd = lat.fold_dn[j, mrow[0], nrow[0]]
-            fu = lat.fold_up[j, mrow[-1], nrow[-1]]
+    for j, t in enumerate(lat.knots[:-1]):
+        st = lat.stencil(float(t), mu_at(j), nu_at(j))
         cur = pi[j]
         nxt = pi[j + 1]
-        nxt += cur * ps
-        nxt[1:] += (cur * pu)[:-1]
-        nxt[:-1] += (cur * pd)[1:]
-        folded += cur[0] * fd + cur[-1] * fu
+        nxt += cur * st.p_stay
+        nxt[1:] += (cur * st.p_up)[:-1]
+        nxt[:-1] += (cur * st.p_dn)[1:]
+        folded += cur[0] * st.fold_dn + cur[-1] * st.fold_up
     return pi, float(folded)

@@ -120,6 +120,24 @@ def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> ControlPath
     return ControlPath(values=np.full((n_paths, n_steps), index, dtype=np.int64))
 
 
+def _control_pairs(ui, vi):
+    """Each distinct control pair in use, with the positions that use it.
+
+    ``ui``/``vi`` are control-grid indices, either one per position (1-d
+    integer arrays of equal length) or scalars.  Yields ``(u index, v index,
+    positions)`` in lexicographic order of the pair; two scalars form one
+    pair used everywhere, reported with the positions ``slice(None)``.
+    """
+    if np.ndim(ui) == 0 and np.ndim(vi) == 0:
+        yield int(ui), int(vi), slice(None)
+        return
+    ui, vi = np.broadcast_arrays(ui, vi)
+    codes = ui * (int(np.max(vi)) + 1) + vi
+    for code in np.unique(codes):
+        sel = np.nonzero(codes == code)[0]
+        yield int(ui[sel[0]]), int(vi[sel[0]]), sel
+
+
 def _paths_csv(arr) -> str:
     """CSV dump with header path,step,coord,value."""
     lines = ["path,step,coord,value"]
@@ -174,11 +192,7 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
         t = float(knots[j])
         xj = X[:, j]
         xn = X[:, j + 1]
-        pair_codes = mu.values[:, j] * (np.max(nu.values[:, j]) + 1) + nu.values[:, j]
-        for code in np.unique(pair_codes):
-            idx = np.nonzero(pair_codes == code)[0]
-            ui = int(mu.values[idx[0], j])
-            vi = int(nu.values[idx[0], j])
+        for ui, vi, idx in _control_pairs(mu.values[:, j], nu.values[:, j]):
             u = p.u_grid.point(ui)
             v = p.v_grid.point(vi)
             xb = xj[idx]

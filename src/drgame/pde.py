@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError
+from .model import GameProblem, ProblemError
 from .paths import TimeGrid
-from .game import (CflError, Lattice, ValueSurface, coefficient_tables,
-                   _check_cfl, value_backward_induction)
+from .game import (Lattice, ValueSurface, _check_monotone, _check_order,
+                   _coefficients, _saddle, _scan_grid, _space_grid,
+                   backward_sweep, value_backward_induction)
 
 __all__ = [
     "PdeGrid",
@@ -42,9 +43,6 @@ __all__ = [
     "cross_check",
     "refinement_study",
 ]
-
-_ORDERS = ("supinf", "infsup")
-
 
 @dataclass(frozen=True)
 class PdeGrid:
@@ -65,15 +63,9 @@ class PdeGrid:
 def make_pde_grid(p: GameProblem, n_steps: int, x_min: float, x_max: float,
                   n_nodes: int, t0: float = 0.0) -> PdeGrid:
     """Build the grid and verify the CFL conditions over nodes and controls."""
-    if n_nodes < 3:
-        raise ProblemError("need at least 3 space nodes")
-    if not x_min < x_max:
-        raise ProblemError("need x_min < x_max")
+    x_nodes = _space_grid(n_nodes, x_min, x_max)
     tgrid = TimeGrid(t0, p.horizon, n_steps)
-    x_nodes = np.linspace(x_min, x_max, n_nodes)
-    dx = float(x_nodes[1] - x_nodes[0])
-    b_vals, s_vals = coefficient_tables(p, tgrid, x_nodes)
-    _check_cfl(p, tgrid.dt, dx, b_vals, s_vals)
+    _scan_grid(p, tgrid, x_nodes)
     return PdeGrid(grid=tgrid, x_nodes=x_nodes)
 
 
@@ -110,16 +102,13 @@ def isaacs_hamiltonian(p: GameProblem, t, x, y, z, gamma_mat, order: str) -> flo
 
     Ties resolve to the earliest grid index on both layers.
     """
-    if order not in _ORDERS:
-        raise ProblemError(f"order must be one of {_ORDERS}")
+    _check_order(order)
     table = np.empty((p.u_grid.size, p.v_grid.size))
     for ui in range(p.u_grid.size):
         for vi in range(p.v_grid.size):
             table[ui, vi] = hamiltonian(p, t, x, y, z, gamma_mat,
                                         p.u_grid.point(ui), p.v_grid.point(vi))
-    if order == "supinf":
-        return float(table.min(axis=1).max())
-    return float(table.max(axis=0).min())
+    return float(_saddle(table, order))
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +133,15 @@ def _layer_derivatives(w, dx):
     return d2, dc
 
 
-def _hamiltonian_layer(p, t, x_col, w, d2, dc, ui, vi):
-    u = p.u_grid.point(ui)
-    v = p.v_grid.point(vi)
-    bv = np.asarray(p.drift(t, x_col, u, v), dtype=float)[:, 0]
-    sv = np.asarray(p.diffusion(t, x_col, u, v), dtype=float)[:, 0, 0]
-    fz = (dc * sv)[:, None]
-    fv = np.asarray(p.generator(t, x_col, w, fz, u, v), dtype=float)
-    return 0.5 * sv * sv * d2 + bv * dc + fv
-
-
-def _monotone_weight_check(p, dt, dx, sv, bv, layer):
-    a = sv * sv * dt / (dx * dx)
-    bq = np.abs(bv) * dt / dx
-    if float(np.max(a)) > 1.0 + 1e-12 or float(np.max(a + bq)) > 2.0 + 1e-12 \
-            or float(np.min(a - bq)) < -1e-12:
-        raise CflError(
-            f"non-monotone update weights at time index {layer}: "
-            f"max sig^2 dt/dx^2 = {float(np.max(a)):.6g}"
-        )
+def _hamiltonians(p, t, x_col, w, d2, dc, b, sig):
+    """H per (u, v, node) from one layer's derivatives and coefficients."""
+    fz = (dc * sig)[..., None]
+    fv = np.empty_like(b)
+    for ui in range(p.u_grid.size):
+        for vi in range(p.v_grid.size):
+            fv[ui, vi] = p.generator(t, x_col, w, fz[ui, vi],
+                                     p.u_grid.point(ui), p.v_grid.point(vi))
+    return 0.5 * sig * sig * d2 + b * dc + fv
 
 
 def solve_obstacle_pde(p: GameProblem, g: PdeGrid, order: str) -> ValueSurface:
@@ -172,42 +151,19 @@ def solve_obstacle_pde(p: GameProblem, g: PdeGrid, order: str) -> ValueSurface:
     nonnegative neighbour weights (monotone scheme); violations raise
     rather than silently losing stability.
     """
-    if order not in _ORDERS:
-        raise ProblemError(f"order must be one of {_ORDERS}")
-    n = g.n_nodes
+    _check_order(order)
     dt = g.grid.dt
     dx = g.dx
-    knots = g.grid.knots
     x_col = g.x_nodes[:, None]
 
-    W = np.empty((g.grid.n_steps + 1, n))
-    W[-1] = np.asarray(p.terminal(x_col), dtype=float)
-    scores = np.empty((p.u_grid.size, p.v_grid.size, n))
-    for j in range(g.grid.n_steps - 1, -1, -1):
-        t = float(knots[j])
-        w = W[j + 1]
+    def step(j, t, w):
         d2, dc = _layer_derivatives(w, dx)
-        for ui in range(p.u_grid.size):
-            for vi in range(p.v_grid.size):
-                u = p.u_grid.point(ui)
-                v = p.v_grid.point(vi)
-                sv = np.asarray(p.diffusion(t, x_col, u, v), dtype=float)[:, 0, 0]
-                bv = np.asarray(p.drift(t, x_col, u, v), dtype=float)[:, 0]
-                _monotone_weight_check(p, dt, dx, sv, bv, j)
-                fz = (dc * sv)[:, None]
-                fv = np.asarray(p.generator(t, x_col, w, fz, u, v), dtype=float)
-                scores[ui, vi] = w + dt * (0.5 * sv * sv * d2 + bv * dc + fv)
-        if order == "supinf":
-            upd = scores.min(axis=1).max(axis=0)
-        else:
-            upd = scores.max(axis=0).min(axis=0)
-        lo = np.asarray(p.lower_obstacle(t, x_col), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, x_col), dtype=float)
-        W[j] = np.minimum(hi, np.maximum(lo, upd))
-        if not np.all(np.isfinite(W[j])):
-            raise NumericsError(f"NaN in the PDE sweep at time index {j}")
-    kind = "pde"
-    return ValueSurface(grid=g.grid, x_nodes=g.x_nodes.copy(), W=W, kind=kind)
+        b, sig = _coefficients(p, t, x_col)
+        _check_monotone(b, sig, dt, dx)
+        return w + dt * _hamiltonians(p, t, x_col, w, d2, dc, b, sig)
+
+    W, _, _ = backward_sweep(p, g.grid.knots, lambda j: x_col, step, order)
+    return ValueSurface(grid=g.grid, x_nodes=g.x_nodes.copy(), W=W, kind="pde")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +201,7 @@ def viscosity_residual(p: GameProblem, g: PdeGrid, w: ValueSurface,
     order dt + dx^2 on smooth regions; it vanishes identically where the
     solution sits on an obstacle or is flat.
     """
-    if order not in _ORDERS:
-        raise ProblemError(f"order must be one of {_ORDERS}")
+    _check_order(order)
     if w.W.shape != (g.grid.n_steps + 1, g.n_nodes):
         raise ProblemError("surface does not live on the given grid")
     n = g.n_nodes
@@ -262,15 +217,8 @@ def viscosity_residual(p: GameProblem, g: PdeGrid, w: ValueSurface,
         dt_w = (w.W[j + 1][1:-1] - wj[1:-1]) / dt
         d2 = (wj[2:] - 2.0 * wj[1:-1] + wj[:-2]) / (dx * dx)
         dc = (wj[2:] - wj[:-2]) / (2.0 * dx)
-        table = np.empty((p.u_grid.size, p.v_grid.size, n - 2))
-        for ui in range(p.u_grid.size):
-            for vi in range(p.v_grid.size):
-                table[ui, vi] = _hamiltonian_layer(
-                    p, t, x_col, wj[1:-1], d2, dc, ui, vi)
-        if order == "supinf":
-            ham = table.min(axis=1).max(axis=0)
-        else:
-            ham = table.max(axis=0).min(axis=0)
+        ham = _saddle(_hamiltonians(p, t, x_col, wj[1:-1], d2, dc,
+                                   *_coefficients(p, t, x_col)), order)
         lo = np.asarray(p.lower_obstacle(t, x_col), dtype=float)
         hi = np.asarray(p.upper_obstacle(t, x_col), dtype=float)
         inner = np.maximum(-dt_w - ham, wj[1:-1] - hi)

@@ -134,6 +134,12 @@ class TestRun:
         conv = (tmp_path / "pde" / "convergence.csv").read_text()
         assert conv.splitlines()[0] == "resolution,root_value,diff"
 
+    def test_grid_subcommands_run_on_the_defaults(self, tmp_path):
+        for sub in ("value", "pde", "drbsde", "crosscheck", "dpp-check"):
+            cfg = RunConfig(out_dir=str(tmp_path / sub))
+            assert run(sub, cfg) == 0, sub
+            assert (tmp_path / sub / "run.txt").is_file()
+
     def test_pde_cfl_violation_exits_2(self, tmp_path):
         conf = tmp_path / "bad.ini"
         conf.write_text(MINIMAL + "[grid]\nn_steps = 5\nn_nodes = 41\n")

@@ -37,49 +37,61 @@ def surface_sandwich_violation(p, surf):
     return worst
 
 
+def stencil_tables(lat):
+    """(p_up, p_dn, p_stay) per (step, u, v, node), read layer by layer."""
+    layers = [lat.stencil(float(t)) for t in lat.knots[:-1]]
+    return tuple(np.array([getattr(st, name) for st in layers])
+                 for name in ("p_up", "p_dn", "p_stay"))
+
+
 class TestStencil:
     def test_driftless_matched_step_is_binomial(self):
         # dt = dx^2 with sigma = 1: p_up = p_dn = 1/2, p_stay = 0
         p = scalar_problem(T=0.04, sig=1.0)
         lat = build_lattice(p, n_steps=4, x_min=-1.0, x_max=1.0, n_nodes=21)
+        p_up, p_dn, p_stay = stencil_tables(lat)
         assert abs(lat.dx - 0.1) < 1e-15
         assert abs(lat.grid.dt - lat.dx ** 2) < 1e-15
         inner = slice(1, -1)
-        assert np.allclose(lat.p_up[:, 0, 0, inner], 0.5, atol=1e-13)
-        assert np.allclose(lat.p_dn[:, 0, 0, inner], 0.5, atol=1e-13)
-        assert np.allclose(lat.p_stay[:, 0, 0, inner], 0.0, atol=1e-13)
+        assert np.allclose(p_up[:, 0, 0, inner], 0.5, atol=1e-13)
+        assert np.allclose(p_dn[:, 0, 0, inner], 0.5, atol=1e-13)
+        assert np.allclose(p_stay[:, 0, 0, inner], 0.0, atol=1e-13)
 
     def test_frozen_state(self):
         p = scalar_problem(sig=0.0)
         lat = build_lattice(p, n_steps=5, x_min=-1, x_max=1, n_nodes=11)
-        assert np.allclose(lat.p_stay, 1.0)
-        assert np.allclose(lat.p_up, 0.0)
+        p_up, p_dn, p_stay = stencil_tables(lat)
+        assert np.allclose(p_stay, 1.0)
+        assert np.allclose(p_up, 0.0)
 
     def test_hand_computed_weights(self):
         # b = 1, sigma = 1, dx = 0.1, dt = 0.005
         p = scalar_problem(T=0.05, b0=1.0, sig=1.0)
         lat = build_lattice(p, n_steps=10, x_min=-1.0, x_max=1.0, n_nodes=21)
+        p_up, p_dn, p_stay = stencil_tables(lat)
         assert abs(lat.grid.dt - 0.005) < 1e-15
         inner = slice(1, -1)
-        assert np.allclose(lat.p_up[:, 0, 0, inner], 0.275, atol=1e-13)
-        assert np.allclose(lat.p_dn[:, 0, 0, inner], 0.225, atol=1e-13)
-        assert np.allclose(lat.p_stay[:, 0, 0, inner], 0.5, atol=1e-13)
+        assert np.allclose(p_up[:, 0, 0, inner], 0.275, atol=1e-13)
+        assert np.allclose(p_dn[:, 0, 0, inner], 0.225, atol=1e-13)
+        assert np.allclose(p_stay[:, 0, 0, inner], 0.5, atol=1e-13)
 
     def test_probabilities_sum_to_one_and_are_nonnegative(self):
         p = make_preset("linear-quadratic", {})
         lat = build_lattice(p, n_steps=100, x_min=-4, x_max=4, n_nodes=41)
-        total = lat.p_up + lat.p_dn + lat.p_stay
+        p_up, p_dn, p_stay = stencil_tables(lat)
+        total = p_up + p_dn + p_stay
         assert np.max(np.abs(total - 1.0)) < 1e-12
-        assert lat.p_up.min() >= 0 and lat.p_dn.min() >= 0 and lat.p_stay.min() >= 0
+        assert p_up.min() >= 0 and p_dn.min() >= 0 and p_stay.min() >= 0
 
     def test_local_moments_match_drift_and_diffusion(self):
         p = scalar_problem(T=0.05, b0=1.0, sig=1.0)
         lat = build_lattice(p, n_steps=10, x_min=-1.0, x_max=1.0, n_nodes=21)
+        p_up, p_dn, p_stay = stencil_tables(lat)
         dt, dx = lat.grid.dt, lat.dx
         inner = slice(1, -1)
-        first = (lat.p_up - lat.p_dn)[:, 0, 0, inner] * dx
+        first = (p_up - p_dn)[:, 0, 0, inner] * dx
         assert np.max(np.abs(first - 1.0 * dt)) < 1e-15
-        second = (lat.p_up + lat.p_dn)[:, 0, 0, inner] * dx ** 2
+        second = (p_up + p_dn)[:, 0, 0, inner] * dx ** 2
         central = second - first ** 2
         assert np.max(np.abs(central - 1.0 * dt)) <= (1.0 * dt) ** 2 + 1e-15
 
@@ -97,6 +109,18 @@ class TestStencil:
         p = scalar_problem(T=10.0, sig=0.1, gamma=1.0)
         with pytest.raises(CflError, match="gamma"):
             build_lattice(p, n_steps=5, x_min=-10, x_max=10, n_nodes=11)
+
+
+class TestLatticeMemory:
+    def test_lattice_arrays_do_not_grow_with_the_step_count(self):
+        p = make_preset("linear-quadratic", {})
+
+        def held_bytes(n_steps):
+            lat = build_lattice(p, n_steps, -4, 4, 41)
+            return sum(v.nbytes for v in vars(lat).values()
+                       if isinstance(v, np.ndarray))
+
+        assert held_bytes(100) == held_bytes(400)
 
 
 class TestBackwardInduction:
@@ -301,6 +325,17 @@ class TestDpp:
                 t_mid = float(lat.grid.knots[j])
                 rep = dpp_check(p, lat, t_mid, "supinf")
                 assert rep.gap <= 1e-12
+
+    def test_split_halves_keep_the_parent_arithmetic(self):
+        # the halves' own dt differs from the parent's by ulps at most of
+        # these knots; stepping on the parent's clock keeps the gap at 0
+        for name in ("linear-quadratic", "uncertain-volatility"):
+            p = make_preset(name, {"T": 0.7})
+            lat = build_lattice(p, 777, -6, 6, 121)
+            for j in (2, 3, 5, 7, 388):
+                t_mid = float(lat.grid.knots[j])
+                for order in ("supinf", "infsup"):
+                    assert dpp_check(p, lat, t_mid, order).gap == 0.0, (name, j, order)
 
     def test_interior_knot_required(self):
         p = make_preset("dynkin-flat", {})
