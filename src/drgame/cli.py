@@ -38,10 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (NumericsError, PRESETS, ProblemError, make_preset,
+from .model import (NumericsError, PRESETS, ProblemError, _csv, make_preset,
                     validate_problem)
 from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
-from .game import (_ORDERS, build_lattice, dpp_check, dpp_cross_resolution,
+from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
 from .pde import (cross_check, make_pde_grid, refinement_study,
@@ -59,15 +59,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
-# section -> key -> type tag; defaults live in RunConfig.  The problem
-# section is handled separately because its key set depends on the preset.
+# section -> key -> RunConfig field; the field's default fixes the value
+# type (int, float or str).  The problem section is handled separately
+# because its key set depends on the preset.
 _SCHEMA = {
-    "grid": {"n_steps": "int", "n_nodes": "int", "x_min": "float",
-             "x_max": "float", "x0": "float"},
-    "mc": {"n_paths": "int", "seed": "int", "samples": "int"},
-    "solver": {"order": "str", "mode": "str", "basis_degree": "int",
-               "t_mid": "float", "trials": "int"},
-    "output": {"dir": "str"},
+    "grid": {"n_steps": "n_steps", "n_nodes": "n_nodes", "x_min": "x_min",
+             "x_max": "x_max", "x0": "x0"},
+    "mc": {"n_paths": "n_paths", "seed": "seed", "samples": "samples"},
+    "solver": {"order": "order", "mode": "mode", "basis_degree": "basis_degree",
+               "t_mid": "t_mid", "trials": "trials"},
+    "output": {"dir": "out_dir"},
 }
 
 _SECTIONS = ("problem",) + tuple(_SCHEMA)
@@ -93,37 +94,17 @@ class RunConfig:
     out_dir: str = "out"
 
 
-_FIELD_OF = {
-    ("grid", "n_steps"): "n_steps", ("grid", "n_nodes"): "n_nodes",
-    ("grid", "x_min"): "x_min", ("grid", "x_max"): "x_max",
-    ("grid", "x0"): "x0",
-    ("mc", "n_paths"): "n_paths", ("mc", "seed"): "seed",
-    ("mc", "samples"): "samples",
-    ("solver", "order"): "order", ("solver", "mode"): "mode",
-    ("solver", "basis_degree"): "basis_degree",
-    ("solver", "t_mid"): "t_mid", ("solver", "trials"): "trials",
-    ("output", "dir"): "out_dir",
-}
-
-
-def _convert(raw, tag, lineno, key):
-    if tag == "str":
+def _convert(raw, fld, lineno, key):
+    kind = type(getattr(RunConfig, fld))
+    if kind is str:
         return raw
-    if tag == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} expects an integer, got {raw!r}"
-            ) from None
-    if tag == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} expects a number, got {raw!r}"
-            ) from None
-    raise AssertionError(tag)
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"line {lineno}: key {key!r} expects {noun}, got {raw!r}"
+        ) from None
 
 
 def _convert_problem_param(raw, key, preset, lineno):
@@ -201,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: unknown key {key!r} in [{section}]; "
                 f"documented keys: {sorted(schema)}"
             )
-        setattr(cfg, _FIELD_OF[(section, key)], _convert(raw, schema[key], lineno, key))
+        setattr(cfg, schema[key], _convert(raw, schema[key], lineno, key))
 
     _validate_config(cfg)
     return cfg
@@ -249,8 +230,8 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append(f"{key} = {_fmt_value(cfg.problem_params[key])}")
     for section, schema in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in schema:
-            lines.append(f"{key} = {_fmt_value(getattr(cfg, _FIELD_OF[(section, key)]))}")
+        for key, fld in schema.items():
+            lines.append(f"{key} = {_fmt_value(getattr(cfg, fld))}")
     return "\n".join(lines) + "\n"
 
 
@@ -261,19 +242,6 @@ def serialize_config(cfg: RunConfig) -> str:
 def _write_text(path: Path, text: str):
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def _csv(rows, header) -> str:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:.17g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _write_manifest(out: Path, subcommand, cfg, threads, wall, extra=None):
@@ -287,8 +255,8 @@ def _write_manifest(out: Path, subcommand, cfg, threads, wall, extra=None):
     for key in sorted(cfg.problem_params):
         items[f"problem.{key}"] = _fmt_value(cfg.problem_params[key])
     for section, schema in _SCHEMA.items():
-        for key in schema:
-            items[f"{section}.{key}"] = _fmt_value(getattr(cfg, _FIELD_OF[(section, key)]))
+        for key, fld in schema.items():
+            items[f"{section}.{key}"] = _fmt_value(getattr(cfg, fld))
     for k, v in (extra or {}).items():
         items[k] = v
     lines = [f"{k}={items[k]}" for k in items]
@@ -381,7 +349,8 @@ def _cmd_dynkin_oracle(cfg, out):
         worst = max(worst, diff)
         rows.append((i, case.tree.depth, rec, bf, diff))
     _write_text(out / "oracle.csv",
-                _csv(rows, "tree,depth,recursion_value,brute_force_value,abs_diff"))
+                _csv("tree,depth,recursion_value,brute_force_value,abs_diff",
+                     *zip(*rows)))
     return (0 if worst <= 1e-12 else 1), {"result.worst_abs_diff": f"{worst:.17g}"}
 
 def _cmd_dpp_check(cfg, out):
@@ -389,10 +358,11 @@ def _cmd_dpp_check(cfg, out):
     lat = _lattice(cfg, prob)
     t_mid = _snap_t_mid(cfg, lat.grid)
     rep = dpp_check(prob, lat, t_mid, cfg.order)
-    rep2 = dpp_cross_resolution(prob, lat, t_mid, cfg.order)
+    # the refined variant of dpp_cross_resolution, reusing rep's direct solve
+    refined = float(_refined_composition(prob, lat, t_mid, cfg.order)[lat.n_nodes // 2])
     rows = [("matched", rep.direct, rep.composed, rep.gap),
-            ("refined", rep2.direct, rep2.composed, rep2.gap)]
-    _write_text(out / "dpp.csv", _csv(rows, "variant,direct,composed,gap"))
+            ("refined", rep.direct, refined, abs(rep.direct - refined))]
+    _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))
     return (0 if rep.gap <= 1e-12 else 1), {"result.matched_gap": f"{rep.gap:.17g}"}
 
 def _cmd_crosscheck(cfg, out):
@@ -400,8 +370,9 @@ def _cmd_crosscheck(cfg, out):
     lat = _lattice(cfg, prob)
     g = make_pde_grid(prob, cfg.n_steps, cfg.x_min, cfg.x_max, cfg.n_nodes)
     rep = cross_check(prob, lat, g, cfg.order, x0=cfg.x0)
-    rows = [(rep.lattice_root, rep.pde_root, rep.rel_gap)]
-    _write_text(out / "crosscheck.csv", _csv(rows, "lattice_root,pde_root,rel_gap"))
+    _write_text(out / "crosscheck.csv",
+                _csv("lattice_root,pde_root,rel_gap",
+                     [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))
     return (0 if rep.rel_gap <= 1e-10 else 1), {"result.rel_gap": f"{rep.rel_gap:.17g}"}
 
 def _cmd_sqrt_check(cfg, out):
@@ -416,7 +387,7 @@ def _cmd_sqrt_check(cfg, out):
         resid = float(np.linalg.norm(r @ r - g) / np.linalg.norm(g))
         worst = max(worst, resid)
         rows.append((trial, resid))
-    _write_text(out / "sqrt.csv", _csv(rows, "trial,residual"))
+    _write_text(out / "sqrt.csv", _csv("trial,residual", *zip(*rows)))
     return (0 if worst <= 1e-8 else 1), {"result.worst_residual": f"{worst:.17g}"}
 
 

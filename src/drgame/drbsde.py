@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError
+from .model import GameProblem, NumericsError, ProblemError, _csv
 from .game import Lattice, _node_controls, backward_sweep, lattice_occupancy
 from .paths import StatePaths, TimeGrid, _control_pairs
 
@@ -74,16 +74,10 @@ class DrbsdeSolution:
     def to_csv(self) -> str:
         d = self.Z.shape[2]
         zcols = ",".join(f"Z{c}" for c in range(d))
-        lines = [f"time,point,Y,{zcols},K_lo,K_hi"]
-        knots = self.grid.knots
-        for j in range(self.Y.shape[0]):
-            for i in range(self.Y.shape[1]):
-                zs = ",".join(f"{self.Z[j, i, c]:.17g}" for c in range(d))
-                lines.append(
-                    f"{knots[j]:.17g},{i},{self.Y[j, i]:.17g},{zs},"
-                    f"{self.K_lo[j, i]:.17g},{self.K_hi[j, i]:.17g}"
-                )
-        return "\n".join(lines) + "\n"
+        j, i = np.indices(self.Y.shape).reshape(2, -1)
+        return _csv(f"time,point,Y,{zcols},K_lo,K_hi", self.grid.knots[j], i,
+                    self.Y.ravel(), *self.Z.reshape(-1, d).T,
+                    self.K_lo.ravel(), self.K_hi.ravel())
 
 
 def _terminal(p, x, what):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ControlGrid, GameProblem, NumericsError, ProblemError
+from .model import ControlGrid, GameProblem, NumericsError, ProblemError, _csv
 from .paths import TimeGrid, _control_pairs
 
 __all__ = [
@@ -84,14 +84,9 @@ class ValueSurface:
         return float(self.W[0, x_index])
 
     def to_csv(self) -> str:
-        knots = self.grid.knots
-        lines = ["time,x,value,kind"]
-        for j in range(self.W.shape[0]):
-            for i in range(self.W.shape[1]):
-                lines.append(
-                    f"{knots[j]:.17g},{self.x_nodes[i]:.17g},{self.W[j, i]:.17g},{self.kind}"
-                )
-        return "\n".join(lines) + "\n"
+        j, i = np.indices(self.W.shape).reshape(2, -1)
+        return _csv("time,x,value,kind", self.grid.knots[j], self.x_nodes[i],
+                    self.W.ravel(), self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +701,26 @@ def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
     if x_index is None:
         x_index = lat.n_nodes // 2
     full = value_backward_induction(p, lat, order)
+    direct = float(full.W[0, x_index])
+    composed = float(_refined_composition(p, lat, t_mid, order, refine)[x_index])
+    return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
+
+def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float, order: str,
+                         refine: int = 2) -> np.ndarray:
+    """Initial layer of the composed route of :func:`dpp_cross_resolution`.
+
+    ``t_mid`` must already be checked to be a strictly interior knot.
+    """
+    j_mid = lat.grid.index_of(t_mid)
     n_tail_fine = (lat.grid.n_steps - j_mid) * refine * refine
     n_nodes_fine = (lat.n_nodes - 1) * refine + 1
     fine_tail = build_lattice(p, n_tail_fine, float(lat.x_nodes[0]),
                               float(lat.x_nodes[-1]), n_nodes_fine, t0=float(t_mid))
     tail_surf = value_backward_induction(p, fine_tail, order)
     terminal = np.interp(lat.x_nodes, fine_tail.x_nodes, tail_surf.W[0])
-
     head, _ = lat.split(j_mid)
-    comp_surf = value_backward_induction(p, head, order, terminal=terminal)
-    direct = float(full.W[0, x_index])
-    composed = float(comp_surf.W[0, x_index])
-    return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
+    return value_backward_induction(p, head, order, terminal=terminal).W[0]
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +749,7 @@ def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
     return lambda j: arr[j]
 
 
-def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None,
-                      n_u=None, n_v=None):
+def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     """Forward node-occupancy distribution from a root node.
 
     Returns (pi, folded_fraction): pi[j, i] is the chain probability of node

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError
+from .model import GameProblem, NumericsError, ProblemError, _csv
 
 __all__ = [
     "TimeGrid",
@@ -78,7 +78,8 @@ class PathEnsemble:
     dW: np.ndarray
 
     def to_csv(self) -> str:
-        return _paths_csv(self.dW)
+        return _csv("path,step,coord,value",
+                    *np.indices(self.dW.shape).reshape(3, -1), self.dW.ravel())
 
 
 @dataclass
@@ -95,7 +96,8 @@ class StatePaths:
     ens: PathEnsemble = None
 
     def to_csv(self) -> str:
-        return _paths_csv(self.X)
+        return _csv("path,step,coord,value",
+                    *np.indices(self.X.shape).reshape(3, -1), self.X.ravel())
 
 
 @dataclass
@@ -136,17 +138,6 @@ def _control_pairs(ui, vi):
     for code in np.unique(codes):
         sel = np.nonzero(codes == code)[0]
         yield int(ui[sel[0]]), int(vi[sel[0]]), sel
-
-
-def _paths_csv(arr) -> str:
-    """CSV dump with header path,step,coord,value."""
-    lines = ["path,step,coord,value"]
-    n_paths, n_steps, n_coord = arr.shape
-    for ip in range(n_paths):
-        for js in range(n_steps):
-            for c in range(n_coord):
-                lines.append(f"{ip},{js},{c},{arr[ip, js, c]:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEnsemble:

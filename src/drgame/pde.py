@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, ProblemError
+from .model import GameProblem, ProblemError, _csv
 from .paths import TimeGrid
 from .game import (Lattice, ValueSurface, _check_monotone, _check_order,
                    _coefficients, _saddle, _scan_grid, _space_grid,
@@ -180,14 +180,9 @@ class ResidualReport:
     max_abs: float
 
     def to_csv(self) -> str:
-        lines = ["time,x,residual"]
-        for j in range(self.field.shape[0]):
-            for i in range(self.field.shape[1]):
-                lines.append(
-                    f"{self.times[j]:.17g},{self.x_inner[i]:.17g},"
-                    f"{self.field[j, i]:.17g}"
-                )
-        return "\n".join(lines) + "\n"
+        j, i = np.indices(self.field.shape).reshape(2, -1)
+        return _csv("time,x,residual", self.times[j], self.x_inner[i],
+                    self.field.ravel())
 
 
 def viscosity_residual(p: GameProblem, g: PdeGrid, w: ValueSurface,
@@ -239,11 +234,8 @@ class RefinementStudy:
         return [abs(b - a) for a, b in zip(self.roots, self.roots[1:])]
 
     def to_csv(self) -> str:
-        lines = ["resolution,root_value,diff"]
-        diffs = [float("nan")] + self.diffs
-        for res, root, diff in zip(self.resolutions, self.roots, diffs):
-            lines.append(f"{res},{root:.17g},{diff:.17g}")
-        return "\n".join(lines) + "\n"
+        return _csv("resolution,root_value,diff", self.resolutions, self.roots,
+                    [float("nan")] + self.diffs)
 
 
 def refinement_study(p: GameProblem, order: str, base_steps: int,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
+from drgame import game
 from drgame.cli import (ConfigError, RunConfig, SUBCOMMANDS, main,
                         parse_config, run, serialize_config)
 
@@ -157,6 +158,21 @@ class TestRun:
     def test_dpp_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         assert run("dpp-check", cfg) == 0
+
+    def test_dpp_check_solves_the_full_lattice_once(self, tmp_path, monkeypatch):
+        # full, tail and head of the matched route; fine tail and head of
+        # the refined route, which reuses the matched route's direct value
+        calls = []
+        solve = game.value_backward_induction
+
+        def spy(p, lat, order, **kw):
+            calls.append((lat.grid.t0, lat.grid.n_steps))
+            return solve(p, lat, order, **kw)
+
+        monkeypatch.setattr(game, "value_backward_induction", spy)
+        assert run("dpp-check", RunConfig(out_dir=str(tmp_path))) == 0
+        assert len(calls) == 5, calls
+        assert calls.count((0.0, 500)) == 1, calls
 
     def test_sqrt_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path, trials=30)

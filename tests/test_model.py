@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from drgame import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    make_preset, preset_names, validate_problem)
+from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
+                    ProblemError, TimeGrid, make_preset, preset_names,
+                    validate_problem)
+from drgame.model import _CSV_BLOCK, _csv
 
 
 def custom_problem(drift, gamma=1.0, sigma_const=1.0):
@@ -129,3 +131,45 @@ class TestValidateProblem:
         assert lines[0] == "assumption,max_ratio,pass"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+class TestCsvWriter:
+    """The one CSV writer: float spelling, column kinds, row blocks."""
+
+    def test_golden_small_table(self):
+        x = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.1])
+        text = _csv("x,n,kind", x, np.arange(6), "5%")
+        assert text == ("x,n,kind\n"
+                        "inf,0,5%\n"
+                        "-inf,1,5%\n"
+                        "nan,2,5%\n"
+                        "-0,3,5%\n"
+                        "4.9406564584124654e-324,4,5%\n"
+                        "0.10000000000000001,5,5%\n")
+
+    def test_golden_drbsde_with_two_noise_columns(self):
+        sol = DrbsdeSolution(
+            grid=TimeGrid(0.0, 0.5, 1),
+            Y=np.array([[1.0, 0.1], [-0.0, 2.5]]),
+            Z=np.array([[[0.25, -1.0], [3.0, 4.0]],
+                        [[0.0, 0.0], [np.nan, np.inf]]]),
+            K_lo=np.array([[0.5, 0.0], [0.0, 0.0]]),
+            K_hi=np.array([[0.0, 1e-300], [0.0, 0.0]]),
+            mode="lattice")
+        assert sol.to_csv() == (
+            "time,point,Y,Z0,Z1,K_lo,K_hi\n"
+            "0,0,1,0.25,-1,0.5,0\n"
+            "0,1,0.10000000000000001,3,4,0,1e-300\n"
+            "0.5,0,-0,0,0,0,0\n"
+            "0.5,1,2.5,nan,inf,0,0\n")
+
+    def test_matches_a_per_cell_loop_across_blocks(self):
+        rng = np.random.default_rng(7)
+        n = 2 * _CSV_BLOCK + 3
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[::97] = np.nan
+        x[::89] = -0.0
+        names = [f"r{k}" for k in range(n)]
+        want = "a,b,c,d\n" + "".join(
+            f"{k},{x[k]:.17g},{names[k]},lat\n" for k in range(n))
+        assert _csv("a,b,c,d", range(n), x, names, "lat") == want
