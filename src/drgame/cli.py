@@ -21,10 +21,11 @@ Sections and keys (case-sensitive; unknown keys are fatal):
 
 Every run writes its CSV artifacts plus a ``run.txt`` manifest echoing each
 effective setting (so a run is re-executable from the manifest alone), the
-tool version and the wall time.  Exit status: 0 success, 1 a check failed,
-2 numerical failure (CFL/NaN), 3 configuration error.  ``--threads`` is
-accepted as a hint and recorded, but solvers are deterministic and its
-value never changes any artifact.
+tool version and the wall time; a run that fails with status 2 or 3 still
+writes it, adding ``status`` and ``error``.  Exit status: 0 success, 1 a
+check failed, 2 numerical failure (CFL/NaN), 3 configuration error.
+``--threads`` is accepted as a hint and recorded, but solvers are
+deterministic and its value never changes any artifact.
 """
 
 from __future__ import annotations
@@ -287,14 +288,17 @@ def _cmd_validate(cfg, out):
     _write_text(out / "validation.csv", rep.to_csv())
     return (0 if rep.passed else 1), {"result.validation_passed": str(rep.passed).lower()}
 
-def _cmd_simulate(cfg, out):
-    prob = _problem(cfg)
+def _states(cfg, prob):
+    """Euler paths from x0 under the first control pair, with its controls."""
     grid = TimeGrid(0.0, prob.horizon, cfg.n_steps)
     ens = simulate_brownian(grid, cfg.n_paths, prob.noise_dim, cfg.seed)
     mu = constant_controls(cfg.n_paths, cfg.n_steps)
     nu = constant_controls(cfg.n_paths, cfg.n_steps)
-    states = euler_forward(prob, ens, np.full(prob.state_dim, cfg.x0), mu, nu)
-    _write_text(out / "increments.csv", ens.to_csv())
+    return euler_forward(prob, ens, np.full(prob.state_dim, cfg.x0), mu, nu), mu, nu
+
+def _cmd_simulate(cfg, out):
+    states, _, _ = _states(cfg, _problem(cfg))
+    _write_text(out / "increments.csv", states.ens.to_csv())
     _write_text(out / "states.csv", states.to_csv())
     return 0, {}
 
@@ -305,11 +309,7 @@ def _cmd_drbsde(cfg, out):
         sol = solve_drbsde_lattice(prob, lat)
         res_lo, res_hi = check_flat_off(sol, prob, lat)
     else:
-        grid = TimeGrid(0.0, prob.horizon, cfg.n_steps)
-        ens = simulate_brownian(grid, cfg.n_paths, prob.noise_dim, cfg.seed)
-        mu = constant_controls(cfg.n_paths, cfg.n_steps)
-        nu = constant_controls(cfg.n_paths, cfg.n_steps)
-        states = euler_forward(prob, ens, np.full(prob.state_dim, cfg.x0), mu, nu)
+        states, mu, nu = _states(cfg, prob)
         sol = solve_drbsde_lsmc(prob, states, mu, nu, degree=cfg.basis_degree)
         res_lo, res_hi = check_flat_off(sol, prob, states)
     _write_text(out / "drbsde.csv", sol.to_csv())
@@ -404,8 +404,18 @@ _BODIES = {
 }
 
 
+# exit status and stderr label per failure kind
+_FAILURES = {ConfigError: (3, "config error"), ProblemError: (3, "config error"),
+             NumericsError: (2, "numerical failure")}
+
+
+def _failure(exc):
+    return next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+
+
 def run(subcommand: str, cfg: RunConfig, threads: int = 1) -> int:
-    """Execute one subcommand; writes artifacts and the run manifest."""
+    """Execute one subcommand; writes artifacts and the run manifest (with
+    ``status`` and ``error`` keys if a failure of status 2 or 3 propagates)."""
     if subcommand not in _BODIES:
         raise ConfigError(
             f"unknown subcommand {subcommand!r}; choose from {', '.join(SUBCOMMANDS)}"
@@ -413,9 +423,13 @@ def run(subcommand: str, cfg: RunConfig, threads: int = 1) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    status, extra = _BODIES[subcommand](cfg, out)
-    wall = time.perf_counter() - start
-    _write_manifest(out, subcommand, cfg, threads, wall, extra)
+    try:
+        status, extra = _BODIES[subcommand](cfg, out)
+    except tuple(_FAILURES) as exc:
+        extra = {"status": _failure(exc)[0], "error": " ".join(str(exc).split())}
+        _write_manifest(out, subcommand, cfg, threads, time.perf_counter() - start, extra)
+        raise
+    _write_manifest(out, subcommand, cfg, threads, time.perf_counter() - start, extra)
     return status
 
 
@@ -449,15 +463,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         return run(args.subcommand, cfg, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except ProblemError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_FAILURES) as exc:
+        status, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, NumericsError, ProblemError, _csv
-from .game import Lattice, _node_controls, backward_sweep, lattice_occupancy
-from .paths import StatePaths, TimeGrid, _control_pairs
+from .game import Lattice, _generator, _node_controls, backward_sweep, lattice_occupancy
+from .paths import StatePaths, TimeGrid
 
 __all__ = [
     "DrbsdeSolution",
@@ -80,30 +80,6 @@ class DrbsdeSolution:
                     self.K_lo.ravel(), self.K_hi.ravel())
 
 
-def _terminal(p, x, what):
-    """Terminal layer h(x), checked to sit between the obstacles at T."""
-    y = np.asarray(p.terminal(x), dtype=float)
-    lo = np.asarray(p.lower_obstacle(p.horizon, x), dtype=float)
-    hi = np.asarray(p.upper_obstacle(p.horizon, x), dtype=float)
-    viol = max(float(np.max(lo - y)), float(np.max(y - hi)))
-    if viol > 1e-12:
-        raise ProblemError(
-            f"obstacle violation at the terminal layer ({what}): "
-            f"margin {viol:.3e}; the problem data are inconsistent"
-        )
-    return y
-
-
-def _generator(p, t, x, e, z, ui, vi):
-    """f(t, x, e, z, u, v) per point, one call per control pair in use."""
-    fv = np.empty(len(e))
-    for u, v, sel in _control_pairs(ui, vi):
-        fv[sel] = np.asarray(p.generator(t, x[sel], e[sel], z[sel],
-                                         p.u_grid.point(u), p.v_grid.point(v)),
-                             dtype=float)
-    return fv
-
-
 # ---------------------------------------------------------------------------
 # lattice mode
 # ---------------------------------------------------------------------------
@@ -115,8 +91,8 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     or (n_steps, n_nodes) index tables.
     """
     n_steps, n = lat.grid.n_steps, lat.n_nodes
-    mu_at = _node_controls(mu, n_steps, n, p.u_grid.size, "mu")
-    nu_at = _node_controls(nu, n_steps, n, p.v_grid.size, "nu")
+    mu = _node_controls(mu, n_steps, n, p.u_grid.size, "mu")
+    nu = _node_controls(nu, n_steps, n, p.v_grid.size, "nu")
     if p.u_grid.size > lat.problem.u_grid.size or p.v_grid.size > lat.problem.v_grid.size:
         raise ProblemError("lattice was built for a smaller control grid")
 
@@ -125,13 +101,12 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     Z = np.zeros((n_steps + 1, n, p.noise_dim))
 
     def step(j, t, nxt):
-        st = lat.stencil(t, mu_at(j), nu_at(j))
+        st = lat.stencil(t, mu[j], nu[j])
         e = lat.expectation(st, nxt)
         Z[j, :, 0] = lat.z_moment(st, nxt)
-        return e + dt * _generator(p, t, xb, e, Z[j], mu_at(j), nu_at(j))
+        return e + dt * _generator(p, t, xb, e, Z[j], mu[j], nu[j])
 
-    Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step,
-                                   terminal=_terminal(p, xb, "lattice"))
+    Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step)
     return DrbsdeSolution(grid=lat.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
                           mode="lattice")
 
@@ -199,8 +174,7 @@ def _lsmc_backward(p, X, dW, mu_vals, nu_vals, basis, degree, n_bins, knots, dt)
         Z[j] = fit[:, 1:] / dt
         return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
 
-    Y, K_lo, K_hi = backward_sweep(p, knots, lambda j: X[:, j], step,
-                                   terminal=_terminal(p, X[:, -1], "lsmc"))
+    Y, K_lo, K_hi = backward_sweep(p, knots, lambda j: X[:, j], step)
     return Y, Z, K_lo, K_hi
 
 
@@ -348,15 +322,13 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
 
     term = float(np.sum(pi[-1] * np.abs(sol1.Y[-1] - sol2.Y[-1]) ** varpi))
     dt = sol1.grid.dt
-    u_pt = p1.u_grid.point(int(mu))
-    v_pt = p1.v_grid.point(int(nu))
     acc = 0.0
     for j in range(n_time - 1):
         t = float(knots[j])
         y2 = sol2.Y[j]
         z2 = sol2.Z[j]
-        f1 = np.asarray(p1.generator(t, xb, y2, z2, u_pt, v_pt), dtype=float)
-        f2 = np.asarray(p2.generator(t, xb, y2, z2, u_pt, v_pt), dtype=float)
+        f1 = _generator(p1, t, xb, y2, z2, mu, nu)
+        f2 = _generator(p2, t, xb, y2, z2, mu, nu)
         acc += dt * float(np.sum(pi[j] * np.abs(f1 - f2)))
     driver = term + acc ** varpi
     return StabilityReport(gap=gap, driver=driver)

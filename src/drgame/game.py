@@ -38,8 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ControlGrid, GameProblem, NumericsError, ProblemError, _csv
-from .paths import TimeGrid, _control_pairs
+from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
+                    _control_pairs, _csv)
+from .paths import TimeGrid
 
 __all__ = [
     "CflError",
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 _ORDERS = ("supinf", "infsup")
+_REFINE = 2  # dpp_cross_resolution's tail lattice has dx / _REFINE, dt / _REFINE**2
 
 
 class CflError(NumericsError):
@@ -96,19 +98,35 @@ class ValueSurface:
 def _coefficients(p: GameProblem, t: float, xb: np.ndarray, ui=None, vi=None):
     """Scalar drift and diffusion at knot ``t`` on the states ``xb`` (m, 1).
 
-    With control indices ``ui``, ``vi`` the arrays are (m,); without, they
-    cover every control pair, shape (nU, nV, m).
+    Without control indices the arrays cover every control pair, shape
+    (nU, nV, m); with indices ``ui``/``vi``, scalars or one per state, they
+    are (m,), each pair evaluated only on the states that use it.
     """
-    if ui is not None:
-        u, v = p.u_grid.point(ui), p.v_grid.point(vi)
-        return (np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0],
-                np.asarray(p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0])
-    b = np.empty((p.u_grid.size, p.v_grid.size, len(xb)))
-    sig = np.empty_like(b)
-    for ui in range(p.u_grid.size):
-        for vi in range(p.v_grid.size):
-            b[ui, vi], sig[ui, vi] = _coefficients(p, t, xb, ui, vi)
+    b = sig = None
+    for u, v, cell, nodes in _control_pairs(p, ui, vi):
+        x = xb[nodes]
+        bp = np.asarray(p.drift(t, x, u, v), dtype=float)[:, 0]
+        sp = np.asarray(p.diffusion(t, x, u, v), dtype=float)[:, 0, 0]
+        if isinstance(cell, slice):  # one pair used by every state
+            return bp, sp
+        if b is None:
+            shape = (len(xb),) if ui is not None else (p.u_grid.size, p.v_grid.size, len(xb))
+            b, sig = np.empty(shape), np.empty(shape)
+        b[cell], sig[cell] = bp, sp
     return b, sig
+
+
+def _generator(p: GameProblem, t: float, x: np.ndarray, y, z, ui=None, vi=None):
+    """f at knot ``t`` on the states ``x`` (m, k): (m,) with indices ``ui``/
+    ``vi``, (nU, nV, m) without.  ``z`` has that shape plus d; ``y`` has it
+    too, or is (m,) and shared by every pair."""
+    fv = np.empty(z.shape[:-1])
+    for u, v, cell, nodes in _control_pairs(p, ui, vi):
+        f = p.generator(t, x[nodes], y[nodes] if y.ndim == 1 else y[cell], z[cell], u, v)
+        if isinstance(cell, slice):
+            return np.asarray(f, dtype=float)
+        fv[cell] = f
+    return fv
 
 
 def _up_down(b, sig, dt, dx):
@@ -237,14 +255,7 @@ class Lattice:
         (nU, nV, n); with control indices ``ui``/``vi``, scalars or one per
         node, they are (n,).
         """
-        xb = self.x_nodes[:, None]
-        if ui is None:
-            b, sig = _coefficients(self.problem, t, xb)
-        else:
-            b, sig = np.empty(self.n_nodes), np.empty(self.n_nodes)
-            for u, v, sel in _control_pairs(ui, vi):
-                bp, sp = _coefficients(self.problem, t, xb, u, v)
-                b[sel], sig[sel] = bp[sel], sp[sel]
+        b, sig = _coefficients(self.problem, t, self.x_nodes[:, None], ui, vi)
         p_up, p_dn = _up_down(b, sig, self.dt, self.dx)
         np.maximum(p_up, 0.0, out=p_up)
         np.maximum(p_dn, 0.0, out=p_dn)
@@ -327,7 +338,8 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     """The backward skeleton every route shares.
 
     ``states(j)`` gives the states (m, k) at knot j.  The last layer is
-    ``terminal`` (default: ``p.terminal`` at the last knot's states).  Each
+    ``terminal`` (default: ``p.terminal`` at the last knot's states, which
+    must lie in [l_lo, l_hi] there, or the problem is rejected).  Each
     earlier layer j starts from ``step(j, t_j, next_layer)``: a (nU, nV, m)
     table of control-pair candidates reduced to its saddle value in
     ``order``, or, with ``order=None``, the (m,) candidate under fixed
@@ -339,7 +351,12 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     """
     n_steps = len(knots) - 1
     if terminal is None:
-        terminal = np.asarray(p.terminal(states(n_steps)), dtype=float)
+        x, T = states(n_steps), float(knots[-1])
+        terminal = np.asarray(p.terminal(x), dtype=float)
+        viol = np.max(np.maximum(p.lower_obstacle(T, x) - terminal,
+                                 terminal - p.upper_obstacle(T, x)))
+        if viol > 1e-12:
+            raise ProblemError(f"h leaves [l_lo, l_hi] at the terminal layer by {viol:.3e}")
     W = np.empty((n_steps + 1,) + terminal.shape)
     W[-1] = terminal
     K_lo = np.zeros_like(W)
@@ -381,17 +398,12 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
             raise ProblemError("terminal override must have one value per node")
     dt = lat.dt
     xb = lat.x_nodes[:, None]
-    fv = np.empty((p.u_grid.size, p.v_grid.size, lat.n_nodes))
 
     def step(j, t, nxt):
         st = lat.stencil(t)
         e = lat.expectation(st, nxt)
         z = lat.z_moment(st, nxt)
-        for ui in range(p.u_grid.size):
-            for vi in range(p.v_grid.size):
-                fv[ui, vi] = p.generator(t, xb, e[ui, vi], z[ui, vi][:, None],
-                                         p.u_grid.point(ui), p.v_grid.point(vi))
-        return e + dt * fv
+        return e + dt * _generator(p, t, xb, e, z[..., None])
 
     W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal)
     if kind is None:
@@ -405,16 +417,13 @@ def _assert_generator_vanishes(p: GameProblem, lat: Lattice):
     m = xb.shape[0]
     probes = [(np.zeros(m), np.zeros((m, 1))), (np.ones(m), np.ones((m, 1)))]
     for t in ts:
-        for ui in range(p.u_grid.size):
-            for vi in range(p.v_grid.size):
-                for y, z in probes:
-                    fv = np.asarray(p.generator(
-                        t, xb, y, z, p.u_grid.point(ui), p.v_grid.point(vi)))
-                    if np.max(np.abs(fv)) > 1e-14:
-                        raise ProblemError(
-                            "dynkin_value requires a vanishing generator; "
-                            f"got f = {float(np.max(np.abs(fv))):.3e} on samples"
-                        )
+        for y, z in probes:
+            fv = _generator(p, t, xb, y, z, 0, 0)
+            if np.max(np.abs(fv)) > 1e-14:
+                raise ProblemError(
+                    "dynkin_value requires a vanishing generator; "
+                    f"got f = {float(np.max(np.abs(fv))):.3e} on samples"
+                )
 
 
 def dynkin_value(p: GameProblem, lat: Lattice) -> ValueSurface:
@@ -686,15 +695,13 @@ def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
 
 
 def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-                         refine: int = 2, x_index=None) -> DppReport:
-    """Composed route with a (dx/refine, dt/refine^2) lattice on [t_mid, T].
+                         x_index=None) -> DppReport:
+    """Composed route with a (dx/2, dt/4) lattice on [t_mid, T].
 
     The fine continuation value is interpolated linearly onto the coarse
     nodes before the head solve, so the gap measures scheme consistency
     rather than an algebraic identity.
     """
-    if refine < 2:
-        raise ProblemError("refine must be >= 2")
     j_mid = lat.grid.index_of(t_mid)
     if not 0 < j_mid < lat.grid.n_steps:
         raise ProblemError("t_mid must be a strictly interior knot")
@@ -702,19 +709,19 @@ def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
         x_index = lat.n_nodes // 2
     full = value_backward_induction(p, lat, order)
     direct = float(full.W[0, x_index])
-    composed = float(_refined_composition(p, lat, t_mid, order, refine)[x_index])
+    composed = float(_refined_composition(p, lat, t_mid, order)[x_index])
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
 
-def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-                         refine: int = 2) -> np.ndarray:
+def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
+                         order: str) -> np.ndarray:
     """Initial layer of the composed route of :func:`dpp_cross_resolution`.
 
     ``t_mid`` must already be checked to be a strictly interior knot.
     """
     j_mid = lat.grid.index_of(t_mid)
-    n_tail_fine = (lat.grid.n_steps - j_mid) * refine * refine
-    n_nodes_fine = (lat.n_nodes - 1) * refine + 1
+    n_tail_fine = (lat.grid.n_steps - j_mid) * _REFINE * _REFINE
+    n_nodes_fine = (lat.n_nodes - 1) * _REFINE + 1
     fine_tail = build_lattice(p, n_tail_fine, float(lat.x_nodes[0]),
                               float(lat.x_nodes[-1]), n_nodes_fine, t0=float(t_mid))
     tail_surf = value_backward_induction(p, fine_tail, order)
@@ -728,25 +735,18 @@ def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float, order: str,
 # ---------------------------------------------------------------------------
 
 def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
-    """Validated node controls: a grid index, or an (n_steps, n_nodes) table.
-
-    Returns a function of the step index giving the index (scalar) or the
-    per-node index row in force at that step.
-    """
-    if np.isscalar(ctrl) or isinstance(ctrl, (int, np.integer)):
-        idx = int(ctrl)
-        if not 0 <= idx < grid_size:
-            raise ProblemError(f"{name} control index out of range")
-        return lambda j: idx
-    arr = np.asarray(ctrl, dtype=np.int64)
-    if arr.shape != (n_steps, n_nodes):
+    """Validated node controls, a grid index or an (n_steps, n_nodes) table,
+    as that table; one index becomes a zero-stride view of it."""
+    idx = np.asarray(ctrl, dtype=np.int64)
+    table = np.broadcast_to(idx, (n_steps, n_nodes)) if idx.ndim == 0 else idx
+    if table.shape != (n_steps, n_nodes):
         raise ProblemError(
             f"{name} node-control assignment must be an index or an array "
             f"of shape ({n_steps}, {n_nodes})"
         )
-    if arr.min() < 0 or arr.max() >= grid_size:
+    if idx.min() < 0 or idx.max() >= grid_size:
         raise ProblemError(f"{name} control index out of range")
-    return lambda j: arr[j]
+    return table
 
 
 def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
@@ -758,15 +758,15 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     when the domain is wide enough).
     """
     n_steps, n = lat.grid.n_steps, lat.n_nodes
-    mu_at = _node_controls(mu, n_steps, n, lat.problem.u_grid.size, "mu")
-    nu_at = _node_controls(nu, n_steps, n, lat.problem.v_grid.size, "nu")
+    mu = _node_controls(mu, n_steps, n, lat.problem.u_grid.size, "mu")
+    nu = _node_controls(nu, n_steps, n, lat.problem.v_grid.size, "nu")
     if root_index is None:
         root_index = n // 2
     pi = np.zeros((n_steps + 1, n))
     pi[0, root_index] = 1.0
     folded = 0.0
     for j, t in enumerate(lat.knots[:-1]):
-        st = lat.stencil(float(t), mu_at(j), nu_at(j))
+        st = lat.stencil(float(t), mu[j], nu[j])
         cur = pi[j]
         nxt = pi[j + 1]
         nxt += cur * st.p_stay

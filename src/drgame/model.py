@@ -130,6 +130,31 @@ class ControlGrid:
         return _point_distance(self.points[i], self.points[self.origin])
 
 
+def _one_index(idx):
+    """Control indices as one int when every position holds the same index."""
+    if not isinstance(idx, np.ndarray):
+        return int(idx)
+    return int(idx.item(0)) if not any(idx.strides) or idx.min() == idx.max() else idx
+
+
+def _control_pairs(p, ui=None, vi=None):
+    """The control pairs in use as ``(u, v, cell, nodes)``, u and v points.
+
+    Without indices: every pair, ``cell = (i, k)``, ``nodes = slice(None)``.
+    With grid indices (scalars or 1-d, one per position): each distinct pair
+    in lexicographic order, ``cell = nodes =`` its positions, or
+    ``slice(None)`` when one pair is used everywhere."""
+    U, V = p.u_grid.points, p.v_grid.points
+    if ui is None:
+        return [(u, v, (i, k), slice(None)) for i, u in enumerate(U) for k, v in enumerate(V)]
+    ui, vi = _one_index(ui), _one_index(vi)
+    if isinstance(ui, int) and isinstance(vi, int):
+        return [(U[ui], V[vi], slice(None), slice(None))]
+    codes = ui * len(V) + vi
+    sels = {c: np.flatnonzero(codes == c) for c in np.unique(codes).tolist()}
+    return [(U[c // len(V)], V[c % len(V)], sel, sel) for c, sel in sels.items()]
+
+
 @dataclass(frozen=True)
 class GameProblem:
     """Immutable problem instance; all fields are read-only after creation."""
@@ -456,14 +481,15 @@ def _check_finite(name, arr, t, x):
         )
 
 
-def validate_problem(p: GameProblem, samples: int, seed: int,
-                     x_radius: float = 2.0, y_radius: float = 2.0,
-                     z_radius: float = 2.0) -> ValidationReport:
+_SAMPLE_RADIUS = 2.0  # validate_problem draws x, y and z from [-2, 2]
+
+
+def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationReport:
     """Falsify the standing assumptions on a deterministic random sample.
 
     Draws ``samples`` tuples ``(t, x, x', y, y', z, z', u, v)`` from
-    ``numpy.random.default_rng(seed)`` (states in the box ``|x_i| <=
-    x_radius`` etc.) and reports, per assumption, the worst ratio of the
+    ``numpy.random.default_rng(seed)`` (each coordinate of x, y and z
+    uniform on [-2, 2]) and reports, per assumption, the worst ratio of the
     observed difference quotient to its assumed bound.  Identical calls
     return identical reports.
     """
@@ -474,12 +500,13 @@ def validate_problem(p: GameProblem, samples: int, seed: int,
     e = 2.0 / q
 
     ts = rng.uniform(0.0, p.horizon, size=samples)
-    xs = rng.uniform(-x_radius, x_radius, size=(samples, k))
-    xs2 = rng.uniform(-x_radius, x_radius, size=(samples, k))
-    ys = rng.uniform(-y_radius, y_radius, size=samples)
-    ys2 = rng.uniform(-y_radius, y_radius, size=samples)
-    zs = rng.uniform(-z_radius, z_radius, size=(samples, d))
-    zs2 = rng.uniform(-z_radius, z_radius, size=(samples, d))
+    r = _SAMPLE_RADIUS
+    xs = rng.uniform(-r, r, size=(samples, k))
+    xs2 = rng.uniform(-r, r, size=(samples, k))
+    ys = rng.uniform(-r, r, size=samples)
+    ys2 = rng.uniform(-r, r, size=samples)
+    zs = rng.uniform(-r, r, size=(samples, d))
+    zs2 = rng.uniform(-r, r, size=(samples, d))
     uis = rng.integers(0, p.u_grid.size, size=samples)
     vis = rng.integers(0, p.v_grid.size, size=samples)
 

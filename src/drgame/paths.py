@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError, _csv
+from .model import GameProblem, NumericsError, ProblemError, _control_pairs, _csv
 
 __all__ = [
     "TimeGrid",
@@ -119,25 +119,8 @@ class ControlPath:
 
 
 def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> ControlPath:
-    return ControlPath(values=np.full((n_paths, n_steps), index, dtype=np.int64))
-
-
-def _control_pairs(ui, vi):
-    """Each distinct control pair in use, with the positions that use it.
-
-    ``ui``/``vi`` are control-grid indices, either one per position (1-d
-    integer arrays of equal length) or scalars.  Yields ``(u index, v index,
-    positions)`` in lexicographic order of the pair; two scalars form one
-    pair used everywhere, reported with the positions ``slice(None)``.
-    """
-    if np.ndim(ui) == 0 and np.ndim(vi) == 0:
-        yield int(ui), int(vi), slice(None)
-        return
-    ui, vi = np.broadcast_arrays(ui, vi)
-    codes = ui * (int(np.max(vi)) + 1) + vi
-    for code in np.unique(codes):
-        sel = np.nonzero(codes == code)[0]
-        yield int(ui[sel[0]]), int(vi[sel[0]]), sel
+    """Grid index ``index`` at every (path, step): a read-only zero-stride view."""
+    return ControlPath(values=np.broadcast_to(np.int64(index), (n_paths, n_steps)))
 
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEnsemble:
@@ -183,9 +166,7 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
         t = float(knots[j])
         xj = X[:, j]
         xn = X[:, j + 1]
-        for ui, vi, idx in _control_pairs(mu.values[:, j], nu.values[:, j]):
-            u = p.u_grid.point(ui)
-            v = p.v_grid.point(vi)
+        for u, v, _, idx in _control_pairs(p, mu.values[:, j], nu.values[:, j]):
             xb = xj[idx]
             bv = np.asarray(p.drift(t, xb, u, v), dtype=float)
             sv = np.asarray(p.diffusion(t, xb, u, v), dtype=float)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, ProblemError, _csv
+from .model import GameProblem, ProblemError, _control_pairs, _csv
 from .paths import TimeGrid
 from .game import (Lattice, ValueSurface, _check_monotone, _check_order,
-                   _coefficients, _saddle, _scan_grid, _space_grid,
+                   _coefficients, _generator, _saddle, _scan_grid, _space_grid,
                    backward_sweep, value_backward_induction)
 
 __all__ = [
@@ -104,10 +104,8 @@ def isaacs_hamiltonian(p: GameProblem, t, x, y, z, gamma_mat, order: str) -> flo
     """
     _check_order(order)
     table = np.empty((p.u_grid.size, p.v_grid.size))
-    for ui in range(p.u_grid.size):
-        for vi in range(p.v_grid.size):
-            table[ui, vi] = hamiltonian(p, t, x, y, z, gamma_mat,
-                                        p.u_grid.point(ui), p.v_grid.point(vi))
+    for u, v, cell, _ in _control_pairs(p):
+        table[cell] = hamiltonian(p, t, x, y, z, gamma_mat, u, v)
     return float(_saddle(table, order))
 
 
@@ -135,12 +133,7 @@ def _layer_derivatives(w, dx):
 
 def _hamiltonians(p, t, x_col, w, d2, dc, b, sig):
     """H per (u, v, node) from one layer's derivatives and coefficients."""
-    fz = (dc * sig)[..., None]
-    fv = np.empty_like(b)
-    for ui in range(p.u_grid.size):
-        for vi in range(p.v_grid.size):
-            fv[ui, vi] = p.generator(t, x_col, w, fz[ui, vi],
-                                     p.u_grid.point(ui), p.v_grid.point(vi))
+    fv = _generator(p, t, x_col, w, (dc * sig)[..., None])
     return 0.5 * sig * sig * d2 + b * dc + fv
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
-from drgame import game
+from drgame import ProblemError, game
 from drgame.cli import (ConfigError, RunConfig, SUBCOMMANDS, main,
                         parse_config, run, serialize_config)
 
@@ -146,6 +146,26 @@ class TestRun:
         conf.write_text(MINIMAL + "[grid]\nn_steps = 5\nn_nodes = 41\n")
         code = main(["pde", "--config", str(conf), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_failed_run_leaves_its_manifest(self, tmp_path):
+        conf = tmp_path / "bad.ini"
+        conf.write_text(MINIMAL + "[grid]\nn_steps = 5\nn_nodes = 41\n")
+        out = tmp_path / "o"
+        assert main(["value", "--config", str(conf), "--out", str(out)]) == 2
+        lines = (out / "run.txt").read_text().splitlines()
+        manifest = dict(line.split("=", 1) for line in lines)
+        assert manifest["status"] == "2"
+        assert manifest["error"].startswith("CFL violation")
+        assert manifest["subcommand"] == "value"
+        assert manifest["grid.n_steps"] == "5"
+
+    def test_problem_error_manifest_has_status_3(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, problem_params={"l_lo": 2.0})
+        with pytest.raises(ProblemError):
+            run("value", cfg)
+        manifest = (tmp_path / "out" / "run.txt").read_text().splitlines()
+        assert "status=3" in manifest
+        assert any(line.startswith("error=obstacle separation") for line in manifest)
 
     def test_dynkin_oracle(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

@@ -111,6 +111,47 @@ class TestStencil:
             build_lattice(p, n_steps=5, x_min=-10, x_max=10, n_nodes=11)
 
 
+class TestNodeStencil:
+    """Per-node controls: each node's weights come from its own control pair."""
+
+    @staticmethod
+    def mixed(n):
+        nodes = np.arange(n)
+        return nodes % 2, (nodes // 3) % 2  # every pair of the 2 x 2 grids
+
+    def test_each_pair_is_evaluated_only_on_its_own_nodes(self):
+        base = make_preset("linear-quadratic", {})
+        calls = []
+
+        def drift(t, x, u, v):
+            calls.append((x[:, 0].copy(), u, v))
+            return base.drift(t, x, u, v)
+
+        p = replace(base, drift=drift)
+        lat = build_lattice(p, 100, -4, 4, 41)
+        ui, vi = self.mixed(lat.n_nodes)
+        calls.clear()
+        lat.stencil(float(lat.knots[3]), ui, vi)
+        assert len(calls) == 4
+        for x, u, v in calls:
+            own = (ui == p.u_grid.points.index(u)) & (vi == p.v_grid.points.index(v))
+            assert np.array_equal(x, lat.x_nodes[own])
+
+    def test_per_node_stencil_gathers_the_all_pairs_stencil(self):
+        p = make_preset("linear-quadratic", {})
+        lat = build_lattice(p, 100, -4, 4, 41)
+        ui, vi = self.mixed(lat.n_nodes)
+        nodes = np.arange(lat.n_nodes)
+        for t in lat.knots[:-1:9]:
+            full = lat.stencil(float(t))
+            mixed = lat.stencil(float(t), ui, vi)
+            for name in ("p_up", "p_dn", "p_stay", "b", "sig"):
+                assert np.array_equal(getattr(mixed, name),
+                                      getattr(full, name)[ui, vi, nodes]), name
+            assert mixed.fold_dn == full.fold_dn[ui[0], vi[0]]
+            assert mixed.fold_up == full.fold_up[ui[-1], vi[-1]]
+
+
 class TestLatticeMemory:
     def test_lattice_arrays_do_not_grow_with_the_step_count(self):
         p = make_preset("linear-quadratic", {})
@@ -193,6 +234,14 @@ class TestBackwardInduction:
             slopes.append(float(np.max(np.abs(np.diff(surf.W, axis=1))) / dx))
         # value is x^2 + sig^2 (T-t): slope bounded by 2 * |x|_max plus dust
         assert max(slopes) <= 13.0
+
+    def test_terminal_outside_the_obstacles_is_rejected(self):
+        p = scalar_problem(l_hi=lambda t, x: np.full(np.shape(x)[:-1], 1.0))
+        lat = build_lattice(p, 50, -2.0, 2.0, 21)  # h = x reaches 2 > l_hi
+        with pytest.raises(ProblemError, match="terminal layer"):
+            value_backward_induction(p, lat, "supinf")
+        with pytest.raises(ProblemError, match="terminal layer"):
+            solve_drbsde_lattice(p, lat)
 
     def test_single_control_requires_singleton_v(self):
         p = make_preset("linear-quadratic", {})

@@ -4,7 +4,7 @@ import pytest
 from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
                     ProblemError, TimeGrid, make_preset, preset_names,
                     validate_problem)
-from drgame.model import _CSV_BLOCK, _csv
+from drgame.model import _CSV_BLOCK, _control_pairs, _csv
 
 
 def custom_problem(drift, gamma=1.0, sigma_const=1.0):
@@ -173,3 +173,31 @@ class TestCsvWriter:
         want = "a,b,c,d\n" + "".join(
             f"{k},{x[k]:.17g},{names[k]},lat\n" for k in range(n))
         assert _csv("a,b,c,d", range(n), x, names, "lat") == want
+
+
+class TestControlPairs:
+    P = make_preset("linear-quadratic", {})
+    U, V = P.u_grid.points, P.v_grid.points
+
+    def test_every_pair_without_indices(self):
+        pairs = _control_pairs(self.P)
+        assert [(u, v, cell) for u, v, cell, _ in pairs] == [
+            (u, v, (i, k)) for i, u in enumerate(self.U) for k, v in enumerate(self.V)]
+        assert all(nodes == slice(None) for *_, nodes in pairs)
+
+    def test_distinct_pairs_in_lexicographic_order_with_their_positions(self):
+        ui = np.array([1, 0, 1, 0, 1])
+        vi = np.array([1, 1, 0, 1, 1])
+        got = [(u, v, cell.tolist(), nodes.tolist())
+               for u, v, cell, nodes in _control_pairs(self.P, ui, vi)]
+        assert got == [(self.U[0], self.V[1], [1, 3], [1, 3]),
+                       (self.U[1], self.V[0], [2], [2]),
+                       (self.U[1], self.V[1], [0, 4], [0, 4])]
+
+    def test_one_pair_used_everywhere_is_one_slice(self):
+        ones = np.ones(5, dtype=np.int64)
+        for ui, vi in [(1, 0), (np.int64(1), np.zeros(5, dtype=np.int64)),
+                       (ones, 0), (np.broadcast_to(np.int64(1), (5,)), 0 * ones)]:
+            [(u, v, cell, nodes)] = _control_pairs(self.P, ui, vi)
+            assert (u, v) == (self.U[1], self.V[0])
+            assert cell == nodes == slice(None)

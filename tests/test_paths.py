@@ -229,6 +229,14 @@ class TestConcat:
 
 
 class TestPaste:
+    def test_constant_controls_are_a_read_only_zero_stride_view(self):
+        mu = constant_controls(1000, 50, index=1)
+        assert mu.values.strides == (0, 0)
+        assert not mu.values.flags.writeable
+        assert np.all(mu.values == 1)
+        out = paste_controls(mu, [([0], 49, [0])])
+        assert out.values.flags.writeable and out.values[0, 49] == 0
+
     def test_empty_replacement_list_is_identity(self):
         mu = ControlPath(values=np.arange(12).reshape(3, 4) % 2)
         out = paste_controls(mu, [])

@@ -116,6 +116,12 @@ class TestSolver:
         w = solve_obstacle_pde(p, g, "supinf")
         assert np.all(w.W >= -0.3) and np.all(w.W <= 0.4)
 
+    def test_terminal_outside_the_obstacles_is_rejected(self):
+        p = scalar_problem(l_lo=lambda t, x: np.full(np.shape(x)[:-1], -1.0))
+        g = make_pde_grid(p, 50, -2.0, 2.0, 21)  # h = x reaches -2 < l_lo
+        with pytest.raises(ProblemError, match="terminal layer"):
+            solve_obstacle_pde(p, g, "supinf")
+
     def test_order_inequality(self):
         p = make_preset("linear-quadratic", {})
         g = make_pde_grid(p, 400, -6, 6, 121)
