@@ -28,7 +28,7 @@ from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
 from .drbsde import (DrbsdeSolution, OrderingReport, RegressionError,
                      StabilityReport, check_flat_off, compare_drbsde,
                      solve_drbsde_lattice, solve_drbsde_lsmc, stability_gap)
-from .pde import (CrossCheckReport, PdeGrid, RefinementStudy, ResidualReport,
+from .pde import (CrossCheckReport, RefinementStudy, ResidualReport,
                   cross_check, hamiltonian, isaacs_hamiltonian, make_pde_grid,
                   refinement_study, solve_obstacle_pde, viscosity_residual)
 from .linalg import (SpdError, check_spd, random_spd, spd_sqrt_series,
@@ -48,7 +48,7 @@ __all__ = [
     "DrbsdeSolution", "OrderingReport", "RegressionError", "StabilityReport",
     "check_flat_off", "compare_drbsde", "solve_drbsde_lattice",
     "solve_drbsde_lsmc", "stability_gap",
-    "CrossCheckReport", "PdeGrid", "RefinementStudy", "ResidualReport",
+    "CrossCheckReport", "RefinementStudy", "ResidualReport",
     "cross_check", "hamiltonian", "isaacs_hamiltonian", "make_pde_grid",
     "refinement_study", "solve_obstacle_pde", "viscosity_residual",
     "SpdError", "check_spd", "random_spd", "spd_sqrt_series", "sqrt_coefficient",

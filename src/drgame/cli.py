@@ -368,8 +368,7 @@ def _cmd_dpp_check(cfg, out):
 def _cmd_crosscheck(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
-    g = make_pde_grid(prob, cfg.n_steps, cfg.x_min, cfg.x_max, cfg.n_nodes)
-    rep = cross_check(prob, lat, g, cfg.order, x0=cfg.x0)
+    rep = cross_check(prob, lat, lat, cfg.order, x0=cfg.x0)
     _write_text(out / "crosscheck.csv",
                 _csv("lattice_root,pde_root,rel_gap",
                      [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))

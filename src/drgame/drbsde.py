@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import GameProblem, NumericsError, ProblemError, _csv
 from .game import Lattice, _generator, _node_controls, backward_sweep, lattice_occupancy
-from .paths import StatePaths, TimeGrid
+from .paths import StatePaths, TimeGrid, _check_controls
 
 __all__ = [
     "DrbsdeSolution",
@@ -162,19 +162,24 @@ def _project(design, targets, step):
     return design @ coef
 
 
-def _lsmc_backward(p, X, dW, mu_vals, nu_vals, basis, degree, n_bins, knots, dt):
+def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges):
+    """The recursion with one regression per step and block of paths
+    [edges[b], edges[b + 1]); the clamp and the generator act per path."""
+    X, dW, dt = states.X, states.ens.dW, states.grid.dt
     n_paths, n_plus1 = X.shape[:2]
     Z = np.zeros((n_plus1, n_paths, dW.shape[2]))
+    e = np.empty(n_paths)
 
     def step(j, t, nxt):
         xj = X[:, j]
-        targets = np.column_stack([nxt] + [nxt * dW[:, j, c] for c in range(dW.shape[2])])
-        fit = _project(_basis_matrix(p, t, xj, basis, degree, n_bins), targets, j)
-        e = fit[:, 0]
-        Z[j] = fit[:, 1:] / dt
+        for a, b in zip(edges[:-1], edges[1:]):
+            targets = np.column_stack([nxt[a:b], nxt[a:b, None] * dW[a:b, j]])
+            fit = _project(_basis_matrix(p, t, xj[a:b], basis, degree, n_bins), targets, j)
+            e[a:b] = fit[:, 0]
+            Z[j, a:b] = fit[:, 1:] / dt
         return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
 
-    Y, K_lo, K_hi = backward_sweep(p, knots, lambda j: X[:, j], step)
+    Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step)
     return Y, Z, K_lo, K_hi
 
 
@@ -189,38 +194,25 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     the cross-section is a point, so the projection degenerates to the
     plain sample mean, which is the correct conditional expectation there.
 
-    ``se_batches > 0`` additionally reruns the recursion on that many
-    disjoint path batches and stores the batch-means standard error of the
-    root value in ``se_root`` (this captures regression noise that a naive
-    per-path estimate would miss).
+    ``se_batches > 0`` additionally runs the recursion on that many
+    disjoint path batches, one regression per batch and step, and stores
+    the batch-means standard error of the root value in ``se_root`` (this
+    captures regression noise that a naive per-path estimate would miss).
     """
     if states.ens is None:
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
-    mu.check_range(p.u_grid.size)
-    nu.check_range(p.v_grid.size)
     n_paths = states.X.shape[0]
-    if mu.values.shape[0] != n_paths or nu.values.shape[0] != n_paths:
-        raise ProblemError("control paths do not match the state paths")
-
-    knots = states.grid.knots
-    dt = states.grid.dt
-    Y, Z, K_lo, K_hi = _lsmc_backward(
-        p, states.X, states.ens.dW, mu.values, nu.values, basis, degree,
-        n_bins, knots, dt)
+    _check_controls(p, mu, nu, (n_paths, states.grid.n_steps))
+    args = (p, states, mu.values, nu.values, basis, degree, n_bins)
 
     se_root = None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
-        bounds = np.linspace(0, n_paths, se_batches + 1, dtype=int)
-        roots = np.empty(se_batches)
-        for bi in range(se_batches):
-            sl = slice(bounds[bi], bounds[bi + 1])
-            Yb, _, _, _ = _lsmc_backward(
-                p, states.X[sl], states.ens.dW[sl], mu.values[sl],
-                nu.values[sl], basis, degree, n_bins, knots, dt)
-            roots[bi] = Yb[0, 0]
+        # before the root sweep, so the two sweeps' arrays never coexist
+        edges = np.linspace(0, n_paths, se_batches + 1, dtype=int)
+        roots = _lsmc_backward(*args, edges)[0][0, edges[:-1]]
         se_root = float(np.std(roots, ddof=1) / np.sqrt(se_batches))
-
+    Y, Z, K_lo, K_hi = _lsmc_backward(*args, (0, n_paths))
     return DrbsdeSolution(grid=states.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
                           mode="lsmc", se_root=se_root)
 

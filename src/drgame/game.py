@@ -170,7 +170,7 @@ def _check_monotone(b, sig, dt: float, dx: float):
 
 
 def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
-    """Check every layer of a lattice or PDE grid once.
+    """Check every layer of a lattice once, for both grid routes.
 
     Coefficients are evaluated one layer at a time for all control pairs
     and discarded, so the scan holds O(nU nV n) memory at any step count.
@@ -223,6 +223,8 @@ class Lattice:
 
     The lattice keeps the problem it was built from and computes a layer's
     stencil when asked (:meth:`stencil`), so it holds no per-step arrays.
+    It is the finite-difference route's grid too: both routes step on that
+    problem's drift and diffusion, which :func:`build_lattice` checked.
     ``clock`` is the time grid it was built on and ``first`` the index of
     ``grid.t0`` among the clock's knots: the halves of :meth:`split` keep
     their parent's clock, so they step with the parent's dt and knots.
@@ -379,6 +381,12 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     return W, K_lo, K_hi
 
 
+def _check_grid(p: GameProblem, lat: Lattice):
+    """Reject a ``p`` whose control grids do not fit ``lat.problem``'s tables."""
+    if (p.u_grid.size, p.v_grid.size) != (lat.problem.u_grid.size, lat.problem.v_grid.size):
+        raise ProblemError("lattice was built for a different control grid")
+
+
 def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
                              terminal=None, kind=None) -> ValueSurface:
     """Backward sup-inf (or inf-sup) induction with obstacle clamping.
@@ -390,8 +398,7 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
     into [l_lo, l_hi].
     """
     _check_order(order)
-    if (p.u_grid.size, p.v_grid.size) != (lat.problem.u_grid.size, lat.problem.v_grid.size):
-        raise ProblemError("lattice was built for a different control grid")
+    _check_grid(p, lat)
     if terminal is not None:
         terminal = np.asarray(terminal, dtype=float)
         if terminal.shape != (lat.n_nodes,):

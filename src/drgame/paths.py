@@ -118,6 +118,14 @@ class ControlPath:
             raise ProblemError("control index out of range for the control grid")
 
 
+def _check_controls(p: GameProblem, mu: ControlPath, nu: ControlPath, shape):
+    """Reject control paths not of ``shape`` (n_paths, n_steps) or off p's grids."""
+    for cp, grid in ((mu, p.u_grid), (nu, p.v_grid)):
+        if cp.values.shape != shape:
+            raise ProblemError("control path shape does not match the ensemble")
+        cp.check_range(grid.size)
+
+
 def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> ControlPath:
     """Grid index ``index`` at every (path, step): a read-only zero-stride view."""
     return ControlPath(values=np.broadcast_to(np.int64(index), (n_paths, n_steps)))
@@ -153,10 +161,7 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
     n_paths, n_steps = ens.n_paths, ens.grid.n_steps
     if ens.d != p.noise_dim:
         raise ProblemError("ensemble noise dimension does not match the problem")
-    for cp, grid in ((mu, p.u_grid), (nu, p.v_grid)):
-        if cp.values.shape != (n_paths, n_steps):
-            raise ProblemError("control path shape does not match the ensemble")
-        cp.check_range(grid.size)
+    _check_controls(p, mu, nu, (n_paths, n_steps))
 
     dt = ens.grid.dt
     knots = ens.grid.knots

@@ -16,6 +16,11 @@ routes therefore agree to rounding whenever the generator does not feed on
 neighbour's weight is folded into the node, matching the lattice's
 reflecting truncation, and the result is clamped into the obstacle corridor
 after every step.
+
+The sweep runs on a lattice (:func:`make_pde_grid` is :func:`build_lattice`)
+with the drift and diffusion of the problem it was built for; construction
+checked them on every layer, so the sweep is monotone without a check of its
+own.  The solver's problem supplies the generator, terminal and obstacles.
 """
 
 from __future__ import annotations
@@ -25,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, ProblemError, _control_pairs, _csv
-from .paths import TimeGrid
-from .game import (Lattice, ValueSurface, _check_monotone, _check_order,
-                   _coefficients, _generator, _saddle, _scan_grid, _space_grid,
-                   backward_sweep, value_backward_induction)
+from .game import (Lattice, ValueSurface, _check_grid, _check_order,
+                   _coefficients, _generator, _saddle, backward_sweep,
+                   build_lattice, value_backward_induction)
 
 __all__ = [
-    "PdeGrid",
     "CrossCheckReport",
     "ResidualReport",
     "RefinementStudy",
@@ -44,29 +47,7 @@ __all__ = [
     "refinement_study",
 ]
 
-@dataclass(frozen=True)
-class PdeGrid:
-    """Uniform space-time grid for the finite-difference solver."""
-
-    grid: TimeGrid
-    x_nodes: np.ndarray
-
-    @property
-    def dx(self) -> float:
-        return float(self.x_nodes[1] - self.x_nodes[0])
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.x_nodes)
-
-
-def make_pde_grid(p: GameProblem, n_steps: int, x_min: float, x_max: float,
-                  n_nodes: int, t0: float = 0.0) -> PdeGrid:
-    """Build the grid and verify the CFL conditions over nodes and controls."""
-    x_nodes = _space_grid(n_nodes, x_min, x_max)
-    tgrid = TimeGrid(t0, p.horizon, n_steps)
-    _scan_grid(p, tgrid, x_nodes)
-    return PdeGrid(grid=tgrid, x_nodes=x_nodes)
+make_pde_grid = build_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +118,27 @@ def _hamiltonians(p, t, x_col, w, d2, dc, b, sig):
     return 0.5 * sig * sig * d2 + b * dc + fv
 
 
-def solve_obstacle_pde(p: GameProblem, g: PdeGrid, order: str) -> ValueSurface:
+def solve_obstacle_pde(p: GameProblem, g: Lattice, order: str) -> ValueSurface:
     """Explicit backward sweep with per-layer control optimisation.
 
-    Every layer update is checked to be an affine combination with
-    nonnegative neighbour weights (monotone scheme); violations raise
-    rather than silently losing stability.
+    Drift and diffusion come from ``g.problem``.  :func:`make_pde_grid`
+    checked every layer of them for nonnegative neighbour weights, so each
+    update is a monotone affine combination of the next layer without a
+    further check.  ``p`` supplies the generator, the terminal value and the
+    obstacles.
     """
     _check_order(order)
-    dt = g.grid.dt
+    _check_grid(p, g)
+    dt = g.dt
     dx = g.dx
     x_col = g.x_nodes[:, None]
 
     def step(j, t, w):
         d2, dc = _layer_derivatives(w, dx)
-        b, sig = _coefficients(p, t, x_col)
-        _check_monotone(b, sig, dt, dx)
+        b, sig = _coefficients(g.problem, t, x_col)
         return w + dt * _hamiltonians(p, t, x_col, w, d2, dc, b, sig)
 
-    W, _, _ = backward_sweep(p, g.grid.knots, lambda j: x_col, step, order)
+    W, _, _ = backward_sweep(p, g.knots, lambda j: x_col, step, order)
     return ValueSurface(grid=g.grid, x_nodes=g.x_nodes.copy(), W=W, kind="pde")
 
 
@@ -178,7 +161,7 @@ class ResidualReport:
                     self.field.ravel())
 
 
-def viscosity_residual(p: GameProblem, g: PdeGrid, w: ValueSurface,
+def viscosity_residual(p: GameProblem, g: Lattice, w: ValueSurface,
                        order: str) -> ResidualReport:
     """Same-layer finite-difference residual of the obstacle equation.
 
@@ -187,26 +170,25 @@ def viscosity_residual(p: GameProblem, g: PdeGrid, w: ValueSurface,
     derivative taken forward and the space derivatives on the layer itself.
     For fields produced by the solver this is a consistency diagnostic of
     order dt + dx^2 on smooth regions; it vanishes identically where the
-    solution sits on an obstacle or is flat.
+    solution sits on an obstacle or is flat.  Drift and diffusion come from
+    ``g.problem``, as in :func:`solve_obstacle_pde`.
     """
     _check_order(order)
+    _check_grid(p, g)
     if w.W.shape != (g.grid.n_steps + 1, g.n_nodes):
         raise ProblemError("surface does not live on the given grid")
-    n = g.n_nodes
-    dt = g.grid.dt
-    dx = g.dx
-    knots = g.grid.knots
+    dt = g.dt
+    knots = g.knots
     x_col = g.x_nodes[1:-1][:, None]
 
-    field = np.empty((g.grid.n_steps, n - 2))
+    field = np.empty((g.grid.n_steps, g.n_nodes - 2))
     for j in range(g.grid.n_steps):
         t = float(knots[j])
         wj = w.W[j]
         dt_w = (w.W[j + 1][1:-1] - wj[1:-1]) / dt
-        d2 = (wj[2:] - 2.0 * wj[1:-1] + wj[:-2]) / (dx * dx)
-        dc = (wj[2:] - wj[:-2]) / (2.0 * dx)
-        ham = _saddle(_hamiltonians(p, t, x_col, wj[1:-1], d2, dc,
-                                   *_coefficients(p, t, x_col)), order)
+        d2, dc = _layer_derivatives(wj, g.dx)
+        ham = _saddle(_hamiltonians(p, t, x_col, wj[1:-1], d2[1:-1], dc[1:-1],
+                                   *_coefficients(g.problem, t, x_col)), order)
         lo = np.asarray(p.lower_obstacle(t, x_col), dtype=float)
         hi = np.asarray(p.upper_obstacle(t, x_col), dtype=float)
         inner = np.maximum(-dt_w - ham, wj[1:-1] - hi)
@@ -262,7 +244,7 @@ class CrossCheckReport:
     rel_gap: float
 
 
-def cross_check(p: GameProblem, lat: Lattice, g: PdeGrid, order: str,
+def cross_check(p: GameProblem, lat: Lattice, g: Lattice, order: str,
                 x0: float = None) -> CrossCheckReport:
     """Lattice route vs finite-difference route at the initial time.
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from drgame import (ProblemError, RegressionError, TimeGrid, build_lattice,
-                    check_flat_off, compare_drbsde, constant_controls,
-                    euler_forward, make_preset, simulate_brownian,
-                    solve_drbsde_lattice, solve_drbsde_lsmc, stability_gap)
+from dataclasses import replace
+
+from drgame import (ControlPath, ProblemError, RegressionError, TimeGrid,
+                    build_lattice, check_flat_off, compare_drbsde,
+                    constant_controls, euler_forward, make_preset,
+                    simulate_brownian, solve_drbsde_lattice, solve_drbsde_lsmc,
+                    stability_gap)
 from drgame.model import ControlGrid, GameProblem
 
 BIG = 1e6
@@ -319,6 +322,37 @@ class TestLsmc:
         st, mu, nu = simulate(p, 5, 4, seed=26)
         with pytest.raises(RegressionError, match="step"):
             solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
+
+    @pytest.mark.parametrize("basis", ["poly", "bins"])
+    def test_se_root_is_the_batch_means_se_of_separate_slice_solves(self, basis):
+        p = make_preset("linear-quadratic", {})
+        n_paths, n_steps, batches = 2003, 12, 5
+        grid = TimeGrid(0.0, p.horizon, n_steps)
+        ens = simulate_brownian(grid, n_paths, p.noise_dim, 29)
+        rng = np.random.default_rng(29)
+        mu = ControlPath(rng.integers(0, p.u_grid.size, (n_paths, n_steps)))
+        nu = ControlPath(rng.integers(0, p.v_grid.size, (n_paths, n_steps)))
+        st = euler_forward(p, ens, [0.0], mu, nu)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10,
+                                se_batches=batches)
+        edges = np.linspace(0, n_paths, batches + 1, dtype=int)
+        roots = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            part = replace(st, X=st.X[a:b],
+                           ens=replace(ens, n_paths=b - a, dW=ens.dW[a:b]))
+            roots.append(solve_drbsde_lsmc(
+                p, part, ControlPath(mu.values[a:b]), ControlPath(nu.values[a:b]),
+                basis=basis, n_bins=10, se_batches=0).root)
+        assert sol.se_root == float(np.std(roots, ddof=1) / np.sqrt(batches))
+        assert sol.se_root > 0.0
+
+    def test_control_steps_must_match_the_state_grid(self):
+        p = scalar_problem()
+        st, _, _ = simulate(p, 50, 10, seed=30)
+        for n_steps in (8, 12):
+            mu = nu = constant_controls(50, n_steps)
+            with pytest.raises(ProblemError, match="control path shape"):
+                solve_drbsde_lsmc(p, st, mu, nu)
 
     def test_states_must_carry_ensemble(self):
         p = scalar_problem()

@@ -20,6 +20,15 @@ def custom_problem(drift, gamma=1.0, sigma_const=1.0):
         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton())
 
 
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        import drgame
+        from drgame import cli, drbsde, game, linalg, model, paths, pde
+        for mod in (drgame, cli, drbsde, game, linalg, model, paths, pde):
+            for name in mod.__all__:
+                assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
 class TestControlGrid:
     def test_origin_norm_is_zero(self):
         g = ControlGrid(points=(1.0, 2.0))

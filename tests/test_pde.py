@@ -141,6 +141,35 @@ class TestSolver:
         assert len(lines) == 4
 
 
+class TestGridProblem:
+    """The grid routes step on the drift and diffusion of the problem their
+    grid was built for; the solver's problem supplies f, h and the obstacles."""
+
+    def test_coefficients_come_from_the_grid_problem(self):
+        p = make_preset("linear-quadratic", {})
+        g = make_pde_grid(p, 100, -4, 4, 41)
+        q = replace(p, diffusion=lambda t, x, u, v: 10.0 * p.diffusion(t, x, u, v))
+        with pytest.raises(CflError):
+            make_pde_grid(q, 100, -4, 4, 41)
+        for order in ("supinf", "infsup"):
+            w = solve_obstacle_pde(p, g, order)
+            assert np.array_equal(solve_obstacle_pde(q, g, order).W, w.W)
+            assert np.array_equal(viscosity_residual(q, g, w, order).field,
+                                  viscosity_residual(p, g, w, order).field)
+            assert np.array_equal(value_backward_induction(q, g, order).W,
+                                  value_backward_induction(p, g, order).W)
+
+    def test_different_control_grid_is_rejected(self):
+        p = make_preset("linear-quadratic", {})
+        g = make_pde_grid(p, 100, -4, 4, 41)
+        w = solve_obstacle_pde(p, g, "supinf")
+        q = replace(p, u_grid=ControlGrid(points=(-1.0, 0.0, 1.0)))
+        with pytest.raises(ProblemError, match="different control grid"):
+            solve_obstacle_pde(q, g, "supinf")
+        with pytest.raises(ProblemError, match="different control grid"):
+            viscosity_residual(q, g, w, "supinf")
+
+
 class TestResidual:
     def test_flat_solution_zero_residual(self):
         p = make_preset("dynkin-flat", {})
