@@ -22,7 +22,9 @@ Sections and keys (case-sensitive; unknown keys are fatal):
 Every run writes its CSV artifacts plus a ``run.txt`` manifest echoing each
 effective setting (so a run is re-executable from the manifest alone), the
 tool version and the wall time; a run that fails with status 2 or 3 still
-writes it, adding ``status`` and ``error``.  Exit status: 0 success, 1 a
+writes it, adding ``status`` and ``error``; an lsmc ``drbsde`` run adds the
+regression diagnostics ``diag.lsmc_rank_min``, ``diag.lsmc_cond_max`` and
+``diag.lsmc_fallbacks``.  Exit status: 0 success, 1 a
 check failed, 2 numerical failure (CFL/NaN), 3 configuration error.
 ``--threads`` is accepted as a hint and recorded, but solvers are
 deterministic and its value never changes any artifact.
@@ -316,6 +318,10 @@ def _cmd_drbsde(cfg, out):
     extra = {"result.flat_off_lo": f"{res_lo:.17g}", "result.flat_off_hi": f"{res_hi:.17g}"}
     if sol.se_root is not None:
         extra["result.root_se"] = f"{sol.se_root:.17g}"
+    if sol.lsmc_rank_min is not None:
+        extra["diag.lsmc_rank_min"] = str(sol.lsmc_rank_min)
+        extra["diag.lsmc_cond_max"] = f"{sol.lsmc_cond_max:.17g}"
+        extra["diag.lsmc_fallbacks"] = str(sol.lsmc_fallbacks)
     return 0, extra
 
 def _cmd_value(cfg, out):

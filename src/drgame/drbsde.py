@@ -53,7 +53,9 @@ class DrbsdeSolution:
     """Discrete (Y, Z, K_lo, K_hi) fields over (time knot, node or path).
 
     K_lo and K_hi are cumulative from t0 (first row zero, nondecreasing);
-    the increment attributed to knot j is K[j + 1] - K[j].
+    the increment attributed to knot j is K[j + 1] - K[j].  LSMC solutions
+    also carry ``se_root`` and the regression diagnostics ``lsmc_*`` (see
+    ``solve_drbsde_lsmc``).
     """
 
     grid: TimeGrid
@@ -63,6 +65,9 @@ class DrbsdeSolution:
     K_hi: np.ndarray
     mode: str
     se_root: float = None
+    lsmc_rank_min: int = None
+    lsmc_cond_max: float = None
+    lsmc_fallbacks: int = None
 
     @property
     def root(self) -> float:
@@ -115,27 +120,44 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
 # least-squares Monte Carlo mode
 # ---------------------------------------------------------------------------
 
-def _basis_matrix(p, t, x, basis, degree, n_bins):
+# The batched fit works on Gram matrices scaled to unit diagonal, so both
+# thresholds are relative to a spectrum of size about nb.  Eigenvalues below
+# _RANK_TOL times the largest are exact collinearity (a constant obstacle
+# column, an obstacle affine in x, an empty bins cell, the point
+# cross-section at the initial layer); rounding puts those near 1e-16.  A
+# Gram matrix squares the design's condition number, so a block whose kept
+# spectrum spreads wider than _COND_MAX is refitted by lstsq on its design.
+_RANK_TOL = 1e-12
+_COND_MAX = 1e8
+
+
+def _basis_matrix(p, t, x, basis, degree, n_bins, out=None):
     """Design matrix for the cross-sectional projection at one time layer.
 
     ``poly``: intercept, per-coordinate monomials up to ``degree``, and the
     two obstacle values at (t, x) as extra regressors (they carry the kink
-    of the value function near the barriers).  Collinear columns (constant
-    obstacles, or a degenerate cross-section) are harmless: the projection
-    is computed with a rank-revealing least-squares solve.
+    of the value function near the barriers).  Powers are built by repeated
+    multiplication into a Fortran-order matrix (``out`` if given, so a
+    sweep reuses one).  Columns that are collinear on the cross-section
+    (constant obstacles, an obstacle affine in x, the point cross-section
+    at the initial layer) are expected: the fit drops them.
 
     ``bins``: scalar state only; indicator columns of ``n_bins`` quantile
     cells, i.e. a piecewise-constant conditional-mean estimate.
     """
     n, k = x.shape
     if basis == "poly":
-        cols = [np.ones(n)]
-        for c in range(k):
-            for dgr in range(1, degree + 1):
-                cols.append(x[:, c] ** dgr)
-        cols.append(np.asarray(p.lower_obstacle(t, x), dtype=float))
-        cols.append(np.asarray(p.upper_obstacle(t, x), dtype=float))
-        return np.column_stack(cols)
+        A = np.empty((n, 3 + k * degree), order="F") if out is None else out
+        A[:, 0] = 1.0
+        for c in range(k * degree):
+            i, power = divmod(c, degree)
+            if power:
+                np.multiply(A[:, c], x[:, i], out=A[:, c + 1])
+            else:
+                A[:, c + 1] = x[:, i]
+        A[:, -2] = p.lower_obstacle(t, x)
+        A[:, -1] = p.upper_obstacle(t, x)
+        return A
     if basis == "bins":
         if k != 1:
             raise ProblemError("bins basis supports scalar states only")
@@ -147,36 +169,84 @@ def _basis_matrix(p, t, x, basis, degree, n_bins):
     raise ProblemError(f"unknown basis {basis!r}; use 'poly' or 'bins'")
 
 
-def _project(design, targets, step):
-    n, nb = design.shape
-    if n < nb:
-        raise RegressionError(
-            f"rank-deficient regression at step {step}: {n} paths for "
-            f"{nb} basis functions"
-        )
-    if not np.all(np.isfinite(design)):
-        raise RegressionError(f"non-finite design matrix at step {step}")
-    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank == 0:
+def _fit(designs, targets, step):
+    """Least-squares fitted values of each block's ``targets`` (m, r) on its
+    design (m, nb), one block per pair.
+
+    Each block contributes its Gram matrix and right-hand side; all blocks
+    are solved by one batched eigendecomposition of the Gram matrices
+    scaled to unit diagonal, keeping the eigenvalues above ``_RANK_TOL``
+    times the largest.  Returns the fitted values per block, and per block
+    the kept rank, the kept spectrum's condition number and whether the
+    block fell back to ``lstsq``.
+    """
+    nb = designs[0].shape[1]
+    gram = np.empty((len(designs), nb, nb))
+    rhs = np.empty((len(designs), nb, targets[0].shape[1]))
+    for b, (A, y) in enumerate(zip(designs, targets)):
+        if A.shape[0] < nb:
+            raise RegressionError(
+                f"rank-deficient regression at step {step}: {A.shape[0]} paths "
+                f"for {nb} basis functions"
+            )
+        if not np.all(np.isfinite(A)):
+            raise RegressionError(f"non-finite design matrix at step {step}")
+        gram[b] = A.T @ A
+        rhs[b] = A.T @ y
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    s = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0)
+    w, V = np.linalg.eigh(gram * s[:, :, None] * s[:, None, :])
+    keep = w > _RANK_TOL * w[:, -1:]
+    rank = keep.sum(axis=1)
+    if not rank.all():
         raise RegressionError(f"rank-deficient regression at step {step}")
-    return design @ coef
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    proj = V.transpose(0, 2, 1) @ (s[:, :, None] * rhs)
+    coef = s[:, :, None] * (V @ (inv[:, :, None] * proj))
+    cond = w[:, -1] / np.min(np.where(keep, w, np.inf), axis=1)
+    fallback = cond > _COND_MAX
+    fits = []
+    for b, (A, y) in enumerate(zip(designs, targets)):
+        if fallback[b]:
+            coef_b, _, rank[b], _ = np.linalg.lstsq(A, y, rcond=None)
+            fits.append(A @ coef_b)
+        else:
+            fits.append(A @ coef[b])
+    return fits, rank, cond, fallback
 
 
-def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges):
+def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, stats):
     """The recursion with one regression per step and block of paths
-    [edges[b], edges[b + 1]); the clamp and the generator act per path."""
+    [edges[b], edges[b + 1]); the clamp and the generator act per path.
+
+    Appends (smallest kept rank, largest condition number, lstsq
+    fallbacks) over the blocks of each layer to ``stats``, except for the
+    initial layer, whose point cross-section has rank 1 by construction.
+    """
     X, dW, dt = states.X, states.ens.dW, states.grid.dt
-    n_paths, n_plus1 = X.shape[:2]
-    Z = np.zeros((n_plus1, n_paths, dW.shape[2]))
+    n_paths, n_plus1, d = X.shape[0], X.shape[1], dW.shape[2]
+    Z = np.zeros((n_plus1, n_paths, d))
     e = np.empty(n_paths)
+    targets = np.empty((n_paths, 1 + d), order="F")
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    design = None
 
     def step(j, t, nxt):
-        xj = X[:, j]
-        for a, b in zip(edges[:-1], edges[1:]):
-            targets = np.column_stack([nxt[a:b], nxt[a:b, None] * dW[a:b, j]])
-            fit = _project(_basis_matrix(p, t, xj[a:b], basis, degree, n_bins), targets, j)
-            e[a:b] = fit[:, 0]
-            Z[j, a:b] = fit[:, 1:] / dt
+        nonlocal design
+        xj = np.ascontiguousarray(X[:, j])  # read the strided layer once
+        targets[:, 0] = nxt
+        np.multiply(nxt[:, None], dW[:, j], out=targets[:, 1:])
+        if basis == "poly":  # one design per layer; bins cells are per block
+            design = _basis_matrix(p, t, xj, basis, degree, n_bins, out=design)
+            designs = [design[s] for s in blocks]
+        else:
+            designs = [_basis_matrix(p, t, xj[s], basis, degree, n_bins) for s in blocks]
+        fits, rank, cond, fallback = _fit(designs, [targets[s] for s in blocks], j)
+        if j:
+            stats.append((rank.min(), cond.max(), fallback.sum()))
+        for s, fit in zip(blocks, fits):
+            e[s] = fit[:, 0]
+            Z[j, s] = fit[:, 1:] / dt
         return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
 
     Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step)
@@ -195,26 +265,40 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     plain sample mean, which is the correct conditional expectation there.
 
     ``se_batches > 0`` additionally runs the recursion on that many
-    disjoint path batches, one regression per batch and step, and stores
-    the batch-means standard error of the root value in ``se_root`` (this
-    captures regression noise that a naive per-path estimate would miss).
+    disjoint path batches and stores the batch-means standard error of the
+    root value in ``se_root`` (this captures regression noise that a naive
+    per-path estimate would miss).  Each step fits all blocks of a sweep,
+    the batches or the one block of all paths, in one batched solve.
+
+    Over every fit after the initial layer, the solution records the
+    smallest kept rank (``lsmc_rank_min``), the largest condition number of
+    a scaled Gram matrix (``lsmc_cond_max``) and the number of blocks
+    refitted by ``lstsq`` (``lsmc_fallbacks``); with one step there is no
+    such fit and they stay None.
     """
     if states.ens is None:
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
     n_paths = states.X.shape[0]
     _check_controls(p, mu, nu, (n_paths, states.grid.n_steps))
+    stats = []
     args = (p, states, mu.values, nu.values, basis, degree, n_bins)
 
     se_root = None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
         # before the root sweep, so the two sweeps' arrays never coexist
         edges = np.linspace(0, n_paths, se_batches + 1, dtype=int)
-        roots = _lsmc_backward(*args, edges)[0][0, edges[:-1]]
+        roots = _lsmc_backward(*args, edges, stats)[0][0, edges[:-1]]
         se_root = float(np.std(roots, ddof=1) / np.sqrt(se_batches))
-    Y, Z, K_lo, K_hi = _lsmc_backward(*args, (0, n_paths))
-    return DrbsdeSolution(grid=states.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
-                          mode="lsmc", se_root=se_root)
+    Y, Z, K_lo, K_hi = _lsmc_backward(*args, (0, n_paths), stats)
+    sol = DrbsdeSolution(grid=states.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
+                         mode="lsmc", se_root=se_root)
+    if stats:
+        rank, cond, fallbacks = zip(*stats)
+        sol.lsmc_rank_min = int(min(rank))
+        sol.lsmc_cond_max = float(max(cond))
+        sol.lsmc_fallbacks = int(sum(fallbacks))
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ state equation, plus the two path-surgery operations (concatenation of a
 path with a continuation, and pasting of controls on selected paths).
 
 Randomness is counter-based: the increments of path ``p`` are the standard
-normals of a Philox stream keyed ``(seed, p)``, reshaped to ``(n_steps, d)``
-and scaled by ``sqrt(dt)``.  The draw for one path never depends on how many
-other paths exist or in which order they are filled, so output is
-bit-reproducible across platforms and any worker layout.
+normals of a Philox stream keyed ``(seed mod 2**64, p)``, reshaped to
+``(n_steps, d)`` and scaled by ``sqrt(dt)``.  One generator is re-keyed for
+each path, which draws exactly what a fresh ``Philox(key=(seed mod 2**64,
+p))`` would.  The draw for one path never depends on how many other paths
+exist or in which order they are filled, so output is bit-reproducible
+across platforms and any worker layout.
 """
 
 from __future__ import annotations
@@ -137,13 +139,22 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEn
         raise ProblemError("n_paths must be >= 1")
     if d < 1:
         raise ProblemError("d must be >= 1")
-    scale = np.sqrt(grid.dt)
-    key_hi = np.uint64(seed % (2 ** 64))
     dW = np.empty((n_paths, grid.n_steps, d))
+    # one generator, re-keyed per path to the state of a fresh Philox keyed
+    # (seed, p): zero counter, empty buffer; building a Philox per path took
+    # about 70% of the draw at 50 steps
+    key = np.array([seed % (2 ** 64), 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for ip in range(n_paths):
-        bitgen = np.random.Philox(key=np.array([key_hi, ip], dtype=np.uint64))
-        dW[ip] = np.random.Generator(bitgen).standard_normal((grid.n_steps, d))
-    dW *= scale
+        key[1] = ip
+        bitgen.state = state
+        gen.standard_normal(out=dW[ip])
+    dW *= np.sqrt(grid.dt)
     return PathEnsemble(grid=grid, n_paths=n_paths, d=d, seed=seed, dW=dW)
 
 

@@ -126,6 +126,17 @@ class TestRun:
         cfg2 = tiny_cfg(tmp_path, mode="lsmc", out_dir=str(tmp_path / "o2"))
         assert run("drbsde", cfg2) == 0
 
+    def test_lsmc_manifest_records_the_regression_diagnostics(self, tmp_path):
+        assert run("drbsde", tiny_cfg(tmp_path, mode="lsmc")) == 0
+        lines = (tmp_path / "out" / "run.txt").read_text().splitlines()
+        items = dict(line.split("=", 1) for line in lines)
+        # dynkin-flat: the two constant obstacle columns duplicate the intercept
+        assert items["diag.lsmc_rank_min"] == "4"
+        assert items["diag.lsmc_fallbacks"] == "0"
+        assert 1.0 <= float(items["diag.lsmc_cond_max"]) < 1e3
+        assert run("drbsde", tiny_cfg(tmp_path, out_dir=str(tmp_path / "lat"))) == 0
+        assert "diag.lsmc" not in (tmp_path / "lat" / "run.txt").read_text()
+
     def test_value_and_pde_and_crosscheck(self, tmp_path):
         for sub in ("value", "pde", "crosscheck"):
             cfg = tiny_cfg(tmp_path, out_dir=str(tmp_path / sub))

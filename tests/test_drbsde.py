@@ -8,6 +8,7 @@ from drgame import (ControlPath, ProblemError, RegressionError, TimeGrid,
                     constant_controls, euler_forward, make_preset,
                     simulate_brownian, solve_drbsde_lattice, solve_drbsde_lsmc,
                     stability_gap)
+from drgame.drbsde import _basis_matrix, _fit
 from drgame.model import ControlGrid, GameProblem
 
 BIG = 1e6
@@ -369,3 +370,94 @@ class TestLsmc:
         st, mu, nu = simulate(p, 20_000, 64, seed=28)
         sol = solve_drbsde_lsmc(p, st, mu, nu)
         assert abs(sol.root - lat_root) <= 3.0 * sol.se_root + 1e-10
+
+
+class TestRegression:
+    """The batched fit against a rank-revealing lstsq on each block."""
+
+    @staticmethod
+    def scaled_lstsq_fit(A, y):
+        # columns scaled to unit norm, so a 1e6 column costs no digits
+        norm = np.linalg.norm(A, axis=0)
+        B = A * np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+        return B @ np.linalg.lstsq(B, y, rcond=None)[0]
+
+    @pytest.mark.parametrize("l_lo", [None, lambda t, x: x[..., 0] - 0.3])
+    def test_batched_fit_matches_lstsq_per_block(self, l_lo):
+        # constant 1e6 upper obstacle, and a lower one constant or affine in x
+        p = scalar_problem(l_lo=l_lo)
+        rng = np.random.default_rng(40)
+        x = rng.normal(0.2, 0.7, (3001, 1))
+        y = np.column_stack([np.sin(3 * x[:, 0]), rng.standard_normal((3001, 2))])
+        A = _basis_matrix(p, 0.4, x, "poly", 3, 0)
+        blocks = [slice(0, 1000), slice(1000, 2001), slice(2001, 3001)]
+        fits, rank, cond, fallback = _fit([A[s] for s in blocks], [y[s] for s in blocks], 5)
+        assert rank.tolist() == [4, 4, 4] and not fallback.any()
+        assert np.all(cond < 1e3)
+        for s, fit in zip(blocks, fits):
+            ref = self.scaled_lstsq_fit(A[s], y[s])
+            assert np.max(np.abs(fit - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("x0", [0.0, 0.7])
+    def test_point_cross_section_gives_the_sample_mean(self, x0):
+        p = scalar_problem(l_lo=lambda t, x: x[..., 0] - 0.3)
+        y = np.random.default_rng(41).standard_normal((64, 2))
+        A = _basis_matrix(p, 0.0, np.full((64, 1), x0), "poly", 3, 0)
+        fits, rank, _, fallback = _fit([A], [y], 0)
+        assert rank.tolist() == [1] and not fallback.any()
+        assert np.allclose(fits[0], y.mean(axis=0), rtol=1e-14, atol=1e-15)
+
+    def test_bins_block_with_an_empty_cell_gives_cell_means(self):
+        p = scalar_problem()
+        x = np.repeat([0.0, 1.0, 2.0], [50, 30, 20])[:, None]  # ties: empty cells
+        y = np.random.default_rng(42).standard_normal((100, 2))
+        A = _basis_matrix(p, 0.5, x, "bins", 0, 5)
+        assert np.any(A.sum(axis=0) == 0)
+        fits, rank, _, fallback = _fit([A], [y], 3)
+        assert rank.tolist() == [3] and not fallback.any()
+        for v in (0.0, 1.0, 2.0):
+            cell = x[:, 0] == v
+            assert np.allclose(fits[0][cell], y[cell].mean(axis=0), rtol=1e-13, atol=1e-15)
+
+    def test_nearly_collinear_block_falls_back_to_lstsq(self):
+        p = make_preset("linear-quadratic", {})
+        rng = np.random.default_rng(0)
+        x = [rng.normal(0.0, 1.0, (500, 1)), 1.0 + 0.01 * rng.random((2000, 1))]
+        y = [rng.standard_normal((500, 2)), rng.standard_normal((2000, 2))]
+        designs = [_basis_matrix(p, 0.5, xb, "poly", 3, 0) for xb in x]
+        fits, rank, cond, fallback = _fit(designs, y, 2)
+        assert fallback.tolist() == [False, True]
+        assert cond[1] > 1e8 and rank[1] == 4
+        A = designs[1]
+        ref = A @ np.linalg.lstsq(A, y[1], rcond=None)[0]
+        assert np.array_equal(fits[1], ref)
+        assert np.max(np.abs(fits[0] - self.scaled_lstsq_fit(designs[0], y[0]))) <= 1e-12
+
+    def test_too_few_paths_names_the_step(self):
+        p = scalar_problem()
+        st, mu, nu = simulate(p, 5, 4, seed=26)
+        with pytest.raises(RegressionError, match=r"^rank-deficient regression at step 3: "
+                                                  r"5 paths for 6 basis functions$"):
+            solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
+
+    def test_non_finite_design_names_the_step(self):
+        p = scalar_problem(l_lo=lambda t, x: np.full(np.shape(x)[:-1], -np.inf))
+        st, mu, nu = simulate(p, 50, 4, seed=27)
+        with pytest.raises(RegressionError, match=r"^non-finite design matrix at step 3$"):
+            solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
+
+    def test_zero_design_is_rank_zero(self):
+        with pytest.raises(RegressionError, match=r"^rank-deficient regression at step 7$"):
+            _fit([np.zeros((10, 3))], [np.ones((10, 2))], 7)
+
+    def test_solution_carries_the_regression_diagnostics(self):
+        p = make_preset("linear-quadratic", {})
+        st, mu, nu = simulate(p, 2000, 10, seed=43)
+        sol = solve_drbsde_lsmc(p, st, mu, nu)
+        # the two constant obstacle columns duplicate the intercept
+        assert (sol.lsmc_rank_min, sol.lsmc_fallbacks) == (4, 0)
+        assert 1.0 <= sol.lsmc_cond_max < 1e3
+        sol = solve_drbsde_lsmc(p, st, mu, nu, basis="bins", n_bins=10)
+        assert (sol.lsmc_rank_min, sol.lsmc_cond_max, sol.lsmc_fallbacks) == (10, 1.0, 0)
+        lat = solve_drbsde_lattice(p, build_lattice(p, 100, -2, 2, 9))
+        assert lat.lsmc_rank_min is None and lat.lsmc_fallbacks is None

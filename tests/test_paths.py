@@ -60,6 +60,17 @@ class TestBrownian:
         b = simulate_brownian(grid, 64, 1, seed=8)
         assert not np.array_equal(a.dW, b.dW)
 
+    @pytest.mark.parametrize("seed", [0, 1203, 2 ** 64 - 3])
+    @pytest.mark.parametrize("n_steps", [1, 50])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_path_p_is_the_philox_stream_keyed_seed_and_p(self, d, n_steps, seed):
+        grid = TimeGrid(0.0, 0.7, n_steps)
+        ens = simulate_brownian(grid, 5, d, seed)
+        for p in range(5):
+            bitgen = np.random.Philox(key=np.array([seed % 2 ** 64, p], dtype=np.uint64))
+            normals = np.random.Generator(bitgen).standard_normal((n_steps, d))
+            assert np.array_equal(ens.dW[p], normals * np.sqrt(grid.dt))
+
     def test_per_path_streams_do_not_depend_on_path_count(self):
         grid = TimeGrid(0.0, 1.0, 10)
         small = simulate_brownian(grid, 8, 1, seed=3)
