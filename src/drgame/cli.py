@@ -24,8 +24,12 @@ effective setting (so a run is re-executable from the manifest alone), the
 tool version and the wall time; a run that fails with status 2 or 3 still
 writes it, adding ``status`` and ``error``; an lsmc ``drbsde`` run adds the
 regression diagnostics ``diag.lsmc_rank_min``, ``diag.lsmc_cond_max`` and
-``diag.lsmc_fallbacks``.  Exit status: 0 success, 1 a
-check failed, 2 numerical failure (CFL/NaN), 3 configuration error.
+``diag.lsmc_fallbacks``, and ``value``, ``pde``, ``crosscheck``,
+``dpp-check`` and a lattice ``drbsde`` add their lattice's diagnostics
+``diag.cfl_diffusion`` (largest dt*sigma^2/dx^2), ``diag.cfl_drift``
+(largest dt*|b|/dx), ``diag.gamma_dt`` and ``diag.time_homogeneous``.
+Exit status: 0 success, 1 a check failed, 2 numerical failure (CFL/NaN),
+3 configuration error.
 ``--threads`` is accepted as a hint and recorded, but solvers are
 deterministic and its value never changes any artifact.
 """
@@ -274,6 +278,14 @@ def _lattice(cfg, prob):
     return build_lattice(prob, cfg.n_steps, cfg.x_min, cfg.x_max, cfg.n_nodes)
 
 
+def _lattice_diag(lat):
+    """Manifest keys of the checks ``build_lattice`` made on ``lat``."""
+    return {"diag.cfl_diffusion": f"{lat.cfl[0]:.17g}",
+            "diag.cfl_drift": f"{lat.cfl[1]:.17g}",
+            "diag.gamma_dt": f"{lat.problem.lipschitz * lat.dt:.17g}",
+            "diag.time_homogeneous": str(lat.shared_stencil is not None).lower()}
+
+
 def _snap_t_mid(cfg, grid: TimeGrid) -> float:
     j = int(round((cfg.t_mid - grid.t0) / grid.dt))
     j = min(max(j, 1), grid.n_steps - 1)
@@ -310,10 +322,12 @@ def _cmd_drbsde(cfg, out):
         lat = _lattice(cfg, prob)
         sol = solve_drbsde_lattice(prob, lat)
         res_lo, res_hi = check_flat_off(sol, prob, lat)
+        diag = _lattice_diag(lat)
     else:
         states, mu, nu = _states(cfg, prob)
         sol = solve_drbsde_lsmc(prob, states, mu, nu, degree=cfg.basis_degree)
         res_lo, res_hi = check_flat_off(sol, prob, states)
+        diag = {}
     _write_text(out / "drbsde.csv", sol.to_csv())
     extra = {"result.flat_off_lo": f"{res_lo:.17g}", "result.flat_off_hi": f"{res_hi:.17g}"}
     if sol.se_root is not None:
@@ -322,14 +336,14 @@ def _cmd_drbsde(cfg, out):
         extra["diag.lsmc_rank_min"] = str(sol.lsmc_rank_min)
         extra["diag.lsmc_cond_max"] = f"{sol.lsmc_cond_max:.17g}"
         extra["diag.lsmc_fallbacks"] = str(sol.lsmc_fallbacks)
-    return 0, extra
+    return 0, {**extra, **diag}
 
 def _cmd_value(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
     surf = value_backward_induction(prob, lat, cfg.order)
     _write_text(out / "surface.csv", surf.to_csv())
-    return 0, {"result.root": f"{surf.root():.17g}"}
+    return 0, {"result.root": f"{surf.root():.17g}", **_lattice_diag(lat)}
 
 def _cmd_pde(cfg, out):
     prob = _problem(cfg)
@@ -342,7 +356,7 @@ def _cmd_pde(cfg, out):
     _write_text(out / "residual.csv", resid.to_csv())
     _write_text(out / "convergence.csv", study.to_csv())
     return 0, {"result.root": f"{surf.root():.17g}",
-               "result.max_residual": f"{resid.max_abs:.17g}"}
+               "result.max_residual": f"{resid.max_abs:.17g}", **_lattice_diag(g)}
 
 def _cmd_dynkin_oracle(cfg, out):
     cases = dynkin_oracle_corpus(n_trees=max(cfg.trials, 20), seed=cfg.seed + 2024)
@@ -369,7 +383,8 @@ def _cmd_dpp_check(cfg, out):
     rows = [("matched", rep.direct, rep.composed, rep.gap),
             ("refined", rep.direct, refined, abs(rep.direct - refined))]
     _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))
-    return (0 if rep.gap <= 1e-12 else 1), {"result.matched_gap": f"{rep.gap:.17g}"}
+    return (0 if rep.gap <= 1e-12 else 1), {"result.matched_gap": f"{rep.gap:.17g}",
+                                            **_lattice_diag(lat)}
 
 def _cmd_crosscheck(cfg, out):
     prob = _problem(cfg)
@@ -378,7 +393,8 @@ def _cmd_crosscheck(cfg, out):
     _write_text(out / "crosscheck.csv",
                 _csv("lattice_root,pde_root,rel_gap",
                      [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))
-    return (0 if rep.rel_gap <= 1e-10 else 1), {"result.rel_gap": f"{rep.rel_gap:.17g}"}
+    return (0 if rep.rel_gap <= 1e-10 else 1), {"result.rel_gap": f"{rep.rel_gap:.17g}",
+                                                **_lattice_diag(lat)}
 
 def _cmd_sqrt_check(cfg, out):
     rng = np.random.default_rng(cfg.seed)

@@ -106,9 +106,7 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     Z = np.zeros((n_steps + 1, n, p.noise_dim))
 
     def step(j, t, nxt):
-        st = lat.stencil(t, mu[j], nu[j])
-        e = lat.expectation(st, nxt)
-        Z[j, :, 0] = lat.z_moment(st, nxt)
+        e, Z[j, :, 0] = lat.moments(lat.stencil(t, mu[j], nu[j]), nxt)
         return e + dt * _generator(p, t, xb, e, Z[j], mu[j], nu[j])
 
     Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step)
@@ -218,6 +216,8 @@ def _fit(designs, targets, step):
 def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, stats):
     """The recursion with one regression per step and block of paths
     [edges[b], edges[b + 1]); the clamp and the generator act per path.
+    With the ``poly`` basis the clamp reads the obstacles from the design's
+    last two columns, so each obstacle is evaluated once per step.
 
     Appends (smallest kept rank, largest condition number, lstsq
     fallbacks) over the blocks of each layer to ``stats``, except for the
@@ -249,7 +249,9 @@ def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, st
             Z[j, s] = fit[:, 1:] / dt
         return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
 
-    Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step)
+    obstacles = (lambda j: (design[:, -2], design[:, -1])) if basis == "poly" else None
+    Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step,
+                                   obstacles=obstacles)
     return Y, Z, K_lo, K_hi
 
 

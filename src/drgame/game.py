@@ -15,7 +15,13 @@ reported as an error).  At the two domain edges the weight of the missing
 neighbour is folded into the node itself (reflecting truncation); the
 folded fractions are kept so occupancy-weighted diagnostics can verify the
 domain was wide enough.  A lattice stores no per-step arrays: it keeps
-its problem and computes a layer's stencil when the sweep asks for it.
+its problem and computes a layer's stencil when the sweep asks for it.  When
+the construction scan finds every layer's drift and diffusion bit-equal to
+the first layer's (a time-homogeneous problem), the lattice keeps that one
+all-pairs stencil instead, and every layer reads it: the chain has one
+transition kernel, and a per-layer stencil would repeat the same arithmetic.
+Drift and diffusion must therefore be deterministic: the same (t, x, u, v)
+must give the same bits on every call.
 
 Every backward route (this module's game induction, the DRBSDE lattice and
 Monte Carlo solvers, the finite-difference sweep) runs through
@@ -39,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    _control_pairs, _csv)
+                    _control_pairs, _csv, _one_index)
 from .paths import TimeGrid
 
 __all__ = [
@@ -142,7 +148,8 @@ def _check_monotone(b, sig, dt: float, dx: float):
     That is the CFL pair dt * max(sig^2) <= dx^2 and dt * max|b| <= dx, and
     no drift-dominated node (|b| dx > sig^2).  The lattice stencil and the
     finite-difference update share these weights, so one check makes both
-    monotone.  ``b`` and ``sig`` may have any common shape.
+    monotone.  ``b`` and ``sig`` may have any common shape.  Returns the two
+    CFL margins dt * max(sig^2) / dx^2 and dt * max|b| / dx.
     """
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise NumericsError("non-finite coefficient on the lattice grid")
@@ -167,24 +174,49 @@ def _check_monotone(b, sig, dt: float, dx: float):
     p_stay = 1.0 - np.maximum(p_up, 0.0) - np.maximum(p_dn, 0.0)
     if float(p_stay.min()) < -1e-12:
         raise CflError("stencil stay-probability went negative; tighten CFL")
+    return dt * max_sig2 / (dx * dx), dt * max_b / dx
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality: unlike ``==`` it tells -0.0 from 0.0, whose signs
+    can reach the z-moment, and needs no NaN rule."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
     """Check every layer of a lattice once, for both grid routes.
 
-    Coefficients are evaluated one layer at a time for all control pairs
-    and discarded, so the scan holds O(nU nV n) memory at any step count.
+    Coefficients are evaluated at every knot for all control pairs, one
+    layer at a time, so the scan holds O(nU nV n) memory at any step count.
+    A layer whose drift and diffusion are bit-equal to the layer before it
+    would give the same check result, so only the first layer and the
+    layers that differ from their predecessor are checked.
+
+    Returns ``(coefficients, margins)``: the first layer's (b, sig) when
+    every layer is bit-equal to it (a time-homogeneous problem), else None;
+    and the largest dt * sig^2 / dx^2 and dt * |b| / dx over all layers,
+    which the checked layers attain.
     """
     if p.state_dim != 1 or p.noise_dim != 1:
         raise ProblemError("lattice and PDE solvers support state_dim = noise_dim = 1")
     dt = tgrid.dt
     dx = float(x_nodes[1] - x_nodes[0])
-    for t in tgrid.knots[:-1]:
-        _check_monotone(*_coefficients(p, float(t), x_nodes[:, None]), dt, dx)
+    xb = x_nodes[:, None]
+    knots = tgrid.knots[:-1]
+    first = prev = _coefficients(p, float(knots[0]), xb)
+    margins = _check_monotone(*first, dt, dx)
+    homogeneous = True
+    for t in knots[1:]:
+        cur = _coefficients(p, float(t), xb)
+        if not (_same_bits(cur[0], prev[0]) and _same_bits(cur[1], prev[1])):
+            margins = tuple(map(max, margins, _check_monotone(*cur, dt, dx)))
+            homogeneous = False
+        prev = cur
     if p.lipschitz * dt >= 1.0:
         raise CflError(
             f"gamma*dt = {p.lipschitz * dt:.6g} must be < 1; shrink the time step"
         )
+    return (first if homogeneous else None), margins
 
 
 def _space_grid(n_nodes, x_min, x_max):
@@ -205,7 +237,10 @@ class Stencil:
 
     Boundary folding is already applied (p_dn is zero on the first node,
     p_up on the last), with the folded amounts kept in fold_dn/fold_up for
-    diagnostics.
+    diagnostics.  dw_stay, dw_dn and dw_up are the Euler increments dW =
+    (x_target - x - b dt) / sig of the three moves, with sig replaced by 1
+    where the node does not move (``moves`` false, vanishing diffusion);
+    ``all_move`` says that every node moves.
     """
 
     p_up: np.ndarray
@@ -215,6 +250,37 @@ class Stencil:
     sig: np.ndarray
     fold_dn: np.ndarray
     fold_up: np.ndarray
+    dw_stay: np.ndarray
+    dw_dn: np.ndarray
+    dw_up: np.ndarray
+    moves: np.ndarray
+    all_move: bool
+
+    def arrays(self) -> dict:
+        return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
+
+    def pair(self, i: int, k: int) -> "Stencil":
+        """View of control pair (i, k) of an all-pairs stencil."""
+        return replace(self, **{name: v[i, k, ...] for name, v in self.arrays().items()})
+
+
+def _stencil(b, sig, dt: float, dx: float) -> Stencil:
+    """Folded weights and move increments for coefficients of any shape."""
+    p_up, p_dn = _up_down(b, sig, dt, dx)
+    np.maximum(p_up, 0.0, out=p_up)
+    np.maximum(p_dn, 0.0, out=p_dn)
+    p_stay = np.maximum(1.0 - p_up - p_dn, 0.0)
+    fold_dn, fold_up = p_dn[..., 0].copy(), p_up[..., -1].copy()
+    p_stay[..., 0] += fold_dn
+    p_dn[..., 0] = 0.0
+    p_stay[..., -1] += fold_up
+    p_up[..., -1] = 0.0
+    moves = np.abs(sig) > 1e-14
+    safe = np.where(moves, sig, 1.0)
+    bdt = b * dt
+    return Stencil(p_up, p_dn, p_stay, b, sig, fold_dn, fold_up,
+                   -bdt / safe, (-dx - bdt) / safe, (dx - bdt) / safe,
+                   moves, bool(moves.all()))
 
 
 @dataclass
@@ -223,11 +289,19 @@ class Lattice:
 
     The lattice keeps the problem it was built from and computes a layer's
     stencil when asked (:meth:`stencil`), so it holds no per-step arrays.
+    ``shared_stencil`` is derived, not a setting: :func:`build_lattice` sets it
+    to the one all-pairs stencil, with read-only arrays, when its scan found
+    every layer's coefficients bit-equal, and every layer then reads it.
+    Without it (a time-dependent problem, or ``replace(lat,
+    shared_stencil=None)``) each layer's stencil is computed by the same
+    function from that layer's coefficients, so both give the same numbers.
     It is the finite-difference route's grid too: both routes step on that
-    problem's drift and diffusion, which :func:`build_lattice` checked.
-    ``clock`` is the time grid it was built on and ``first`` the index of
-    ``grid.t0`` among the clock's knots: the halves of :meth:`split` keep
-    their parent's clock, so they step with the parent's dt and knots.
+    problem's drift and diffusion (:meth:`coefficients`), which
+    :func:`build_lattice` checked.  ``cfl`` holds the scan's largest
+    dt * sig^2 / dx^2 and dt * |b| / dx.  ``clock`` is the time grid it was
+    built on and ``first`` the index of ``grid.t0`` among the clock's
+    knots: the halves of :meth:`split` keep their parent's clock and
+    stencil, so they step with the parent's dt, knots and weights.
     """
 
     grid: TimeGrid
@@ -236,6 +310,8 @@ class Lattice:
     problem: GameProblem
     clock: TimeGrid
     first: int = 0
+    shared_stencil: Stencil = None
+    cfl: tuple = None
 
     @property
     def n_nodes(self) -> int:
@@ -250,47 +326,50 @@ class Lattice:
         """The lattice's knots, taken from its clock."""
         return self.clock.knots[self.first:self.first + self.grid.n_steps + 1]
 
+    def coefficients(self, t: float):
+        """Drift and diffusion of every control pair at knot ``t``, each of
+        shape (nU, nV, n)."""
+        if self.shared_stencil is not None:
+            return self.shared_stencil.b, self.shared_stencil.sig
+        return _coefficients(self.problem, t, self.x_nodes[:, None])
+
     def stencil(self, t: float, ui=None, vi=None) -> Stencil:
         """Folded weights out of knot ``t`` of this lattice's problem.
 
         Without controls the arrays cover every control pair, shape
         (nU, nV, n); with control indices ``ui``/``vi``, scalars or one per
-        node, they are (n,).
+        node, they are (n,).  One pair used by every node is a view of the
+        shared stencil; mixed per-node pairs are evaluated each on its
+        own nodes.
         """
-        b, sig = _coefficients(self.problem, t, self.x_nodes[:, None], ui, vi)
-        p_up, p_dn = _up_down(b, sig, self.dt, self.dx)
-        np.maximum(p_up, 0.0, out=p_up)
-        np.maximum(p_dn, 0.0, out=p_dn)
-        p_stay = np.maximum(1.0 - p_up - p_dn, 0.0)
-        fold_dn, fold_up = p_dn[..., 0].copy(), p_up[..., -1].copy()
-        p_stay[..., 0] += fold_dn
-        p_dn[..., 0] = 0.0
-        p_stay[..., -1] += fold_up
-        p_up[..., -1] = 0.0
-        return Stencil(p_up, p_dn, p_stay, b, sig, fold_dn, fold_up)
+        shared = self.shared_stencil
+        if shared is not None:
+            if ui is None:
+                return shared
+            i, k = _one_index(ui), _one_index(vi)
+            if isinstance(i, int) and isinstance(k, int):
+                return shared.pair(i, k)
+        return _stencil(*_coefficients(self.problem, t, self.x_nodes[:, None], ui, vi),
+                        self.dt, self.dx)
 
-    def expectation(self, st: Stencil, vals):
-        """One-step conditional expectation of next-layer values per node."""
-        out = st.p_stay * vals
-        out[..., 1:] += st.p_dn[..., 1:] * vals[:-1]
-        out[..., :-1] += st.p_up[..., :-1] * vals[1:]
-        return out
+    def moments(self, st: Stencil, vals):
+        """One-step conditional expectation of next-layer values per node,
+        and the moment E[next value * dW] / dt.
 
-    def z_moment(self, st: Stencil, vals):
-        """Stencil moment E[next value * dW] / dt per node.
-
-        dW is the Euler increment that produces each move, (x_target - x -
-        b dt)/sig; the mass folded at a boundary behaves like a stay move.
-        Nodes with vanishing diffusion report zero.
+        dW is the Euler increment that produces each move; the mass folded
+        at a boundary behaves like a stay move.  Nodes with vanishing
+        diffusion report a zero moment.
         """
-        dt = self.dt
-        moves = np.abs(st.sig) > 1e-14
-        safe = np.where(moves, st.sig, 1.0)
-        bdt = st.b * dt
-        acc = st.p_stay * vals * (-bdt / safe)
-        acc[..., 1:] += st.p_dn[..., 1:] * vals[:-1] * ((-self.dx - bdt) / safe)[..., 1:]
-        acc[..., :-1] += st.p_up[..., :-1] * vals[1:] * ((self.dx - bdt) / safe)[..., :-1]
-        return np.where(moves, acc / dt, 0.0)
+        stay = st.p_stay * vals
+        dn = st.p_dn[..., 1:] * vals[:-1]
+        up = st.p_up[..., :-1] * vals[1:]
+        z = stay * st.dw_stay
+        stay[..., 1:] += dn
+        stay[..., :-1] += up
+        z[..., 1:] += np.multiply(dn, st.dw_dn[..., 1:], out=dn)
+        z[..., :-1] += np.multiply(up, st.dw_up[..., :-1], out=up)
+        z /= self.dt
+        return stay, (z if st.all_move else np.where(st.moves, z, 0.0))
 
     def split(self, j_mid: int):
         """Head lattice on [t0, t_mid] and tail lattice on [t_mid, T]."""
@@ -309,9 +388,15 @@ def build_lattice(p: GameProblem, n_steps: int, x_min: float, x_max: float,
     """Lattice for ``p`` after checking that every layer's stencil is monotone."""
     x_nodes = _space_grid(n_nodes, x_min, x_max)
     tgrid = TimeGrid(t0, p.horizon, n_steps)
-    _scan_grid(p, tgrid, x_nodes)
-    return Lattice(grid=tgrid, x_nodes=x_nodes, dx=float(x_nodes[1] - x_nodes[0]),
-                   problem=p, clock=tgrid)
+    coeffs, margins = _scan_grid(p, tgrid, x_nodes)
+    dx = float(x_nodes[1] - x_nodes[0])
+    shared = None
+    if coeffs is not None:
+        shared = _stencil(*coeffs, tgrid.dt, dx)
+        for a in shared.arrays().values():
+            a.setflags(write=False)
+    return Lattice(grid=tgrid, x_nodes=x_nodes, dx=dx, problem=p, clock=tgrid,
+                   shared_stencil=shared, cfl=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +421,7 @@ def _saddle(table, order: str):
 
 
 def backward_sweep(p: GameProblem, knots, states, step, order=None,
-                   terminal=None):
+                   terminal=None, obstacles=None):
     """The backward skeleton every route shares.
 
     ``states(j)`` gives the states (m, k) at knot j.  The last layer is
@@ -346,7 +431,9 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     table of control-pair candidates reduced to its saddle value in
     ``order``, or, with ``order=None``, the (m,) candidate under fixed
     controls.  The candidate is clamped into [l_lo, l_hi] at (t_j, states),
-    and the clamp overshoots are the pushes of K_lo and K_hi.
+    and the clamp overshoots are the pushes of K_lo and K_hi.  A step that
+    has evaluated the obstacles at knot j already hands them over as
+    ``obstacles(j) -> (l_lo, l_hi)``, called after the step.
 
     Returns (W, K_lo, K_hi), each of shape (n_knots, m); K is cumulative
     from the first knot (first row zero).
@@ -368,9 +455,12 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
         cand = step(j, t, W[j + 1])
         if order is not None:
             cand = _saddle(cand, order)
-        x = states(j)
-        lo = np.asarray(p.lower_obstacle(t, x), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, x), dtype=float)
+        if obstacles is None:
+            x = states(j)
+            lo, hi = p.lower_obstacle(t, x), p.upper_obstacle(t, x)
+        else:
+            lo, hi = obstacles(j)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         K_lo[j + 1] = np.maximum(lo - cand, 0.0)
         K_hi[j + 1] = np.maximum(cand - hi, 0.0)
         W[j] = np.minimum(hi, np.maximum(lo, cand))
@@ -407,9 +497,7 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
     xb = lat.x_nodes[:, None]
 
     def step(j, t, nxt):
-        st = lat.stencil(t)
-        e = lat.expectation(st, nxt)
-        z = lat.z_moment(st, nxt)
+        e, z = lat.moments(lat.stencil(t), nxt)
         return e + dt * _generator(p, t, xb, e, z[..., None])
 
     W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal)

@@ -18,9 +18,12 @@ reflecting truncation, and the result is clamped into the obstacle corridor
 after every step.
 
 The sweep runs on a lattice (:func:`make_pde_grid` is :func:`build_lattice`)
-with the drift and diffusion of the problem it was built for; construction
-checked them on every layer, so the sweep is monotone without a check of its
-own.  The solver's problem supplies the generator, terminal and obstacles.
+with the drift and diffusion of the problem it was built for, read through
+:meth:`Lattice.coefficients`.  Construction evaluated them on every layer
+and checked each layer that differs from the one before it, so the sweep is
+monotone without a check of its own; on a time-homogeneous problem every
+layer reads the one set of coefficients the lattice keeps.  The solver's
+problem supplies the generator, terminal and obstacles.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .model import GameProblem, ProblemError, _control_pairs, _csv
 from .game import (Lattice, ValueSurface, _check_grid, _check_order,
-                   _coefficients, _generator, _saddle, backward_sweep,
-                   build_lattice, value_backward_induction)
+                   _generator, _saddle, backward_sweep, build_lattice,
+                   value_backward_induction)
 
 __all__ = [
     "CrossCheckReport",
@@ -121,11 +124,12 @@ def _hamiltonians(p, t, x_col, w, d2, dc, b, sig):
 def solve_obstacle_pde(p: GameProblem, g: Lattice, order: str) -> ValueSurface:
     """Explicit backward sweep with per-layer control optimisation.
 
-    Drift and diffusion come from ``g.problem``.  :func:`make_pde_grid`
-    checked every layer of them for nonnegative neighbour weights, so each
-    update is a monotone affine combination of the next layer without a
-    further check.  ``p`` supplies the generator, the terminal value and the
-    obstacles.
+    Drift and diffusion are ``g.problem``'s, from :meth:`Lattice.coefficients`
+    (one set for every layer when the problem is time-homogeneous).
+    :func:`make_pde_grid` checked every layer of them for nonnegative
+    neighbour weights, so each update is a monotone affine combination of
+    the next layer without a further check.  ``p`` supplies the generator,
+    the terminal value and the obstacles.
     """
     _check_order(order)
     _check_grid(p, g)
@@ -135,8 +139,7 @@ def solve_obstacle_pde(p: GameProblem, g: Lattice, order: str) -> ValueSurface:
 
     def step(j, t, w):
         d2, dc = _layer_derivatives(w, dx)
-        b, sig = _coefficients(g.problem, t, x_col)
-        return w + dt * _hamiltonians(p, t, x_col, w, d2, dc, b, sig)
+        return w + dt * _hamiltonians(p, t, x_col, w, d2, dc, *g.coefficients(t))
 
     W, _, _ = backward_sweep(p, g.knots, lambda j: x_col, step, order)
     return ValueSurface(grid=g.grid, x_nodes=g.x_nodes.copy(), W=W, kind="pde")
@@ -171,7 +174,7 @@ def viscosity_residual(p: GameProblem, g: Lattice, w: ValueSurface,
     For fields produced by the solver this is a consistency diagnostic of
     order dt + dx^2 on smooth regions; it vanishes identically where the
     solution sits on an obstacle or is flat.  Drift and diffusion come from
-    ``g.problem``, as in :func:`solve_obstacle_pde`.
+    :meth:`Lattice.coefficients`, as in :func:`solve_obstacle_pde`.
     """
     _check_order(order)
     _check_grid(p, g)
@@ -187,8 +190,9 @@ def viscosity_residual(p: GameProblem, g: Lattice, w: ValueSurface,
         wj = w.W[j]
         dt_w = (w.W[j + 1][1:-1] - wj[1:-1]) / dt
         d2, dc = _layer_derivatives(wj, g.dx)
+        b, sig = (c[..., 1:-1] for c in g.coefficients(t))
         ham = _saddle(_hamiltonians(p, t, x_col, wj[1:-1], d2[1:-1], dc[1:-1],
-                                   *_coefficients(g.problem, t, x_col)), order)
+                                   b, sig), order)
         lo = np.asarray(p.lower_obstacle(t, x_col), dtype=float)
         hi = np.asarray(p.upper_obstacle(t, x_col), dtype=float)
         inner = np.maximum(-dt_w - ham, wj[1:-1] - hi)

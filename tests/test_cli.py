@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
-from drgame import ProblemError, game
+from drgame import ProblemError, game, make_preset
 from drgame.cli import (ConfigError, RunConfig, SUBCOMMANDS, main,
                         parse_config, run, serialize_config)
 
@@ -151,6 +151,20 @@ class TestRun:
             cfg = RunConfig(out_dir=str(tmp_path / sub))
             assert run(sub, cfg) == 0, sub
             assert (tmp_path / sub / "run.txt").is_file()
+
+    def test_grid_manifests_record_the_lattice_diagnostics(self, tmp_path):
+        # dynkin-flat: sigma = 1 and no drift on the default 500 x 41 grid
+        cfg = RunConfig()
+        dt, dx = 1.0 / cfg.n_steps, (cfg.x_max - cfg.x_min) / (cfg.n_nodes - 1)
+        gamma = make_preset(cfg.preset, {}).lipschitz
+        for sub in ("value", "pde", "crosscheck", "dpp-check", "drbsde"):
+            assert run(sub, RunConfig(out_dir=str(tmp_path / sub))) == 0, sub
+            lines = (tmp_path / sub / "run.txt").read_text().splitlines()
+            items = dict(line.split("=", 1) for line in lines)
+            assert items["diag.time_homogeneous"] == "true", sub
+            assert float(items["diag.cfl_diffusion"]) == pytest.approx(dt / dx ** 2), sub
+            assert float(items["diag.cfl_drift"]) == 0.0, sub
+            assert float(items["diag.gamma_dt"]) == pytest.approx(gamma * dt), sub
 
     def test_pde_cfl_violation_exits_2(self, tmp_path):
         conf = tmp_path / "bad.ini"

@@ -312,6 +312,28 @@ class TestLsmc:
         assert sol.K_lo[-1].max() > 0.0
         assert check_flat_off(sol, p, st) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("basis", ["poly", "bins"])
+    def test_each_obstacle_is_evaluated_once_per_step(self, basis):
+        calls = {"lo": 0, "hi": 0}
+
+        def l_lo(t, x):
+            calls["lo"] += 1
+            return x[..., 0] - 0.3
+
+        def l_hi(t, x):
+            calls["hi"] += 1
+            return np.full(np.shape(x)[:-1], BIG)
+
+        p = scalar_problem(b0=-0.5, l_lo=l_lo, l_hi=l_hi)
+        st, mu, nu = simulate(p, 2_000, 15, seed=24)
+        calls.update(lo=0, hi=0)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10, se_batches=4)
+        # two sweeps (the SE batches, then the root), each evaluating both
+        # obstacles once per step and once for the terminal check
+        assert calls == {"lo": 2 * (15 + 1), "hi": 2 * (15 + 1)}
+        assert sol.K_lo[-1].max() > 0.0
+        assert check_flat_off(sol, p, st) == (0.0, 0.0)
+
     def test_bins_basis(self):
         p = scalar_problem()
         st, mu, nu = simulate(p, 4_000, 10, seed=25)

@@ -6,7 +6,8 @@ from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
                     build_lattice, dpp_check, dpp_cross_resolution,
                     dynkin_brute_force, dynkin_oracle_corpus, dynkin_value,
                     lattice_occupancy, make_preset, single_control_value,
-                    solve_drbsde_lattice, value_backward_induction)
+                    solve_drbsde_lattice, solve_obstacle_pde,
+                    value_backward_induction)
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -162,6 +163,111 @@ class TestLatticeMemory:
                        if isinstance(v, np.ndarray))
 
         assert held_bytes(100) == held_bytes(400)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSharedStencil:
+    """A time-homogeneous lattice reuses one stencil; the per-layer path of
+    ``replace(lat, shared_stencil=None)`` must give the same bits."""
+
+    PRESETS = ("dynkin-flat", "uncertain-volatility", "bsb-convex", "linear-quadratic")
+
+    @staticmethod
+    def lattices(name):
+        lat = build_lattice(make_preset(name, {}), 120, -4, 4, 41)
+        return lat, replace(lat, shared_stencil=None)
+
+    def test_every_preset_lattice_holds_the_shared_stencil(self):
+        for name in self.PRESETS:
+            lat, _ = self.lattices(name)
+            assert lat.shared_stencil is not None, name
+            head, tail = lat.split(60)
+            assert head.shared_stencil is tail.shared_stencil is lat.shared_stencil
+            assert lat.stencil(float(lat.knots[7])) is lat.shared_stencil
+
+    def test_per_layer_path_gives_the_same_value_surfaces(self):
+        for name in self.PRESETS:
+            lat, per_layer = self.lattices(name)
+            p = lat.problem
+            for order in ("supinf", "infsup"):
+                a = value_backward_induction(p, lat, order).W
+                b = value_backward_induction(p, per_layer, order).W
+                assert same_bits(a, b), (name, order)
+            a = solve_obstacle_pde(p, lat, "supinf").W
+            b = solve_obstacle_pde(p, per_layer, "supinf").W
+            assert same_bits(a, b), name
+
+    def test_per_layer_path_gives_the_same_drbsde_and_occupancy(self):
+        for name in self.PRESETS:
+            lat, per_layer = self.lattices(name)
+            p = lat.problem
+            n_steps, n = lat.grid.n_steps, lat.n_nodes
+            rows = np.arange(n_steps)[:, None] % 2  # one pair per layer, varying
+            nodes = np.arange(n)
+            controls = [
+                (0, 0),
+                (p.u_grid.size - 1, 0),
+                (np.broadcast_to(rows % p.u_grid.size, (n_steps, n)),
+                 np.broadcast_to((rows + 1) % p.v_grid.size, (n_steps, n))),
+                (np.tile(nodes % p.u_grid.size, (n_steps, 1)),
+                 np.tile((nodes // 3) % p.v_grid.size, (n_steps, 1))),
+            ]
+            for mu, nu in controls:
+                a = solve_drbsde_lattice(p, lat, mu, nu)
+                b = solve_drbsde_lattice(p, per_layer, mu, nu)
+                for field in ("Y", "Z", "K_lo", "K_hi"):
+                    assert same_bits(getattr(a, field), getattr(b, field)), (name, field)
+                pi_a, fold_a = lattice_occupancy(lat, mu, nu)
+                pi_b, fold_b = lattice_occupancy(per_layer, mu, nu)
+                assert same_bits(pi_a, pi_b) and fold_a == fold_b, name
+
+    def test_time_dependent_diffusion_has_no_shared_stencil(self):
+        p = replace(scalar_problem(),
+                    diffusion=lambda t, x, u, v: np.full(np.shape(x)[:-1] + (1, 1), 1.0 + t))
+        lat = build_lattice(p, 40, -4, 4, 21)
+        assert lat.shared_stencil is None
+        first, last = (lat.stencil(float(t)) for t in lat.knots[[0, -2]])
+        assert not np.array_equal(first.sig, last.sig)
+        # the scan reports the largest margin, which the last layer attains
+        assert lat.cfl[0] == pytest.approx(lat.dt * (1.0 + lat.knots[-2]) ** 2 / lat.dx ** 2)
+
+    def test_cfl_break_on_the_last_layer_only_is_still_reported(self):
+        def diffusion(t, x, u, v):
+            return np.full(np.shape(x)[:-1] + (1, 1), 10.0 if t > 0.85 else 1.0)
+
+        p = replace(scalar_problem(gamma=1.0), diffusion=diffusion)
+        with pytest.raises(CflError) as err:
+            build_lattice(p, 10, -1, 1, 5)
+        assert str(err.value) == "CFL violation: dt*max(sigma^2) = 10 exceeds dx^2 = 0.25"
+
+    def test_homogeneous_sweeps_call_no_coefficient(self):
+        base = make_preset("linear-quadratic", {})
+        calls = []
+
+        def drift(t, x, u, v):
+            calls.append(t)
+            return base.drift(t, x, u, v)
+
+        p = replace(base, drift=drift)
+        lat = build_lattice(p, 100, -4, 4, 41)
+        assert len(calls) == 100 * p.u_grid.size * p.v_grid.size  # the scan
+        calls.clear()
+        value_backward_induction(p, lat, "supinf")
+        solve_obstacle_pde(p, lat, "infsup")
+        solve_drbsde_lattice(p, lat)
+        assert calls == []
+
+    def test_shared_stencil_is_read_only(self):
+        lat, _ = self.lattices("linear-quadratic")
+        for st in (lat.shared_stencil, lat.stencil(0.0, 1, 0)):
+            for name, a in st.arrays().items():
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+                assert not a.flags.writeable, name
 
 
 class TestBackwardInduction:
