@@ -259,9 +259,17 @@ class Stencil:
     def arrays(self) -> dict:
         return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
 
-    def pair(self, i: int, k: int) -> "Stencil":
-        """View of control pair (i, k) of an all-pairs stencil."""
-        return replace(self, **{name: v[i, k, ...] for name, v in self.arrays().items()})
+    def pair(self, i, k) -> "Stencil":
+        """Control pair (i, k) of an all-pairs stencil: a view, or with indices
+        per node each node's own pair's weights (folds: the end nodes')."""
+        if isinstance(i, int) and isinstance(k, int):
+            sel = {name: v[i, k, ...] for name, v in self.arrays().items()}
+        else:
+            i, k = np.broadcast_arrays(i, k)
+            cell = (i, k, np.arange(len(i)))
+            sel = {name: v[cell] for name, v in self.arrays().items() if v.ndim == 3}
+            sel.update(fold_dn=self.fold_dn[i[0], k[0]], fold_up=self.fold_up[i[-1], k[-1]])
+        return replace(self, **sel, all_move=bool(sel["moves"].all()))
 
 
 def _stencil(b, sig, dt: float, dx: float) -> Stencil:
@@ -338,19 +346,15 @@ class Lattice:
 
         Without controls the arrays cover every control pair, shape
         (nU, nV, n); with control indices ``ui``/``vi``, scalars or one per
-        node, they are (n,).  One pair used by every node is a view of the
-        shared stencil; mixed per-node pairs are evaluated each on its
-        own nodes.
+        node, they are (n,).  A shared stencil is read: one pair used by
+        every node is a view, mixed per-node pairs are gathered.  Otherwise
+        each pair is evaluated on its own nodes.
         """
         shared = self.shared_stencil
-        if shared is not None:
-            if ui is None:
-                return shared
-            i, k = _one_index(ui), _one_index(vi)
-            if isinstance(i, int) and isinstance(k, int):
-                return shared.pair(i, k)
-        return _stencil(*_coefficients(self.problem, t, self.x_nodes[:, None], ui, vi),
-                        self.dt, self.dx)
+        if shared is None:
+            return _stencil(*_coefficients(self.problem, t, self.x_nodes[:, None], ui, vi),
+                            self.dt, self.dx)
+        return shared if ui is None else shared.pair(_one_index(ui), _one_index(vi))
 
     def moments(self, st: Stencil, vals):
         """One-step conditional expectation of next-layer values per node,
@@ -567,25 +571,18 @@ class BinaryTree:
     def depth(self) -> int:
         return self.grid.n_steps
 
+    def _moves(self) -> np.ndarray:
+        """Up (1) or down (0) per (leaf, move), first move first."""
+        return (np.arange(1 << self.depth)[:, None] >> np.arange(self.depth)[::-1]) & 1
+
     def leaf_states(self) -> np.ndarray:
         """X values per (leaf, level), shape (2**depth, depth + 1)."""
-        N = self.depth
-        n_leaves = 1 << N
-        X = np.empty((n_leaves, N + 1))
-        X[:, 0] = self.x0
-        leaves = np.arange(n_leaves)
-        for m in range(N):
-            bit = (leaves >> (N - 1 - m)) & 1
-            X[:, m + 1] = X[:, m] + self.dx * (2 * bit - 1)
-        return X
+        steps = self.dx * (2 * self._moves() - 1)
+        return np.cumsum(np.column_stack([np.full(len(steps), self.x0), steps]), axis=1)
 
     def leaf_weights(self) -> np.ndarray:
-        N = self.depth
-        leaves = np.arange(1 << N)
-        ups = np.zeros(1 << N, dtype=np.int64)
-        for m in range(N):
-            ups += (leaves >> m) & 1
-        return self.p_up ** ups * (1.0 - self.p_up) ** (N - ups)
+        ups = self._moves().sum(axis=1)
+        return self.p_up ** ups * (1.0 - self.p_up) ** (self.depth - ups)
 
 
 def enumerate_stopping_rules(depth: int) -> np.ndarray:
@@ -596,18 +593,13 @@ def enumerate_stopping_rules(depth: int) -> np.ndarray:
     meaning: not stopped before T, with any flag below an already-stopped
     ancestor ignored).  Row r, column leaf: that level for rule r.  Counts
     follow S(m) = 1 + S(m-1)^2 with S(0) = 1, i.e. 2, 5, 26, 677 for
-    depths 1-4.
+    depths 1-4.  Row 1 + a S(m-1) + b joins sub-rules a (down) and b (up).
     """
     if depth == 0:
         return np.zeros((1, 1), dtype=np.int64)
-    sub = enumerate_stopping_rules(depth - 1)
-    n_sub, width = sub.shape
-    rows = [np.zeros(2 * width, dtype=np.int64)]
-    for a in range(n_sub):
-        left = sub[a] + 1
-        for b in range(n_sub):
-            rows.append(np.concatenate([left, sub[b] + 1]))
-    return np.stack(rows)
+    sub = enumerate_stopping_rules(depth - 1) + 1
+    pairs = np.hstack([np.repeat(sub, len(sub), axis=0), np.tile(sub, (len(sub), 1))])
+    return np.vstack([np.zeros(2 * sub.shape[1], dtype=np.int64), pairs])
 
 
 def dynkin_brute_force(tree: BinaryTree, l_lo, l_hi, h) -> float:
@@ -617,34 +609,35 @@ def dynkin_brute_force(tree: BinaryTree, l_lo, l_hi, h) -> float:
     minimiser pays l_hi where it stops strictly first, and h(X_T) is paid
     when neither stops before T.  Asserts that sup-inf and inf-sup agree
     (the game has a saddle point when the barriers are separated) and
-    returns the common value.
+    returns the common value.  The payoff matrix over rule pairs is summed
+    in blocks of 64 rows that stay in cache, leaf loop innermost, so each
+    entry is the sequential sum over leaves 0, 1, ...
     """
     N = tree.depth
     if N > 4:
         raise ProblemError("brute-force enumeration is limited to depth <= 4")
-    X = tree.leaf_states()
-    wts = tree.leaf_weights()
-    knots = tree.grid.knots
-    n_leaves = X.shape[0]
+    X, wts, knots = tree.leaf_states(), tree.leaf_weights(), tree.grid.knots
 
-    # payoff lookup per (leaf, maximiser stop level, minimiser stop level)
-    P = np.empty((n_leaves, N + 1, N + 1))
-    for ta in range(N + 1):
-        for sb in range(N + 1):
-            if min(ta, sb) == N:
-                P[:, ta, sb] = h(X[:, [N]])
-            elif ta <= sb:
-                P[:, ta, sb] = l_lo(float(knots[ta]), X[:, [ta]])
-            else:
-                P[:, ta, sb] = l_hi(float(knots[sb]), X[:, [sb]])
+    # payoff per (leaf, maximiser stop level ta, minimiser stop level sb):
+    # l_lo at ta <= sb, l_hi at sb < ta, h(X_T) when min(ta, sb) = N
+    hT = h(X[:, [N]])
+    LO, HI = (np.column_stack([bar(float(knots[m]), X[:, [m]]) for m in range(N)] + [hT])
+              for bar in (l_lo, l_hi))
+    ta, sb = np.indices((N + 1, N + 1))
+    P = np.where(ta > sb, HI[:, sb], LO[:, ta])
 
     rules = enumerate_stopping_rules(N)
-    n_rules = rules.shape[0]
-    M = np.zeros((n_rules, n_rules))
-    side = N + 1
-    for leaf in range(n_leaves):
-        flat = P[leaf].ravel()
-        M += wts[leaf] * flat[rules[:, leaf][:, None] * side + rules[None, :, leaf]]
+    cols = np.ascontiguousarray(rules.T)  # (leaf, rule): the rule's stop level
+    # per (leaf, maximiser rule): the weighted payoffs over the minimiser's level
+    rows = (wts[:, None, None] * P)[np.arange(len(X))[:, None], cols]
+    M = np.zeros((len(rules), len(rules)))
+    block = 64
+    buf = np.empty((block, len(rules)))
+    for r0 in range(0, len(rules), block):
+        blk = M[r0:r0 + block]
+        for leaf in range(len(X)):
+            blk += np.take(rows[leaf, r0:r0 + len(blk)], cols[leaf], axis=1,
+                           out=buf[:len(blk)], mode="clip")
 
     v_lo = float(M.min(axis=1).max())
     v_hi = float(M.max(axis=0).min())

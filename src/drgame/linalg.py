@@ -60,6 +60,16 @@ def sqrt_coefficient(j: int) -> float:
     return c
 
 
+def _stops(term, sq, tol: float) -> np.ndarray:
+    """``np.linalg.norm(term[i]) < tol`` from the sums of squares ``sq``, which
+    any summation order gets within 1e-15: norms near ``tol`` are redone."""
+    nrm = np.sqrt(sq)
+    stop = nrm < tol
+    for i in np.flatnonzero(np.abs(nrm - tol) <= 1e-8 * tol):
+        stop[i] = np.linalg.norm(term[i]) < tol
+    return stop
+
+
 def spd_sqrt_series(gamma_mat, n_terms: int = 5000, tol: float = 1e-14) -> np.ndarray:
     """Series square root: returns symmetric positive definite r with r @ r
     close to the input.
@@ -67,40 +77,53 @@ def spd_sqrt_series(gamma_mat, n_terms: int = 5000, tol: float = 1e-14) -> np.nd
     The iteration stops once the Frobenius norm of the added term drops
     below ``tol`` (on the normalised matrix); exhausting ``n_terms`` first
     raises :class:`SpdError` with the residual achieved, which happens when
-    the normalised spectrum touches zero.
+    the normalised spectrum touches zero.  A stack (n, d, d) of matrices
+    advances one stacked product per term, each stopping where it would stop
+    alone, so each root has the bits of its own call.
     """
-    g = check_spd(gamma_mat)
-    d = g.shape[0]
-    nrm = float(np.linalg.norm(g))
+    a = np.asarray(gamma_mat, dtype=float)
+    g = np.array([check_spd(m) for m in (a if a.ndim == 3 else [a])])
+    g = g.reshape((-1,) + a.shape[-2:])
+    n, d = g.shape[:2]
+    nrm = np.array([np.linalg.norm(m) for m in g]).reshape(n, 1, 1)
     g_hat = g / nrm
-    eye = np.eye(d)
-    m = eye - g_hat
-
-    q = eye.copy()
-    power = eye.copy()
+    q = np.tile(np.eye(d), (n, 1, 1))
+    # working stack: indices, partial sums, powers, I - g_hat and which go on
+    # (a stopped sum is final in q); it is cut to the members going on once
+    # they are at most half, so it is copied O(log n) times, not per stop
+    active, q_act, power, m_act = np.arange(n), q.copy(), q.copy(), np.eye(d) - g_hat
+    going, n_going = np.ones(n, dtype=bool), n
+    near = (tol * (1.0 + 1e-8)) ** 2  # no sum of squares at or above this stops
     c = 1.0
-    converged = False
     for j in range(1, n_terms + 1):
-        if j == 1:
-            c = -0.5
-        else:
-            c *= (2 * (j - 1) - 1) / (2.0 * j)
-        power = power @ m
-        term = c * power
-        q += term
-        if float(np.linalg.norm(term)) < tol:
-            converged = True
+        if not len(active):
             break
-    if not converged:
-        resid = float(np.linalg.norm(q @ q - g_hat))
-        raise SpdError(
-            f"series did not converge within {n_terms} terms "
-            f"(normalised residual {resid:.3e}); the spectrum is too close "
-            "to zero for this budget"
-        )
+        c = -0.5 if j == 1 else c * ((2 * (j - 1) - 1) / (2.0 * j))
+        power = power @ m_act
+        term = c * power
+        q_act += term
+        flat = term.reshape(len(active), 1, d * d)
+        sq = (flat @ flat.reshape(len(active), d * d, 1)).ravel()
+        if len(active) > n_going:
+            sq[~going] = np.inf
+        if min(sq.tolist()) < near:
+            stop = _stops(term, sq, tol)
+            q[active[stop]] = q_act[stop]
+            going &= ~stop
+            n_going = int(going.sum())
+            if 2 * n_going <= len(going):
+                active, q_act, power, m_act, going = (
+                    v[going] for v in (active, q_act, power, m_act, going))
+    active, q_act = active[going], q_act[going]
+    if len(active):
+        i = int(active[0])
+        resid = float(np.linalg.norm(q_act[0] @ q_act[0] - g_hat[i]))
+        where = f" (matrix {i} of the stack)" if a.ndim == 3 else ""
+        raise SpdError(f"series did not converge within {n_terms} terms (normalised "
+                       f"residual {resid:.3e}){where}; the spectrum is too close to zero "
+                       "for this budget")
     r = q * np.sqrt(nrm)
-    r = 0.5 * (r + r.T)
-    return check_spd(r)
+    return np.array([check_spd(m) for m in 0.5 * (r + r.transpose(0, 2, 1))]).reshape(a.shape)
 
 
 def random_spd(rng, d: int, cond: float, scale: float = 1.0) -> np.ndarray:

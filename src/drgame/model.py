@@ -33,7 +33,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -110,10 +110,8 @@ class ControlGrid:
             raise ProblemError("control grid must be non-empty")
         if not 0 <= self.origin < len(self.points):
             raise ProblemError("control grid origin index out of range")
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if _point_distance(self.points[i], self.points[j]) == 0.0:
-                    raise ProblemError("control grid points must be distinct")
+        if any(_point_distance(a, b) == 0.0 for a, b in combinations(self.points, 2)):
+            raise ProblemError("control grid points must be distinct")
 
     @classmethod
     def singleton(cls, point=0.0):
@@ -463,10 +461,7 @@ class ValidationReport:
         return all(ok for _, _, ok in self.rows)
 
     def ratio(self, assumption):
-        for name, r, _ in self.rows:
-            if name == assumption:
-                return r
-        raise KeyError(assumption)
+        return {name: r for name, r, _ in self.rows}[assumption]
 
     def to_csv(self) -> str:
         names, ratios, passed = zip(*self.rows)
@@ -474,11 +469,21 @@ class ValidationReport:
                     np.where(passed, "true", "false"))
 
 
-def _check_finite(name, arr, t, x):
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(
-            f"non-finite value from {name} at t={t!r}, x={np.asarray(x).ravel()!r}"
-        )
+def _nonfinite(name, t, x):
+    return NumericsError(
+        f"non-finite value from {name} at t={t!r}, x={np.asarray(x).ravel()!r}")
+
+
+def _ratio(num, den, positive):
+    """num / den where ``positive``; elsewhere inf if num > 0, else 0."""
+    r = np.divide(num, den, out=np.zeros_like(num), where=positive)
+    r[~positive & (num > 0)] = np.inf
+    return r
+
+
+def _worst(values, start=0.0):
+    """max(start, v0, v1, ...) by Python's rule: the first of equal values."""
+    return float(max(chain([start], values.tolist())))
 
 
 _SAMPLE_RADIUS = 2.0  # validate_problem draws x, y and z from [-2, 2]
@@ -491,7 +496,9 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
     ``numpy.random.default_rng(seed)`` (each coordinate of x, y and z
     uniform on [-2, 2]) and reports, per assumption, the worst ratio of the
     observed difference quotient to its assumed bound.  Identical calls
-    return identical reports.
+    return identical reports.  Per sample, drift, diffusion and generator
+    see the (3, k) batch of states (0, x, x') once each, the obstacles x;
+    the first non-finite value, in sample order, raises.
     """
     if samples < 1:
         raise ProblemError("samples must be >= 1")
@@ -500,87 +507,65 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
     e = 2.0 / q
 
     ts = rng.uniform(0.0, p.horizon, size=samples)
+    # per sample the rows (0, x, x'), (0, y, y') and (0, z, z'), drawn in
+    # the order x, x', y, y', z, z'
     r = _SAMPLE_RADIUS
-    xs = rng.uniform(-r, r, size=(samples, k))
-    xs2 = rng.uniform(-r, r, size=(samples, k))
-    ys = rng.uniform(-r, r, size=samples)
-    ys2 = rng.uniform(-r, r, size=samples)
-    zs = rng.uniform(-r, r, size=(samples, d))
-    zs2 = rng.uniform(-r, r, size=(samples, d))
+    X, Y, Z = (np.stack([np.zeros((samples,) + s), rng.uniform(-r, r, (samples,) + s),
+                         rng.uniform(-r, r, (samples,) + s)], axis=1)
+               for s in ((k,), (), (d,)))
+    xs, xs2, ys, ys2, zs, zs2 = X[:, 1], X[:, 2], Y[:, 1], Y[:, 2], Z[:, 1], Z[:, 2]
     uis = rng.integers(0, p.u_grid.size, size=samples)
     vis = rng.integers(0, p.v_grid.size, size=samples)
+    U, V = p.u_grid.points, p.v_grid.points
+    B, S, F = np.empty((samples, 3, k)), np.empty((samples, 3, k, d)), np.empty((samples, 3))
+    LO, HI = np.empty(samples), np.empty(samples)
+    for n, (t, i, j) in enumerate(zip(ts.tolist(), uis.tolist(), vis.tolist())):
+        u, v, x = U[i], V[j], X[n]
+        B[n], S[n] = p.drift(t, x, u, v), p.diffusion(t, x, u, v)
+        F[n] = p.generator(t, x, Y[n], Z[n], u, v)
+        LO[n], HI[n] = p.lower_obstacle(t, x[1]), p.upper_obstacle(t, x[1])
+    S = S.reshape(samples, 3, k * d)
 
-    r_growth = 0.0
-    r_lip = 0.0
-    r_fgrowth = 0.0
-    r_flip = 0.0
-    sep_margin = -np.inf
-    x0 = np.zeros(k)
+    # finite checks in reporting order: coefficients, generator, obstacles
+    fin = np.isfinite
+    ok = np.stack([fin(B).all(axis=2), fin(S).all(axis=2)], axis=2).reshape(samples, 6)
+    ok = np.column_stack([ok, fin(F[:, 0]), fin(F[:, 1:]).all(axis=1), fin(LO) & fin(HI)])
+    if not ok.all():
+        i, c = divmod(int(np.argmin(ok)), ok.shape[1])
+        name = (("drift", "diffusion") * 3 + ("generator",) * 2 + ("obstacles",))[c]
+        raise _nonfinite(name, float(ts[i]), X[i, (0, 0, 1, 1, 2, 2, 0, 1, 1)[c]])
 
-    for i in range(samples):
-        t = float(ts[i])
-        u = p.u_grid.point(int(uis[i]))
-        v = p.v_grid.point(int(vis[i]))
-        nu = p.u_grid.norm(int(uis[i]))
-        nv = p.v_grid.norm(int(vis[i]))
-        x, x2 = xs[i], xs2[i]
+    def norm(a):  # Euclidean norm over the last axis
+        return np.sqrt(np.sum(a ** 2, axis=-1))
 
-        b0 = np.asarray(p.drift(t, x0, u, v), dtype=float)
-        s0 = np.asarray(p.diffusion(t, x0, u, v), dtype=float)
-        _check_finite("drift", b0, t, x0)
-        _check_finite("diffusion", s0, t, x0)
-        grow = np.sqrt(np.sum(b0 ** 2)) + np.sqrt(np.sum(s0 ** 2))
-        r_growth = max(r_growth, grow / (gam * (1.0 + nu + nv)))
-
-        bx = np.asarray(p.drift(t, x, u, v), dtype=float)
-        bx2 = np.asarray(p.drift(t, x2, u, v), dtype=float)
-        sx = np.asarray(p.diffusion(t, x, u, v), dtype=float)
-        sx2 = np.asarray(p.diffusion(t, x2, u, v), dtype=float)
-        _check_finite("drift", bx, t, x)
-        _check_finite("diffusion", sx, t, x)
-        dx = np.sqrt(np.sum((x - x2) ** 2))
-        dnum = np.sqrt(np.sum((bx - bx2) ** 2)) + np.sqrt(np.sum((sx - sx2) ** 2))
-        if dx > 0:
-            r_lip = max(r_lip, dnum / (gam * dx))
-        elif dnum > 0:
-            r_lip = np.inf
-
-        f0 = float(np.asarray(p.generator(t, x0, 0.0, np.zeros(d), u, v)))
-        _check_finite("generator", np.asarray(f0), t, x0)
-        r_fgrowth = max(r_fgrowth, abs(f0) / (gam * (1.0 + nu ** e + nv ** e)))
-
-        fa = float(np.asarray(p.generator(t, x, ys[i], zs[i], u, v)))
-        fb = float(np.asarray(p.generator(t, x2, ys2[i], zs2[i], u, v)))
-        _check_finite("generator", np.asarray([fa, fb]), t, x)
-        dz = np.sqrt(np.sum((zs[i] - zs2[i]) ** 2))
-        fden = gam * (dx ** e + abs(ys[i] - ys2[i]) + dz)
-        fnum = abs(fa - fb)
-        if fden > 0:
-            r_flip = max(r_flip, fnum / fden)
-        elif fnum > 0:
-            r_flip = np.inf
-
-        lo = float(np.asarray(p.lower_obstacle(t, x)))
-        hi = float(np.asarray(p.upper_obstacle(t, x)))
-        _check_finite("obstacles", np.asarray([lo, hi]), t, x)
-        sep_margin = max(sep_margin, lo - hi)
+    # grid norms and powers per sample; vectorised powers may round otherwise
+    (nu, nue), (nv, nve) = (
+        np.array([[g.norm(i), g.norm(i) ** e] for i in range(g.size)])[idx].T
+        for g, idx in ((p.u_grid, uis), (p.v_grid, vis)))
+    dx = norm(xs - xs2)
+    grow = norm(B[:, 0]) + norm(S[:, 0])
+    dnum = norm(B[:, 1] - B[:, 2]) + norm(S[:, 1] - S[:, 2])
+    fden = gam * (np.array([a ** e for a in dx.tolist()]) + np.abs(ys - ys2) + norm(zs - zs2))
+    worst = {
+        "coefficient_growth": _worst(grow / (gam * (1.0 + nu + nv))),
+        "coefficient_x_lipschitz": _worst(_ratio(dnum, gam * dx, dx > 0)),
+        "generator_growth": _worst(np.abs(F[:, 0]) / (gam * (1.0 + nue + nve))),
+        "generator_lipschitz": _worst(_ratio(np.abs(F[:, 1] - F[:, 2]), fden, fden > 0)),
+    }
+    sep_margin = _worst(LO - HI, -np.inf)
 
     # terminal sandwich at T over the sampled states
     T = p.horizon
     hv = np.asarray(p.terminal(xs), dtype=float)
     loT = np.asarray(p.lower_obstacle(T, xs), dtype=float)
     hiT = np.asarray(p.upper_obstacle(T, xs), dtype=float)
-    _check_finite("terminal", hv, T, xs[0])
+    if not np.all(fin(hv)):
+        raise _nonfinite("terminal", T, xs[0])
     sandwich_margin = float(max(np.max(loT - hv), np.max(hv - hiT)))
 
     tol = 1.0 + ValidationReport.SLACK
-    rows = [
-        ("coefficient_growth", float(r_growth), bool(r_growth <= tol)),
-        ("coefficient_x_lipschitz", float(r_lip), bool(r_lip <= tol)),
-        ("generator_growth", float(r_fgrowth), bool(r_fgrowth <= tol)),
-        ("generator_lipschitz", float(r_flip), bool(r_flip <= tol)),
-        ("obstacle_separation", float(sep_margin), bool(sep_margin < 0.0)),
-        ("terminal_between_obstacles", sandwich_margin,
-         bool(sandwich_margin <= ValidationReport.SLACK)),
-    ]
+    rows = [(name, r, r <= tol) for name, r in worst.items()]
+    rows += [("obstacle_separation", sep_margin, sep_margin < 0.0),
+             ("terminal_between_obstacles", sandwich_margin,
+              bool(sandwich_margin <= ValidationReport.SLACK))]
     return ValidationReport(rows=rows)

@@ -129,7 +129,8 @@ class TestNodeStencil:
             return base.drift(t, x, u, v)
 
         p = replace(base, drift=drift)
-        lat = build_lattice(p, 100, -4, 4, 41)
+        # the per-layer path; a lattice with a shared stencil gathers instead
+        lat = replace(build_lattice(p, 100, -4, 4, 41), shared_stencil=None)
         ui, vi = self.mixed(lat.n_nodes)
         calls.clear()
         lat.stencil(float(lat.knots[3]), ui, vi)
@@ -151,6 +152,57 @@ class TestNodeStencil:
                                       getattr(full, name)[ui, vi, nodes]), name
             assert mixed.fold_dn == full.fold_dn[ui[0], vi[0]]
             assert mixed.fold_up == full.fold_up[ui[-1], vi[-1]]
+
+    def test_mixed_tables_on_a_shared_lattice_call_no_coefficient(self):
+        base = make_preset("linear-quadratic", {})
+        calls = []
+
+        def drift(t, x, u, v):
+            calls.append(t)
+            return base.drift(t, x, u, v)
+
+        p = replace(base, drift=drift)
+        lat = build_lattice(p, 100, -4, 4, 41)
+        ui, vi = self.mixed(lat.n_nodes)
+        mu, nu = np.tile(ui, (100, 1)), np.tile(vi, (100, 1))
+        calls.clear()
+        lat.stencil(float(lat.knots[3]), ui, vi)
+        solve_drbsde_lattice(p, lat, mu, nu)
+        lattice_occupancy(lat, mu, nu)
+        assert calls == []
+
+    def test_gathered_stencil_matches_the_per_layer_one_bit_for_bit(self):
+        # the second problem freezes the nodes whose u picks sigma = 0
+        frozen = replace(scalar_problem(), u_grid=ControlGrid(points=(1.0, 0.0)),
+                         diffusion=lambda t, x, u, v: np.full(np.shape(x)[:-1] + (1, 1), u))
+        rng = np.random.default_rng(11)
+        for p in (make_preset("linear-quadratic", {}), frozen):
+            lat = build_lattice(p, 100, -4, 4, 41)
+            per_layer = replace(lat, shared_stencil=None)
+            nv = p.v_grid.size
+            for ui, vi in [(rng.integers(0, 2, 41), rng.integers(0, nv, 41)),
+                           (rng.integers(0, 2, 41), nv - 1), (0, rng.integers(0, nv, 41))]:
+                a = lat.stencil(0.5, ui, vi)
+                b = per_layer.stencil(0.5, ui, vi)
+                for name, arr in b.arrays().items():
+                    assert same_bits(getattr(a, name), arr), name
+                assert a.all_move == b.all_move == bool(np.all(b.moves))
+
+    def test_mixed_tables_give_the_same_drbsde_and_occupancy_with_and_without_sharing(self):
+        rng = np.random.default_rng(5)
+        for name in ("uncertain-volatility", "linear-quadratic"):
+            p = make_preset(name, {})
+            lat = build_lattice(p, 120, -4, 4, 41)
+            per_layer = replace(lat, shared_stencil=None)
+            mu = rng.integers(0, p.u_grid.size, (120, 41))
+            nu = rng.integers(0, p.v_grid.size, (120, 41))
+            a = solve_drbsde_lattice(p, lat, mu, nu)
+            b = solve_drbsde_lattice(p, per_layer, mu, nu)
+            for field in ("Y", "Z", "K_lo", "K_hi"):
+                assert same_bits(getattr(a, field), getattr(b, field)), (name, field)
+            pi_a, fold_a = lattice_occupancy(lat, mu, nu, root_index=2)
+            pi_b, fold_b = lattice_occupancy(per_layer, mu, nu, root_index=2)
+            assert same_bits(pi_a, pi_b) and fold_a == fold_b and fold_a > 0, name
 
 
 class TestLatticeMemory:
@@ -469,6 +521,62 @@ class TestDynkin:
         cases = dynkin_oracle_corpus(n_trees=12, seed=7)
         for case in cases:
             assert abs(case.recursion_value() - case.brute_force_value()) <= 1e-12
+
+
+def reference_rules(depth):
+    """Stopping rules row by row: stop now, then each pair of sub-rules."""
+    if depth == 0:
+        return np.zeros((1, 1), dtype=np.int64)
+    sub = reference_rules(depth - 1)
+    rows = [np.zeros(2 * sub.shape[1], dtype=np.int64)]
+    for a in range(len(sub)):
+        for b in range(len(sub)):
+            rows.append(np.concatenate([sub[a] + 1, sub[b] + 1]))
+    return np.stack(rows)
+
+
+def reference_brute_force(tree, l_lo, l_hi, h):
+    """dynkin_brute_force with per-level leaf loops and the payoff matrix
+    summed leaf by leaf over the whole matrix: the bits the blocked
+    accumulation must reproduce."""
+    N, n_leaves = tree.depth, 1 << tree.depth
+    leaves, knots = np.arange(n_leaves), tree.grid.knots
+    X = np.empty((n_leaves, N + 1))
+    X[:, 0] = tree.x0
+    ups = np.zeros(n_leaves, dtype=np.int64)
+    for m in range(N):
+        X[:, m + 1] = X[:, m] + tree.dx * (2 * ((leaves >> (N - 1 - m)) & 1) - 1)
+        ups += (leaves >> m) & 1
+    wts = tree.p_up ** ups * (1.0 - tree.p_up) ** (N - ups)
+    P = np.empty((len(X), N + 1, N + 1))
+    for ta in range(N + 1):
+        for sb in range(N + 1):
+            if min(ta, sb) == N:
+                P[:, ta, sb] = h(X[:, [N]])
+            elif ta <= sb:
+                P[:, ta, sb] = l_lo(float(knots[ta]), X[:, [ta]])
+            else:
+                P[:, ta, sb] = l_hi(float(knots[sb]), X[:, [sb]])
+    rules = reference_rules(N)
+    M = np.zeros((len(rules), len(rules)))
+    for leaf in range(len(X)):
+        flat = P[leaf].ravel()
+        M += wts[leaf] * flat[rules[:, leaf][:, None] * (N + 1) + rules[None, :, leaf]]
+    return float(M.min(axis=1).max())
+
+
+class TestDynkinGolden:
+    @pytest.mark.parametrize("seed", [3227, 6073])
+    def test_brute_force_matches_the_leaf_by_leaf_sum(self, seed):
+        for case in dynkin_oracle_corpus(n_trees=40, seed=seed):
+            p = case.problem
+            args = (case.tree, p.lower_obstacle, p.upper_obstacle, p.terminal)
+            assert dynkin_brute_force(*args).hex() == reference_brute_force(*args).hex()
+
+    def test_stopping_rules_match_the_row_by_row_enumeration(self):
+        from drgame import enumerate_stopping_rules
+        for depth in range(5):
+            assert same_bits(enumerate_stopping_rules(depth), reference_rules(depth))
 
 
 class TestDpp:

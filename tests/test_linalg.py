@@ -3,6 +3,7 @@ import pytest
 from scipy.special import binom
 
 from drgame import SpdError, check_spd, random_spd, spd_sqrt_series, sqrt_coefficient
+from drgame.linalg import _stops
 
 
 class TestCoefficients:
@@ -83,3 +84,74 @@ class TestSpdSqrt:
     def test_check_spd_accepts_valid(self):
         sym = check_spd(np.array([[2.0, 0.3], [0.3, 1.0]]))
         assert np.allclose(sym, sym.T)
+
+
+def reference_sqrt(g, n_terms=5000, tol=1e-14):
+    """The series root of one matrix, term by term, and the number of terms
+    it took: the bits a stack member must reproduce.  (None, n_terms) when
+    the budget runs out."""
+    g = check_spd(g)
+    nrm = float(np.linalg.norm(g))
+    m = np.eye(len(g)) - g / nrm
+    q, power, c = np.eye(len(g)), np.eye(len(g)), 1.0
+    for j in range(1, n_terms + 1):
+        c = -0.5 if j == 1 else c * ((2 * (j - 1) - 1) / (2.0 * j))
+        power = power @ m
+        term = c * power
+        q += term
+        if float(np.linalg.norm(term)) < tol:
+            r = q * np.sqrt(nrm)
+            return check_spd(0.5 * (r + r.T)), j
+    return None, n_terms
+
+
+class TestSpdSqrtStack:
+    @staticmethod
+    def corpus(d, n, seed):
+        rng = np.random.default_rng(seed)
+        conds = np.geomspace(1.0, 150.0, n)  # spread, so the stopping terms differ
+        return np.array([random_spd(rng, d, float(c), scale=float(10.0 ** rng.uniform(-1, 1)))
+                         for c in conds])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_matches_one_by_one_bit_for_bit(self, d):
+        mats = self.corpus(d, 12, 40 + d)
+        stacked = spd_sqrt_series(mats)
+        assert stacked.shape == mats.shape
+        for g, r in zip(mats, stacked):
+            one = spd_sqrt_series(g)
+            assert one.shape == g.shape
+            assert one.tobytes() == r.tobytes() == reference_sqrt(g)[0].tobytes()
+
+    def test_two_dim_input_matches_the_term_by_term_loop(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 4):
+            g = random_spd(rng, d, 60.0)
+            assert spd_sqrt_series(g).tobytes() == reference_sqrt(g)[0].tobytes()
+            assert spd_sqrt_series(g, n_terms=3000, tol=1e-9).tobytes() \
+                == reference_sqrt(g, n_terms=3000, tol=1e-9)[0].tobytes()
+
+    def test_stopping_terms_differ_across_the_stack(self):
+        # the members need different numbers of terms, so the stack shrinks
+        mats = self.corpus(3, 12, 43)
+        needed = [reference_sqrt(g)[1] for g in mats]
+        assert len(set(needed)) == len(mats)
+
+    def test_one_member_out_of_budget_raises_with_its_index(self):
+        mats = self.corpus(2, 5, 9)
+        mats[3] = np.diag([1.0, 1e-6])
+        with pytest.raises(SpdError, match=r"did not converge within 5000 terms .*matrix 3 of the stack"):
+            spd_sqrt_series(mats)
+        assert reference_sqrt(mats[3])[0] is None
+
+    def test_empty_stack(self):
+        assert spd_sqrt_series(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_stop_test_near_tol_is_the_norm_itself(self):
+        # sums of squares that round to the other side of tol are overruled
+        tol = 1e-14
+        term = np.array([[[tol * (1 - 1e-13), 0.0], [0.0, 0.0]],
+                         [[tol * (1 + 1e-13), 0.0], [0.0, 0.0]],
+                         [[tol * 0.5, 0.0], [0.0, 0.0]]])
+        off = np.array([(tol * (1 + 1e-12)) ** 2, (tol * (1 - 1e-12)) ** 2, (tol * 0.5) ** 2])
+        assert _stops(term, off, tol).tolist() == [True, False, True]

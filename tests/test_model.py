@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,156 @@ class TestValidateProblem:
         assert lines[0] == "assumption,max_ratio,pass"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+def reference_validate(p, samples, seed):
+    """validate_problem as a per-sample loop of single-state calls: the
+    rows it must reproduce bit for bit (and its non-finite messages)."""
+    rng = np.random.default_rng(seed)
+    k, d, gam, e = p.state_dim, p.noise_dim, p.lipschitz, 2.0 / p.holder_q
+    ts = rng.uniform(0.0, p.horizon, size=samples)
+    xs = rng.uniform(-2.0, 2.0, size=(samples, k))
+    xs2 = rng.uniform(-2.0, 2.0, size=(samples, k))
+    ys = rng.uniform(-2.0, 2.0, size=samples)
+    ys2 = rng.uniform(-2.0, 2.0, size=samples)
+    zs = rng.uniform(-2.0, 2.0, size=(samples, d))
+    zs2 = rng.uniform(-2.0, 2.0, size=(samples, d))
+    uis = rng.integers(0, p.u_grid.size, size=samples)
+    vis = rng.integers(0, p.v_grid.size, size=samples)
+
+    def check(name, arr, t, x):
+        if not np.all(np.isfinite(arr)):
+            raise NumericsError(
+                f"non-finite value from {name} at t={t!r}, x={np.asarray(x).ravel()!r}")
+
+    def norm(a):
+        return np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2))
+
+    r_growth = r_lip = r_fgrowth = r_flip = 0.0
+    sep = -np.inf
+    x0 = np.zeros(k)
+    for i in range(samples):
+        t = float(ts[i])
+        u, v = p.u_grid.point(int(uis[i])), p.v_grid.point(int(vis[i]))
+        nu, nv = p.u_grid.norm(int(uis[i])), p.v_grid.norm(int(vis[i]))
+        x, x2 = xs[i], xs2[i]
+        b0, s0 = p.drift(t, x0, u, v), p.diffusion(t, x0, u, v)
+        check("drift", b0, t, x0)
+        check("diffusion", s0, t, x0)
+        r_growth = max(r_growth, (norm(b0) + norm(s0)) / (gam * (1.0 + nu + nv)))
+        bx, bx2 = p.drift(t, x, u, v), p.drift(t, x2, u, v)
+        sx, sx2 = p.diffusion(t, x, u, v), p.diffusion(t, x2, u, v)
+        check("drift", bx, t, x)
+        check("diffusion", sx, t, x)
+        dx = norm(x - x2)
+        dnum = norm(np.subtract(bx, bx2)) + norm(np.subtract(sx, sx2))
+        if dx > 0:
+            r_lip = max(r_lip, dnum / (gam * dx))
+        elif dnum > 0:
+            r_lip = np.inf
+        f0 = float(np.asarray(p.generator(t, x0, 0.0, np.zeros(d), u, v)))
+        check("generator", f0, t, x0)
+        r_fgrowth = max(r_fgrowth, abs(f0) / (gam * (1.0 + nu ** e + nv ** e)))
+        fa = float(np.asarray(p.generator(t, x, ys[i], zs[i], u, v)))
+        fb = float(np.asarray(p.generator(t, x2, ys2[i], zs2[i], u, v)))
+        check("generator", [fa, fb], t, x)
+        fden = gam * (dx ** e + abs(ys[i] - ys2[i]) + norm(zs[i] - zs2[i]))
+        if fden > 0:
+            r_flip = max(r_flip, abs(fa - fb) / fden)
+        elif abs(fa - fb) > 0:
+            r_flip = np.inf
+        lo = float(np.asarray(p.lower_obstacle(t, x)))
+        hi = float(np.asarray(p.upper_obstacle(t, x)))
+        check("obstacles", [lo, hi], t, x)
+        sep = max(sep, lo - hi)
+    return [float(r_growth), float(r_lip), float(r_fgrowth), float(r_flip), float(sep)]
+
+
+def two_dim_problem():
+    """k = d = 2, two-point u grid and a vector v grid off its origin."""
+    def drift(t, x, u, v):
+        return np.sin(x) * u + 0.1 * t * np.asarray(v)
+
+    def diffusion(t, x, u, v):
+        return np.stack([0.3 * x, np.cos(x) * np.asarray(v)], axis=-1) + 0.05 * u
+
+    def generator(t, x, y, z, u, v):
+        return 0.2 * np.sin(y) + 0.3 * np.abs(z).sum(-1) + 0.1 * x.sum(-1) * u + 0.05 * v[0]
+
+    return GameProblem(
+        state_dim=2, noise_dim=2, horizon=1.5, drift=drift, diffusion=diffusion,
+        generator=generator, terminal=lambda x: np.cos(x).sum(-1),
+        lower_obstacle=lambda t, x: np.sin(x).sum(-1) - 5.0,
+        upper_obstacle=lambda t, x: x.sum(-1) ** 2 + 5.0,
+        lipschitz=1.3, holder_q=1.3,
+        u_grid=ControlGrid(points=(0.0, 1.0, -2.0)),
+        v_grid=ControlGrid(points=((0.5, 1.0), (2.0, 0.0)), origin=1))
+
+
+def nan_below(level):
+    return lambda t, x, u, v: np.where(x < level, np.nan, 0.0)
+
+
+class TestValidateGolden:
+    """Rows and messages equal the per-sample loop of single-state calls."""
+
+    CASES = [(name, {}) for name in preset_names()] + [("linear-quadratic", {"q": 1.25})]
+
+    @pytest.mark.parametrize("seed", [0, 3, 1203])
+    def test_rows_match_the_per_sample_loop_bit_for_bit(self, seed):
+        problems = [make_preset(name, params) for name, params in self.CASES]
+        for p in problems + [two_dim_problem()]:
+            got = [r for _, r, _ in validate_problem(p, samples=300, seed=seed).rows[:5]]
+            want = reference_validate(p, 300, seed)
+            assert [r.hex() for r in got] == [r.hex() for r in want], p.name
+
+    def test_single_samples_match_with_a_fractional_exponent(self):
+        # one sample per seed: the row is that sample's own quotient, so the
+        # |x - x'|^(2/q) of every draw must round as the scalar power does
+        p = two_dim_problem()
+        for seed in range(60):
+            got = [r for _, r, _ in validate_problem(p, samples=1, seed=seed).rows[:5]]
+            assert [r.hex() for r in got] == [r.hex() for r in reference_validate(p, 1, seed)]
+
+    def test_two_dim_problem_exercises_every_row(self):
+        rows = reference_validate(two_dim_problem(), 300, 0)
+        assert all(r > 0 for r in rows[:4])
+
+    @pytest.mark.parametrize("where", ["x0", "x"])
+    def test_nonfinite_message_matches_the_per_sample_loop(self, where):
+        base = two_dim_problem()
+        # NaN drift at the origin only, or at states away from it only
+        drift = ((lambda t, x, u, v: np.where(x == 0.0, np.nan, 0.0)) if where == "x0"
+                 else (lambda t, x, u, v: np.where(x == 0.0, 0.0, np.nan)))
+        p = replace(base, drift=drift)
+        with pytest.raises(NumericsError) as want:
+            reference_validate(p, 20, 4)
+        with pytest.raises(NumericsError) as got:
+            validate_problem(p, samples=20, seed=4)
+        assert str(got.value) == str(want.value)
+        assert ("x=array([0., 0.])" in str(got.value)) == (where == "x0")
+
+    @staticmethod
+    def second_state(seed):
+        rng = np.random.default_rng(seed)
+        rng.uniform(0.0, 1.0, size=1)
+        rng.uniform(-2.0, 2.0, size=(1, 1))
+        return float(rng.uniform(-2.0, 2.0, size=(1, 1))[0, 0])
+
+    @pytest.mark.parametrize("callable_name", ["drift", "diffusion"])
+    def test_nonfinite_coefficient_at_the_second_state_raises(self, callable_name):
+        # dynkin-flat with a NaN only at the one x' that samples=1, seed=0 draws
+        x2 = self.second_state(0)
+        assert x2 == pytest.approx(-1.836, abs=1e-3)
+        bad = nan_below(x2 + 1e-9)
+        if callable_name == "diffusion":
+            def bad(t, x, u, v, _f=nan_below(x2 + 1e-9)):
+                return _f(t, x, u, v)[..., None] + 1.0
+        p = replace(make_preset("dynkin-flat", {}), **{callable_name: bad})
+        with pytest.raises(NumericsError, match="non-finite") as err:
+            validate_problem(p, samples=1, seed=0)
+        assert f"non-finite value from {callable_name}" in str(err.value)
+        assert repr(x2)[:6] in str(err.value)
 
 
 class TestCsvWriter:
