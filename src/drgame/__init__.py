@@ -22,9 +22,8 @@ from .paths import (ControlPath, PathEnsemble, StatePaths, TimeGrid,
 from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
                    ValueSurface, build_lattice, dpp_check,
                    dpp_cross_resolution, dynkin_brute_force,
-                   dynkin_oracle_corpus, dynkin_value,
-                   enumerate_stopping_rules, lattice_occupancy,
-                   single_control_value, value_backward_induction)
+                   dynkin_oracle_corpus, enumerate_stopping_rules,
+                   lattice_occupancy, value_backward_induction)
 from .drbsde import (DrbsdeSolution, OrderingReport, RegressionError,
                      StabilityReport, check_flat_off, compare_drbsde,
                      solve_drbsde_lattice, solve_drbsde_lsmc, stability_gap)
@@ -42,9 +41,8 @@ __all__ = [
     "constant_controls", "euler_forward", "paste_controls", "simulate_brownian",
     "BinaryTree", "CflError", "DppReport", "Lattice", "OracleCase",
     "ValueSurface", "build_lattice", "dpp_check", "dpp_cross_resolution",
-    "dynkin_brute_force", "dynkin_oracle_corpus", "dynkin_value",
-    "enumerate_stopping_rules",
-    "lattice_occupancy", "single_control_value", "value_backward_induction",
+    "dynkin_brute_force", "dynkin_oracle_corpus", "enumerate_stopping_rules",
+    "lattice_occupancy", "value_backward_induction",
     "DrbsdeSolution", "OrderingReport", "RegressionError", "StabilityReport",
     "check_flat_off", "compare_drbsde", "solve_drbsde_lattice",
     "solve_drbsde_lsmc", "stability_gap",

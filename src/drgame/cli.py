@@ -51,8 +51,8 @@ from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
 from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
-from .pde import (cross_check, make_pde_grid, refinement_study,
-                  solve_obstacle_pde, viscosity_residual)
+from .pde import (cross_check, refinement_study, solve_obstacle_pde,
+                  viscosity_residual)
 from .linalg import random_spd, spd_sqrt_series
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
@@ -347,7 +347,7 @@ def _cmd_value(cfg, out):
 
 def _cmd_pde(cfg, out):
     prob = _problem(cfg)
-    g = make_pde_grid(prob, cfg.n_steps, cfg.x_min, cfg.x_max, cfg.n_nodes)
+    g = _lattice(cfg, prob)
     surf = solve_obstacle_pde(prob, g, cfg.order)
     resid = viscosity_residual(prob, g, surf, cfg.order)
     study = refinement_study(prob, cfg.order, cfg.n_steps, cfg.x_min,
@@ -375,7 +375,7 @@ def _cmd_dpp_check(cfg, out):
     t_mid = _snap_t_mid(cfg, lat.grid)
     rep = dpp_check(prob, lat, t_mid, cfg.order)
     # the refined variant of dpp_cross_resolution, reusing rep's direct solve
-    refined = float(_refined_composition(prob, lat, t_mid, cfg.order)[lat.n_nodes // 2])
+    refined = _refined_composition(prob, lat, t_mid, cfg.order).root()
     rows = [("matched", rep.direct, rep.composed, rep.gap),
             ("refined", rep.direct, refined, abs(rep.direct - refined))]
     _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))

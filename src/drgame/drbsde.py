@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, NumericsError, ProblemError, _csv
-from .game import Lattice, _generator, _node_controls, backward_sweep, lattice_occupancy
+from .game import (Lattice, _check_grid, _generator, _node_controls, backward_sweep,
+                   lattice_occupancy)
 from .paths import StatePaths, TimeGrid, _check_controls
 
 __all__ = [
@@ -93,13 +94,13 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     """Backward clamp recursion on the lattice under fixed node controls.
 
     ``mu``/``nu`` are either a single grid index (control frozen everywhere)
-    or (n_steps, n_nodes) index tables.
+    or (n_steps, n_nodes) index tables into the control grids, which must be
+    the ones ``lat`` was built with.
     """
+    _check_grid(p, lat)
     n_steps, n = lat.grid.n_steps, lat.n_nodes
     mu = _node_controls(mu, n_steps, n, p.u_grid.size, "mu")
     nu = _node_controls(nu, n_steps, n, p.v_grid.size, "nu")
-    if p.u_grid.size > lat.problem.u_grid.size or p.v_grid.size > lat.problem.v_grid.size:
-        raise ProblemError("lattice was built for a smaller control grid")
 
     dt = lat.dt
     xb = lat.x_nodes[:, None]
@@ -375,8 +376,11 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
     combines the terminal-data moment with the time-aggregated generator
     difference evaluated along the second solution, mirroring the a-priori
     bound this ratio is screened against.  Obstacles must agree between the
-    two problems (checked on the grid).
+    two problems (checked on the grid), and both must have ``lat``'s control
+    grids.
     """
+    for p in (p1, p2):
+        _check_grid(p, lat)
     if not 1.0 < varpi <= p1.holder_q:
         raise ProblemError(f"varpi must lie in (1, q], got {varpi}")
     if not (np.isscalar(mu) and np.isscalar(nu)):

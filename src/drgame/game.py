@@ -59,11 +59,9 @@ __all__ = [
     "backward_sweep",
     "build_lattice",
     "value_backward_induction",
-    "dynkin_value",
     "dynkin_brute_force",
     "dynkin_oracle_corpus",
     "enumerate_stopping_rules",
-    "single_control_value",
     "dpp_check",
     "dpp_cross_resolution",
     "lattice_occupancy",
@@ -101,24 +99,15 @@ class ValueSurface:
 # coefficients and the monotone scan
 # ---------------------------------------------------------------------------
 
-def _coefficients(p: GameProblem, t: float, xb: np.ndarray, ui=None, vi=None):
-    """Scalar drift and diffusion at knot ``t`` on the states ``xb`` (m, 1).
-
-    Without control indices the arrays cover every control pair, shape
-    (nU, nV, m); with indices ``ui``/``vi``, scalars or one per state, they
-    are (m,), each pair evaluated only on the states that use it.
-    """
-    b = sig = None
-    for u, v, cell, nodes in _control_pairs(p, ui, vi):
-        x = xb[nodes]
-        bp = np.asarray(p.drift(t, x, u, v), dtype=float)[:, 0]
-        sp = np.asarray(p.diffusion(t, x, u, v), dtype=float)[:, 0, 0]
-        if isinstance(cell, slice):  # one pair used by every state
-            return bp, sp
-        if b is None:
-            shape = (len(xb),) if ui is not None else (p.u_grid.size, p.v_grid.size, len(xb))
-            b, sig = np.empty(shape), np.empty(shape)
-        b[cell], sig[cell] = bp, sp
+def _coefficients(p: GameProblem, t: float, xb: np.ndarray):
+    """Scalar drift and diffusion of every control pair at knot ``t`` on the
+    states ``xb`` (m, 1), each (nU, nV, m); per-node controls select from
+    these tables (:meth:`Stencil.pair`), so no pair is called on a subset."""
+    shape = (p.u_grid.size, p.v_grid.size, len(xb))
+    b, sig = np.empty(shape), np.empty(shape)
+    for u, v, cell, _ in _control_pairs(p):
+        b[cell] = np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0]
+        sig[cell] = np.asarray(p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0]
     return b, sig
 
 
@@ -301,8 +290,10 @@ class Lattice:
     to the one all-pairs stencil, with read-only arrays, when its scan found
     every layer's coefficients bit-equal, and every layer then reads it.
     Without it (a time-dependent problem, or ``replace(lat,
-    shared_stencil=None)``) each layer's stencil is computed by the same
-    function from that layer's coefficients, so both give the same numbers.
+    shared_stencil=None)``) each layer's all-pairs stencil is computed by the
+    same function from that layer's coefficients, so both give the same
+    numbers.  Either way, fixed or per-node controls select from the
+    all-pairs stencil; no control pair is evaluated on its own.
     It is the finite-difference route's grid too: both routes step on that
     problem's drift and diffusion (:meth:`coefficients`), which
     :func:`build_lattice` checked.  ``cfl`` holds the scan's largest
@@ -344,17 +335,17 @@ class Lattice:
     def stencil(self, t: float, ui=None, vi=None) -> Stencil:
         """Folded weights out of knot ``t`` of this lattice's problem.
 
-        Without controls the arrays cover every control pair, shape
-        (nU, nV, n); with control indices ``ui``/``vi``, scalars or one per
-        node, they are (n,).  A shared stencil is read: one pair used by
-        every node is a view, mixed per-node pairs are gathered.  Otherwise
-        each pair is evaluated on its own nodes.
+        The all-pairs stencil, shape (nU, nV, n), is the shared one or else
+        the one computed from :meth:`coefficients` at ``t``.  Without
+        controls it is returned as is; with control indices ``ui``/``vi``,
+        scalars or one per node, :meth:`Stencil.pair` selects from it arrays
+        of shape (n,): a view for one pair used by every node, a gather for
+        mixed per-node pairs.
         """
-        shared = self.shared_stencil
-        if shared is None:
-            return _stencil(*_coefficients(self.problem, t, self.x_nodes[:, None], ui, vi),
-                            self.dt, self.dx)
-        return shared if ui is None else shared.pair(_one_index(ui), _one_index(vi))
+        st = self.shared_stencil
+        if st is None:
+            st = _stencil(*self.coefficients(t), self.dt, self.dx)
+        return st if ui is None else st.pair(_one_index(ui), _one_index(vi))
 
     def moments(self, st: Stencil, vals):
         """One-step conditional expectation of next-layer values per node,
@@ -476,13 +467,16 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
 
 
 def _check_grid(p: GameProblem, lat: Lattice):
-    """Reject a ``p`` whose control grids do not fit ``lat.problem``'s tables."""
-    if (p.u_grid.size, p.v_grid.size) != (lat.problem.u_grid.size, lat.problem.v_grid.size):
-        raise ProblemError("lattice was built for a different control grid")
+    """Reject a ``p`` whose control points differ, by value, from
+    ``lat.problem``'s: the stencil steps with the lattice problem's points and
+    the generator reads ``p``'s, so each table index must name one pair."""
+    for mine, built in ((p.u_grid, lat.problem.u_grid), (p.v_grid, lat.problem.v_grid)):
+        if mine.size != built.size or not all(map(np.array_equal, mine.points, built.points)):
+            raise ProblemError("lattice was built for a different control grid")
 
 
 def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
-                             terminal=None, kind=None) -> ValueSurface:
+                             terminal=None) -> ValueSurface:
     """Backward sup-inf (or inf-sup) induction with obstacle clamping.
 
     Per node and step, each control pair is scored by the one-step
@@ -505,45 +499,8 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
         return e + dt * _generator(p, t, xb, e, z[..., None])
 
     W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal)
-    if kind is None:
-        kind = "lower-game" if order == "supinf" else "upper-game"
+    kind = "lower-game" if order == "supinf" else "upper-game"
     return ValueSurface(grid=lat.grid, x_nodes=lat.x_nodes.copy(), W=W, kind=kind)
-
-
-def _assert_generator_vanishes(p: GameProblem, lat: Lattice):
-    ts = [float(lat.grid.t0), float(0.5 * (lat.grid.t0 + lat.grid.T))]
-    xb = lat.x_nodes[:: max(1, lat.n_nodes // 5)][:, None]
-    m = xb.shape[0]
-    probes = [(np.zeros(m), np.zeros((m, 1))), (np.ones(m), np.ones((m, 1)))]
-    for t in ts:
-        for y, z in probes:
-            fv = _generator(p, t, xb, y, z, 0, 0)
-            if np.max(np.abs(fv)) > 1e-14:
-                raise ProblemError(
-                    "dynkin_value requires a vanishing generator; "
-                    f"got f = {float(np.max(np.abs(fv))):.3e} on samples"
-                )
-
-
-def dynkin_value(p: GameProblem, lat: Lattice) -> ValueSurface:
-    """Optimal-stopping value: clamp(one-step expectation) backward in time.
-
-    Requires singleton control grids and f identically zero (checked on
-    samples).  Identical to :func:`value_backward_induction` on the same
-    input; kept as the named entry point the brute-force oracle is compared
-    against.
-    """
-    if p.u_grid.size != 1 or p.v_grid.size != 1:
-        raise ProblemError("dynkin_value requires singleton control grids")
-    _assert_generator_vanishes(p, lat)
-    return value_backward_induction(p, lat, order="supinf", kind="dynkin")
-
-
-def single_control_value(p: GameProblem, lat: Lattice) -> ValueSurface:
-    """sup over the u-grid only (the opponent grid must be a singleton)."""
-    if p.v_grid.size != 1:
-        raise ProblemError("single_control_value requires a singleton v grid")
-    return value_backward_induction(p, lat, order="supinf", kind="single-control")
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +621,8 @@ class OracleCase:
     root_index: int
 
     def recursion_value(self) -> float:
-        surf = dynkin_value(self.problem, self.lattice)
-        return float(surf.W[0, self.root_index])
+        surf = value_backward_induction(self.problem, self.lattice, "supinf")
+        return surf.root(self.root_index)
 
     def brute_force_value(self) -> float:
         return dynkin_brute_force(self.tree, self.problem.lower_obstacle,
@@ -768,17 +725,11 @@ def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
     The halves of a split step on the parent's clock, so the two recursions
     perform the same arithmetic and the reported gap is exactly zero.
     """
-    j_mid = lat.grid.index_of(t_mid)
-    if not 0 < j_mid < lat.grid.n_steps:
-        raise ProblemError("t_mid must be a strictly interior knot")
-    if x_index is None:
-        x_index = lat.n_nodes // 2
-    full = value_backward_induction(p, lat, order)
-    head, tail = lat.split(j_mid)
+    head, tail = lat.split(lat.grid.index_of(t_mid))
+    direct = value_backward_induction(p, lat, order).root(x_index)
     tail_surf = value_backward_induction(p, tail, order)
     comp_surf = value_backward_induction(p, head, order, terminal=tail_surf.W[0])
-    direct = float(full.W[0, x_index])
-    composed = float(comp_surf.W[0, x_index])
+    composed = comp_surf.root(x_index)
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
 
@@ -790,32 +741,23 @@ def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
     nodes before the head solve, so the gap measures scheme consistency
     rather than an algebraic identity.
     """
-    j_mid = lat.grid.index_of(t_mid)
-    if not 0 < j_mid < lat.grid.n_steps:
-        raise ProblemError("t_mid must be a strictly interior knot")
-    if x_index is None:
-        x_index = lat.n_nodes // 2
-    full = value_backward_induction(p, lat, order)
-    direct = float(full.W[0, x_index])
-    composed = float(_refined_composition(p, lat, t_mid, order)[x_index])
+    composed = _refined_composition(p, lat, t_mid, order).root(x_index)
+    direct = value_backward_induction(p, lat, order).root(x_index)
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
 
 def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
-                         order: str) -> np.ndarray:
-    """Initial layer of the composed route of :func:`dpp_cross_resolution`.
-
-    ``t_mid`` must already be checked to be a strictly interior knot.
-    """
+                         order: str) -> ValueSurface:
+    """Head surface of the composed route of :func:`dpp_cross_resolution`."""
     j_mid = lat.grid.index_of(t_mid)
+    head, _ = lat.split(j_mid)
     n_tail_fine = (lat.grid.n_steps - j_mid) * _REFINE * _REFINE
     n_nodes_fine = (lat.n_nodes - 1) * _REFINE + 1
     fine_tail = build_lattice(p, n_tail_fine, float(lat.x_nodes[0]),
                               float(lat.x_nodes[-1]), n_nodes_fine, t0=float(t_mid))
     tail_surf = value_backward_induction(p, fine_tail, order)
     terminal = np.interp(lat.x_nodes, fine_tail.x_nodes, tail_surf.W[0])
-    head, _ = lat.split(j_mid)
-    return value_backward_induction(p, head, order, terminal=terminal).W[0]
+    return value_backward_induction(p, head, order, terminal=terminal)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ neighbour's weight is folded into the node, matching the lattice's
 reflecting truncation, and the result is clamped into the obstacle corridor
 after every step.
 
-The sweep runs on a lattice (:func:`make_pde_grid` is :func:`build_lattice`)
-with the drift and diffusion of the problem it was built for, read through
-:meth:`Lattice.coefficients`.  Construction evaluated them on every layer
-and checked each layer that differs from the one before it, so the sweep is
-monotone without a check of its own; on a time-homogeneous problem every
-layer reads the one set of coefficients the lattice keeps.  The solver's
-problem supplies the generator, terminal and obstacles.
+The sweep runs on a lattice from :func:`build_lattice` (``make_pde_grid`` is
+an alias of it) with the drift and diffusion of the problem it was built for,
+read through :meth:`Lattice.coefficients`.  Construction evaluated them on
+every layer and checked each layer that differs from the one before it, so
+the sweep is monotone without a check of its own; on a time-homogeneous
+problem every layer reads the one set of coefficients the lattice keeps.
+The solver's problem supplies the generator, terminal and obstacles.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def solve_obstacle_pde(p: GameProblem, g: Lattice, order: str) -> ValueSurface:
 
     Drift and diffusion are ``g.problem``'s, from :meth:`Lattice.coefficients`
     (one set for every layer when the problem is time-homogeneous).
-    :func:`make_pde_grid` checked every layer of them for nonnegative
+    :func:`build_lattice` checked every layer of them for nonnegative
     neighbour weights, so each update is a monotone affine combination of
     the next layer without a further check.  ``p`` supplies the generator,
     the terminal value and the obstacles.
@@ -234,7 +234,7 @@ def refinement_study(p: GameProblem, order: str, base_steps: int,
     for lvl in range(levels):
         steps = base_steps * 4 ** lvl
         nodes = (base_nodes - 1) * 2 ** lvl + 1
-        g = make_pde_grid(p, steps, x_min, x_max, nodes)
+        g = build_lattice(p, steps, x_min, x_max, nodes)
         w = solve_obstacle_pde(p, g, order)
         resolutions.append(f"{steps}x{nodes}")
         roots.append(float(np.interp(x0, g.x_nodes, w.W[0])))

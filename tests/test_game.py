@@ -4,10 +4,9 @@ from dataclasses import replace
 
 from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
                     build_lattice, dpp_check, dpp_cross_resolution,
-                    dynkin_brute_force, dynkin_oracle_corpus, dynkin_value,
-                    lattice_occupancy, make_preset, single_control_value,
-                    solve_drbsde_lattice, solve_obstacle_pde,
-                    value_backward_induction)
+                    dynkin_brute_force, dynkin_oracle_corpus,
+                    lattice_occupancy, make_preset, solve_drbsde_lattice,
+                    solve_obstacle_pde, value_backward_induction)
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -119,25 +118,6 @@ class TestNodeStencil:
     def mixed(n):
         nodes = np.arange(n)
         return nodes % 2, (nodes // 3) % 2  # every pair of the 2 x 2 grids
-
-    def test_each_pair_is_evaluated_only_on_its_own_nodes(self):
-        base = make_preset("linear-quadratic", {})
-        calls = []
-
-        def drift(t, x, u, v):
-            calls.append((x[:, 0].copy(), u, v))
-            return base.drift(t, x, u, v)
-
-        p = replace(base, drift=drift)
-        # the per-layer path; a lattice with a shared stencil gathers instead
-        lat = replace(build_lattice(p, 100, -4, 4, 41), shared_stencil=None)
-        ui, vi = self.mixed(lat.n_nodes)
-        calls.clear()
-        lat.stencil(float(lat.knots[3]), ui, vi)
-        assert len(calls) == 4
-        for x, u, v in calls:
-            own = (ui == p.u_grid.points.index(u)) & (vi == p.v_grid.points.index(v))
-            assert np.array_equal(x, lat.x_nodes[own])
 
     def test_per_node_stencil_gathers_the_all_pairs_stencil(self):
         p = make_preset("linear-quadratic", {})
@@ -346,7 +326,7 @@ class TestBackwardInduction:
         dx = 0.05
         n_steps = int(round(1.0 / (dx * dx / 4.0)))
         lat = build_lattice(p, n_steps, -8.0, 8.0, int(round(16 / dx)) + 1)
-        surf = single_control_value(p, lat)
+        surf = value_backward_induction(p, lat, "supinf")
         assert abs(surf.root() - (-1.0)) < 0.01
 
     def test_dynkin_flat_is_identically_zero(self):
@@ -401,12 +381,6 @@ class TestBackwardInduction:
         with pytest.raises(ProblemError, match="terminal layer"):
             solve_drbsde_lattice(p, lat)
 
-    def test_single_control_requires_singleton_v(self):
-        p = make_preset("linear-quadratic", {})
-        lat = build_lattice(p, 100, -4, 4, 41)
-        with pytest.raises(ProblemError):
-            single_control_value(p, lat)
-
     def test_comparison_consistency_with_drbsde_solver(self):
         # singleton controls: game induction and the backward solver agree
         p = make_preset("dynkin-flat", {"l_lo": -0.4, "l_hi": 0.6, "h": 0.1})
@@ -414,11 +388,6 @@ class TestBackwardInduction:
         surf = value_backward_induction(p, lat, "supinf")
         sol = solve_drbsde_lattice(p, lat)
         assert np.array_equal(surf.W, sol.Y)
-        # with both grids singleton there is nothing to optimise: the
-        # single-control entry point reproduces the same field
-        single = single_control_value(p, lat)
-        assert np.array_equal(single.W, sol.Y)
-        assert single.kind == "single-control"
 
     def test_surface_csv_format(self):
         p = make_preset("dynkin-flat", {"T": 0.25})
@@ -491,7 +460,7 @@ class TestDynkin:
         p = scalar_problem(T=0.09, sig=1.0)
         # dt = dx^2 exactly: 9 steps, dx = 0.1; 41 nodes leave a wide margin
         lat = build_lattice(p, 9, -2.0, 2.0, 41)
-        surf = dynkin_value(p, lat)
+        surf = value_backward_induction(p, lat, "supinf")
         center = 20
         cone = slice(center - 9, center + 10)
         assert np.allclose(surf.W[0][cone], lat.x_nodes[cone], atol=1e-12)
@@ -506,16 +475,10 @@ class TestDynkin:
         dx = 1.0
         lat = build_lattice(p, 2, -4.0, 4.0, 9)
         tree = BinaryTree(grid=lat.grid, x0=0.0, dx=dx)
-        rec = dynkin_value(p, lat).W[0, 4]
+        rec = value_backward_induction(p, lat, "supinf").W[0, 4]
         bf = dynkin_brute_force(tree, p.lower_obstacle, p.upper_obstacle,
                                 p.terminal)
         assert abs(rec - bf) < 1e-12
-
-    def test_generator_must_vanish(self):
-        p = scalar_problem(f=lambda t, x, y, z, u, v: np.full(np.shape(x)[:-1], 0.3))
-        lat = build_lattice(p, 25, -2, 2, 21)
-        with pytest.raises(ProblemError, match="vanishing generator"):
-            dynkin_value(p, lat)
 
     def test_oracle_corpus_agreement(self):
         cases = dynkin_oracle_corpus(n_trees=12, seed=7)
@@ -607,6 +570,20 @@ class TestDpp:
             dpp_check(p, lat, 0.0, "supinf")
         with pytest.raises(ProblemError):
             dpp_check(p, lat, 0.55, "supinf")
+
+    def test_non_interior_knot_is_rejected_before_any_solve(self, monkeypatch):
+        from drgame import game
+        calls = []
+        solve = game.value_backward_induction
+        monkeypatch.setattr(game, "value_backward_induction",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 25, -2, 2, 21)
+        for check in (dpp_check, dpp_cross_resolution, game._refined_composition):
+            for t_mid in (lat.grid.t0, lat.grid.T):
+                with pytest.raises(ProblemError, match="strictly interior"):
+                    check(p, lat, t_mid, "supinf")
+        assert calls == []
 
     def test_cross_resolution_gap_shrinks(self):
         p = replace(make_preset("uncertain-volatility", {}),

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 from drgame import (CflError, ProblemError, build_lattice, cross_check,
                     hamiltonian, isaacs_hamiltonian, make_preset,
-                    make_pde_grid, refinement_study, solve_obstacle_pde,
-                    viscosity_residual, value_backward_induction)
+                    make_pde_grid, refinement_study, solve_drbsde_lattice,
+                    solve_obstacle_pde, stability_gap, viscosity_residual,
+                    value_backward_induction)
+from drgame.game import _saddle
 from drgame.model import ControlGrid, GameProblem
+from drgame.pde import _hamiltonians, _layer_derivatives
 
 BIG = 1e6
 
@@ -76,6 +79,25 @@ class TestIsaacs:
             lo = isaacs_hamiltonian(p, *args, "supinf")
             hi = isaacs_hamiltonian(p, *args, "infsup")
             assert lo <= hi + 1e-12
+
+    def test_pointwise_oracle_of_the_sweep_hamiltonians(self):
+        # a generator that reads (y, z) on top of the preset's coupling term
+        lq = make_preset("linear-quadratic", {"h": "square"})
+        p = replace(lq, generator=lambda t, x, y, z, u, v: lq.generator(t, x, y, z, u, v)
+                    - 0.5 * y + 0.3 * np.abs(z[..., 0]))
+        g = build_lattice(p, 100, -4, 4, 41)
+        surf = solve_obstacle_pde(p, g, "supinf")
+        for j in (0, 37, 99):
+            t, w = float(g.knots[j]), surf.W[j]
+            d2, dc = _layer_derivatives(w, g.dx)
+            table = _hamiltonians(p, t, g.x_nodes[:, None], w, d2, dc, *g.coefficients(t))
+            for order in ("supinf", "infsup"):
+                sweep = _saddle(table, order)
+                for i in range(1, g.n_nodes - 1, 3):
+                    ref = isaacs_hamiltonian(p, t, [g.x_nodes[i]], w[i], [dc[i]],
+                                             [[d2[i]]], order)
+                    # the same three terms summed in the same order
+                    assert abs(sweep[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (j, i, order)
 
 
 class TestSolver:
@@ -160,14 +182,40 @@ class TestGridProblem:
                                   value_backward_induction(p, g, order).W)
 
     def test_different_control_grid_is_rejected(self):
+        # the stencil steps with the grid problem's points and the generator
+        # reads the solver's, so every table index must name the same point
         p = make_preset("linear-quadratic", {})
         g = make_pde_grid(p, 100, -4, 4, 41)
         w = solve_obstacle_pde(p, g, "supinf")
-        q = replace(p, u_grid=ControlGrid(points=(-1.0, 0.0, 1.0)))
+        sol = solve_drbsde_lattice(p, g)
+        consumers = (lambda q: value_backward_induction(q, g, "supinf"),
+                     lambda q: solve_obstacle_pde(q, g, "supinf"),
+                     lambda q: viscosity_residual(q, g, w, "supinf"),
+                     lambda q: solve_drbsde_lattice(q, g, mu=0),
+                     lambda q: stability_gap(g, q, sol, p, sol),
+                     lambda q: stability_gap(g, p, sol, q, sol))
+        others = [replace(p, u_grid=ControlGrid(points=(1.0,))),  # fewer points
+                  replace(p, u_grid=ControlGrid(points=(-1.0, 0.0, 1.0))),
+                  replace(p, u_grid=ControlGrid(points=(-2.0, 2.0))),  # same size
+                  replace(p, v_grid=ControlGrid(points=p.v_grid.points[::-1]))]
+        for q in others:
+            for solve in consumers:
+                with pytest.raises(ProblemError, match="different control grid"):
+                    solve(q)
+        for solve in consumers:
+            solve(replace(p, u_grid=ControlGrid(points=(-1, 1))))  # equal by value
+
+    def test_array_valued_control_points_compare_by_value(self):
+        a = replace(scalar_problem(), u_grid=ControlGrid(
+            points=(np.array([0.0, 1.0]), np.array([1.0, 0.0]))))
+        g = build_lattice(a, 50, -3, 3, 31)
+        same = replace(a, u_grid=ControlGrid(points=tuple(u.copy() for u in a.u_grid.points)))
+        assert np.array_equal(value_backward_induction(same, g, "supinf").W,
+                              value_backward_induction(a, g, "supinf").W)
+        moved = replace(a, u_grid=ControlGrid(points=(np.array([0.0, 1.0]),
+                                                      np.array([1.0, 1.0]))))
         with pytest.raises(ProblemError, match="different control grid"):
-            solve_obstacle_pde(q, g, "supinf")
-        with pytest.raises(ProblemError, match="different control grid"):
-            viscosity_residual(q, g, w, "supinf")
+            solve_drbsde_lattice(moved, g)
 
 
 class TestResidual:
