@@ -27,7 +27,9 @@ regression diagnostics ``diag.lsmc_rank_min``, ``diag.lsmc_cond_max`` and
 ``diag.lsmc_fallbacks``, and ``value``, ``pde``, ``crosscheck``,
 ``dpp-check`` and a lattice ``drbsde`` add their lattice's diagnostics
 ``diag.cfl_diffusion`` (largest dt*sigma^2/dx^2), ``diag.cfl_drift``
-(largest dt*|b|/dx), ``diag.gamma_dt`` and ``diag.time_homogeneous``.
+(largest dt*|b|/dx), ``diag.gamma_dt``, ``diag.time_homogeneous`` and
+``diag.broadcast_controls`` (whether the problem's callables took every
+control pair in one call).
 Exit status: 0 success, 1 a check failed, 2 numerical failure (CFL/NaN),
 3 configuration error.
 ``--threads`` is accepted as a hint and recorded, but solvers are
@@ -51,8 +53,7 @@ from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
 from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
-from .pde import (cross_check, refinement_study, solve_obstacle_pde,
-                  viscosity_residual)
+from .pde import _refine, cross_check, solve_obstacle_pde, viscosity_residual
 from .linalg import random_spd, spd_sqrt_series
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
@@ -283,7 +284,8 @@ def _lattice_diag(lat):
     return {"diag.cfl_diffusion": f"{lat.cfl[0]:.17g}",
             "diag.cfl_drift": f"{lat.cfl[1]:.17g}",
             "diag.gamma_dt": f"{lat.problem.lipschitz * lat.dt:.17g}",
-            "diag.time_homogeneous": str(lat.shared_stencil is not None).lower()}
+            "diag.time_homogeneous": str(lat.shared_stencil is not None).lower(),
+            "diag.broadcast_controls": str(lat.problem.broadcast_controls).lower()}
 
 
 def _snap_t_mid(cfg, grid: TimeGrid) -> float:
@@ -350,8 +352,7 @@ def _cmd_pde(cfg, out):
     g = _lattice(cfg, prob)
     surf = solve_obstacle_pde(prob, g, cfg.order)
     resid = viscosity_residual(prob, g, surf, cfg.order)
-    study = refinement_study(prob, cfg.order, cfg.n_steps, cfg.x_min,
-                             cfg.x_max, cfg.n_nodes, levels=2, x0=cfg.x0)
+    study = _refine(prob, cfg.order, g, surf, levels=2, x0=cfg.x0)
     _write_text(out / "surface.csv", surf.to_csv())
     _write_text(out / "residual.csv", resid.to_csv())
     _write_text(out / "convergence.csv", study.to_csv())

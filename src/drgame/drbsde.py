@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, NumericsError, ProblemError, _csv
-from .game import (Lattice, _check_grid, _generator, _node_controls, backward_sweep,
-                   lattice_occupancy)
+from .game import (Lattice, _check_grid, _generator, _layer_stencils, _node_controls,
+                   backward_sweep, lattice_occupancy)
 from .paths import StatePaths, TimeGrid, _check_controls
 
 __all__ = [
@@ -105,9 +105,10 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
     dt = lat.dt
     xb = lat.x_nodes[:, None]
     Z = np.zeros((n_steps + 1, n, p.noise_dim))
+    stencil = _layer_stencils(lat, mu, nu)
 
     def step(j, t, nxt):
-        e, Z[j, :, 0] = lat.moments(lat.stencil(t, mu[j], nu[j]), nxt)
+        e, Z[j, :, 0] = lat.moments(stencil(j), nxt)
         return e + dt * _generator(p, t, xb, e, Z[j], mu[j], nu[j])
 
     Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step)

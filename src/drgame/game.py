@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    _control_pairs, _csv, _one_index)
+                    _broadcast_points, _control_pairs, _csv, _one_index)
 from .paths import TimeGrid
 
 __all__ = [
@@ -102,9 +102,15 @@ class ValueSurface:
 def _coefficients(p: GameProblem, t: float, xb: np.ndarray):
     """Scalar drift and diffusion of every control pair at knot ``t`` on the
     states ``xb`` (m, 1), each (nU, nV, m); per-node controls select from
-    these tables (:meth:`Stencil.pair`), so no pair is called on a subset."""
+    these tables (:meth:`Stencil.pair`), so no pair is called on a subset.
+    A problem with ``broadcast_controls`` calls each coefficient once."""
     shape = (p.u_grid.size, p.v_grid.size, len(xb))
     b, sig = np.empty(shape), np.empty(shape)
+    if p.broadcast_controls:
+        b[...] = np.asarray(p.drift(t, xb, *_broadcast_points(p, 2)), dtype=float)[..., 0]
+        sig[...] = np.asarray(p.diffusion(t, xb, *_broadcast_points(p, 3)),
+                              dtype=float)[..., 0, 0]
+        return b, sig
     for u, v, cell, _ in _control_pairs(p):
         b[cell] = np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0]
         sig[cell] = np.asarray(p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0]
@@ -114,7 +120,14 @@ def _coefficients(p: GameProblem, t: float, xb: np.ndarray):
 def _generator(p: GameProblem, t: float, x: np.ndarray, y, z, ui=None, vi=None):
     """f at knot ``t`` on the states ``x`` (m, k): (m,) with indices ``ui``/
     ``vi``, (nU, nV, m) without.  ``z`` has that shape plus d; ``y`` has it
-    too, or is (m,) and shared by every pair."""
+    too, or is (m,) and shared by every pair.  A problem with
+    ``broadcast_controls`` is called once, with the points of every pair or
+    of each state's indices."""
+    if p.broadcast_controls:
+        if ui is not None:
+            ui, vi = _one_index(ui), _one_index(vi)
+        f = np.asarray(p.generator(t, x, y, z, *_broadcast_points(p, 1, ui, vi)), dtype=float)
+        return f if f.shape == z.shape[:-1] else np.broadcast_to(f, z.shape[:-1])
     fv = np.empty(z.shape[:-1])
     for u, v, cell, nodes in _control_pairs(p, ui, vi):
         f = p.generator(t, x[nodes], y[nodes] if y.ndim == 1 else y[cell], z[cell], u, v)
@@ -169,7 +182,7 @@ def _check_monotone(b, sig, dt: float, dx: float):
 def _same_bits(a, b) -> bool:
     """Bitwise equality: unlike ``==`` it tells -0.0 from 0.0, whose signs
     can reach the z-moment, and needs no NaN rule."""
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
@@ -229,7 +242,10 @@ class Stencil:
     diagnostics.  dw_stay, dw_dn and dw_up are the Euler increments dW =
     (x_target - x - b dt) / sig of the three moves, with sig replaced by 1
     where the node does not move (``moves`` false, vanishing diffusion);
-    ``all_move`` says that every node moves.
+    ``all_move`` says that every node moves.  No move leaves the grid, so
+    dw_dn on the first node and dw_up on the last are +1.0 placeholders:
+    :meth:`Lattice.moments` multiplies them by a zero weight times a -0.0
+    pad, and the -0.0 they give adds nothing.
     """
 
     p_up: np.ndarray
@@ -275,9 +291,11 @@ def _stencil(b, sig, dt: float, dx: float) -> Stencil:
     moves = np.abs(sig) > 1e-14
     safe = np.where(moves, sig, 1.0)
     bdt = b * dt
+    dw_dn, dw_up = (-dx - bdt) / safe, (dx - bdt) / safe
+    dw_dn[..., 0] = 1.0
+    dw_up[..., -1] = 1.0
     return Stencil(p_up, p_dn, p_stay, b, sig, fold_dn, fold_up,
-                   -bdt / safe, (-dx - bdt) / safe, (dx - bdt) / safe,
-                   moves, bool(moves.all()))
+                   -bdt / safe, dw_dn, dw_up, moves, bool(moves.all()))
 
 
 @dataclass
@@ -353,16 +371,23 @@ class Lattice:
 
         dW is the Euler increment that produces each move; the mass folded
         at a boundary behaves like a stay move.  Nodes with vanishing
-        diffusion report a zero moment.
+        diffusion report a zero moment.  The next layer is read through a
+        copy padded with -0.0 at both ends, so every product spans all
+        nodes; an edge node's missing neighbour has weight 0.0 and dW +1.0
+        (:class:`Stencil`), and the -0.0 terms it adds leave every bit,
+        signed zeros included.
         """
+        pad = np.empty(len(vals) + 2)
+        pad[0] = pad[-1] = -0.0
+        pad[1:-1] = vals
         stay = st.p_stay * vals
-        dn = st.p_dn[..., 1:] * vals[:-1]
-        up = st.p_up[..., :-1] * vals[1:]
+        dn = st.p_dn * pad[:-2]
+        up = st.p_up * pad[2:]
         z = stay * st.dw_stay
-        stay[..., 1:] += dn
-        stay[..., :-1] += up
-        z[..., 1:] += np.multiply(dn, st.dw_dn[..., 1:], out=dn)
-        z[..., :-1] += np.multiply(up, st.dw_up[..., :-1], out=up)
+        stay += dn
+        stay += up
+        z += np.multiply(dn, st.dw_dn, out=dn)
+        z += np.multiply(up, st.dw_up, out=up)
         z /= self.dt
         return stay, (z if st.all_move else np.where(st.moves, z, 0.0))
 
@@ -416,7 +441,7 @@ def _saddle(table, order: str):
 
 
 def backward_sweep(p: GameProblem, knots, states, step, order=None,
-                   terminal=None, obstacles=None):
+                   terminal=None, obstacles=None, pushes=True):
     """The backward skeleton every route shares.
 
     ``states(j)`` gives the states (m, k) at knot j.  The last layer is
@@ -431,7 +456,9 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     ``obstacles(j) -> (l_lo, l_hi)``, called after the step.
 
     Returns (W, K_lo, K_hi), each of shape (n_knots, m); K is cumulative
-    from the first knot (first row zero).
+    from the first knot (first row zero).  A route that has no use for K
+    passes ``pushes=False``: the sweep then neither forms nor stores the
+    overshoots, and K_lo and K_hi are None.
     """
     n_steps = len(knots) - 1
     if terminal is None:
@@ -443,8 +470,10 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
             raise ProblemError(f"h leaves [l_lo, l_hi] at the terminal layer by {viol:.3e}")
     W = np.empty((n_steps + 1,) + terminal.shape)
     W[-1] = terminal
-    K_lo = np.zeros_like(W)
-    K_hi = np.zeros_like(W)
+    K_lo = K_hi = None
+    if pushes:
+        K_lo = np.zeros_like(W)
+        K_hi = np.zeros_like(W)
     for j in range(n_steps - 1, -1, -1):
         t = float(knots[j])
         cand = step(j, t, W[j + 1])
@@ -456,13 +485,16 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
         else:
             lo, hi = obstacles(j)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        K_lo[j + 1] = np.maximum(lo - cand, 0.0)
-        K_hi[j + 1] = np.maximum(cand - hi, 0.0)
+        if pushes:
+            K_lo[j + 1] = np.maximum(lo - cand, 0.0)
+            K_hi[j + 1] = np.maximum(cand - hi, 0.0)
         W[j] = np.minimum(hi, np.maximum(lo, cand))
-        if not np.all(np.isfinite(W[j])):
+        # a finite sum has finite terms; only a non-finite one needs the exact test
+        if not np.isfinite(W[j].sum()) and not np.all(np.isfinite(W[j])):
             raise NumericsError(f"non-finite value layer at time index {j}")
-    np.cumsum(K_lo[1:], axis=0, out=K_lo[1:])
-    np.cumsum(K_hi[1:], axis=0, out=K_hi[1:])
+    if pushes:
+        np.cumsum(K_lo[1:], axis=0, out=K_lo[1:])
+        np.cumsum(K_hi[1:], axis=0, out=K_hi[1:])
     return W, K_lo, K_hi
 
 
@@ -498,7 +530,8 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
         e, z = lat.moments(lat.stencil(t), nxt)
         return e + dt * _generator(p, t, xb, e, z[..., None])
 
-    W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal)
+    W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal,
+                             pushes=False)
     kind = "lower-game" if order == "supinf" else "upper-game"
     return ValueSurface(grid=lat.grid, x_nodes=lat.x_nodes.copy(), W=W, kind=kind)
 
@@ -779,6 +812,18 @@ def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
     return table
 
 
+def _layer_stencils(lat: Lattice, mu, nu):
+    """j -> layer j's stencil under the validated (n_steps, n) control
+    tables ``mu``/``nu``; one pair for every node and layer of a shared
+    stencil is selected once, not once per layer."""
+    ui, vi = _one_index(mu), _one_index(nu)
+    if lat.shared_stencil is not None and isinstance(ui, int) and isinstance(vi, int):
+        st = lat.shared_stencil.pair(ui, vi)
+        return lambda j: st
+    knots = lat.knots
+    return lambda j: lat.stencil(float(knots[j]), mu[j], nu[j])
+
+
 def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     """Forward node-occupancy distribution from a root node.
 
@@ -795,8 +840,9 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     pi = np.zeros((n_steps + 1, n))
     pi[0, root_index] = 1.0
     folded = 0.0
-    for j, t in enumerate(lat.knots[:-1]):
-        st = lat.stencil(float(t), mu[j], nu[j])
+    stencil = _layer_stencils(lat, mu, nu)
+    for j in range(n_steps):
+        st = stencil(j)
         cur = pi[j]
         nxt = pi[j + 1]
         nxt += cur * st.p_stay

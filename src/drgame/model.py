@@ -21,7 +21,17 @@ leading axes.  Shapes:
     h(x), l_lo(t, x), l_hi(t, x) -> (...,)
 
 ``u`` and ``v`` are single points of the respective control grid (scalars or
-small arrays), never batched.
+small arrays), unless the problem sets ``broadcast_controls``.  That flag
+declares that drift, diffusion and generator also accept arrays ``u`` and
+``v`` that broadcast on leading axes, and it needs scalar control points.
+The lattice and PDE routes then call each of them once for every control
+pair, with ``u`` of shape ``(nU, 1) + (1,) * r`` and ``v`` of shape
+``(1, nV) + (1,) * r``, where ``r`` is the rank of one pair's result (drift
+2, diffusion 3, generator 1 on a batch ``x`` of shape ``(m, k)``); the
+result is broadcast to the ``(nU, nV) + ...`` table.  With one control index
+per state the generator gets the gathered points, of shape ``(m,)``.  The
+result must have the bits of the per-pair calls, which
+:func:`validate_problem` checks at its sampled states.
 
 The built-in catalog (:func:`make_preset`) covers four families; everything
 else can be built by calling :class:`GameProblem` directly with custom maps.
@@ -33,6 +43,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -127,12 +138,31 @@ class ControlGrid:
     def norm(self, i):
         return _point_distance(self.points[i], self.points[self.origin])
 
+    @cached_property
+    def _array(self):
+        """The points as one read-only array, made on first use."""
+        a = np.asarray(self.points)
+        a.setflags(write=False)
+        return a
+
 
 def _one_index(idx):
     """Control indices as one int when every position holds the same index."""
     if not isinstance(idx, np.ndarray):
         return int(idx)
     return int(idx.item(0)) if not any(idx.strides) or idx.min() == idx.max() else idx
+
+
+def _broadcast_points(p, rank, ui=None, vi=None):
+    """``u`` and ``v`` for one call of a callable that declares broadcast
+    controls: every pair, as ``(nU, 1) + (1,) * rank`` and ``(1, nV) + (1,) *
+    rank`` with ``rank`` that of one pair's result; or, with grid indices
+    (scalars or 1-d, one per state), the points they pick."""
+    U, V = p.u_grid._array, p.v_grid._array
+    if ui is None:
+        pad = (1,) * rank
+        return U.reshape((-1, 1) + pad), V.reshape((1, -1) + pad)
+    return U[ui], V[vi]
 
 
 def _control_pairs(p, ui=None, vi=None):
@@ -155,7 +185,12 @@ def _control_pairs(p, ui=None, vi=None):
 
 @dataclass(frozen=True)
 class GameProblem:
-    """Immutable problem instance; all fields are read-only after creation."""
+    """Immutable problem instance; all fields are read-only after creation.
+
+    ``broadcast_controls`` declares that drift, diffusion and generator accept
+    control arrays that broadcast on leading axes (see the module docstring);
+    the default keeps black-box callables on one call per control pair.
+    """
 
     state_dim: int
     noise_dim: int
@@ -172,8 +207,12 @@ class GameProblem:
     v_grid: ControlGrid
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    broadcast_controls: bool = False
 
     def __post_init__(self):
+        if self.broadcast_controls and any(
+                np.ndim(pt) for g in (self.u_grid, self.v_grid) for pt in g.points):
+            raise ProblemError("broadcast_controls needs scalar control points")
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ProblemError("state_dim and noise_dim must be positive")
         if not self.horizon > 0:
@@ -305,7 +344,8 @@ def _require(cond, msg):
 def make_preset(name, params=None) -> GameProblem:
     """Build a catalog problem.
 
-    Presets (all one-dimensional, ``holder_q`` defaulting to 2):
+    Presets (all one-dimensional, ``holder_q`` defaulting to 2, every one
+    declaring ``broadcast_controls``):
 
     ``dynkin-flat``
         Pure stopping game: ``f = 0``, singleton control grids, unit noise
@@ -348,7 +388,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(hval), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, sig), holder_q=q,
             u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
+            name=name, params=p, broadcast_controls=True,
         )
 
     if name == "uncertain-volatility":
@@ -362,7 +402,7 @@ def make_preset(name, params=None) -> GameProblem:
             return np.full_like(x, b0)
 
         def diffusion(t, x, u, v):
-            return np.full(np.shape(x)[:-1] + (1, 1), float(u))
+            return u * np.ones(np.shape(x)[:-1] + (1, 1))
 
         return GameProblem(
             state_dim=1, noise_dim=1, horizon=T,
@@ -370,7 +410,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, abs(b0) + s_hi), holder_q=q,
             u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
+            name=name, params=p, broadcast_controls=True,
         )
 
     if name == "bsb-convex":
@@ -384,7 +424,7 @@ def make_preset(name, params=None) -> GameProblem:
             return rate * x
 
         def diffusion(t, x, u, v):
-            return (float(u) * x)[..., None]
+            return u * x[..., None]
 
         return GameProblem(
             state_dim=1, noise_dim=1, horizon=T,
@@ -392,7 +432,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, abs(rate) + s_hi), holder_q=q,
             u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
+            name=name, params=p, broadcast_controls=True,
         )
 
     if name == "linear-quadratic":
@@ -408,13 +448,13 @@ def make_preset(name, params=None) -> GameProblem:
         l_lo, l_hi = _const_obstacles(lo, hi)
 
         def drift(t, x, u, v):
-            return a * x + b_u * float(u)
+            return a * x + b_u * u
 
         def diffusion(t, x, u, v):
-            return np.full(np.shape(x)[:-1] + (1, 1), float(v))
+            return v * np.ones(np.shape(x)[:-1] + (1, 1))
 
         def generator(t, x, y, z, u, v):
-            return c_x * x[..., 0] + c_uv * float(u) * (float(v) - v_mid)
+            return c_x * x[..., 0] + c_uv * u * (v - v_mid)
 
         # gamma: covers |a| (x-Lipschitz of b), c_x (x-Lipschitz of f), the
         # growth of b and sigma at x = 0, and the coupling term's growth.
@@ -430,7 +470,7 @@ def make_preset(name, params=None) -> GameProblem:
             lipschitz=gamma, holder_q=q,
             u_grid=ControlGrid(points=(u_lo, u_hi)),
             v_grid=ControlGrid(points=(s_lo, s_hi)),
-            name=name, params=p,
+            name=name, params=p, broadcast_controls=True,
         )
 
     raise AssertionError("unreachable")
@@ -489,6 +529,30 @@ def _worst(values, start=0.0):
 _SAMPLE_RADIUS = 2.0  # validate_problem draws x, y and z from [-2, 2]
 
 
+def _check_broadcast(p: GameProblem, t, x, y, z):
+    """Raise unless one broadcast call of drift, diffusion and generator at
+    knot ``t`` gives, for every control pair, the bits of that pair's call.
+
+    ``x`` is (m, k), ``y`` (m,) and ``z`` (m, d), shared by every pair.
+    """
+    pairs = _control_pairs(p)
+    for name, args, rank in (("drift", (x,), 2), ("diffusion", (x,), 3),
+                             ("generator", (x, y, z), 1)):
+        fn = getattr(p, name)
+        want = np.array([np.asarray(fn(t, *args, u, v), dtype=float)
+                         for u, v, _, _ in pairs])
+        want = want.reshape((p.u_grid.size, p.v_grid.size) + want.shape[1:])
+        try:  # a callable that cannot take arrays fails the check too
+            got = np.broadcast_to(np.asarray(fn(t, *args, *_broadcast_points(p, rank)),
+                                             dtype=float), want.shape)
+        except (TypeError, ValueError):
+            got = None
+        if got is None or not np.array_equal(got.view(np.int64), want.view(np.int64)):
+            raise ProblemError(
+                f"{name} declares broadcast controls, but one call with every "
+                "control pair differs from the per-pair calls")
+
+
 def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationReport:
     """Falsify the standing assumptions on a deterministic random sample.
 
@@ -498,7 +562,10 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
     observed difference quotient to its assumed bound.  Identical calls
     return identical reports.  Per sample, drift, diffusion and generator
     see the (3, k) batch of states (0, x, x') once each, the obstacles x;
-    the first non-finite value, in sample order, raises.
+    the first non-finite value, in sample order, raises.  A problem that
+    declares ``broadcast_controls`` must then give the per-pair bits from
+    one broadcast call of each of the three, on all sampled states at the
+    first sampled time, or :class:`ProblemError` names the callable.
     """
     if samples < 1:
         raise ProblemError("samples must be >= 1")
@@ -534,6 +601,8 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
         i, c = divmod(int(np.argmin(ok)), ok.shape[1])
         name = (("drift", "diffusion") * 3 + ("generator",) * 2 + ("obstacles",))[c]
         raise _nonfinite(name, float(ts[i]), X[i, (0, 0, 1, 1, 2, 2, 0, 1, 1)[c]])
+    if p.broadcast_controls:
+        _check_broadcast(p, float(ts[0]), X.reshape(-1, k), Y.reshape(-1), Z.reshape(-1, d))
 
     def norm(a):  # Euclidean norm over the last axis
         return np.sqrt(np.sum(a ** 2, axis=-1))

@@ -141,7 +141,7 @@ def solve_obstacle_pde(p: GameProblem, g: Lattice, order: str) -> ValueSurface:
         d2, dc = _layer_derivatives(w, dx)
         return w + dt * _hamiltonians(p, t, x_col, w, d2, dc, *g.coefficients(t))
 
-    W, _, _ = backward_sweep(p, g.knots, lambda j: x_col, step, order)
+    W, _, _ = backward_sweep(p, g.knots, lambda j: x_col, step, order, pushes=False)
     return ValueSurface(grid=g.grid, x_nodes=g.x_nodes.copy(), W=W, kind="pde")
 
 
@@ -229,13 +229,22 @@ def refinement_study(p: GameProblem, order: str, base_steps: int,
         raise ProblemError("need at least 2 levels")
     if x0 is None:
         x0 = 0.5 * (x_min + x_max)
+    g = build_lattice(p, base_steps, x_min, x_max, base_nodes)
+    return _refine(p, order, g, solve_obstacle_pde(p, g, order), levels, x0)
+
+
+def _refine(p: GameProblem, order: str, g: Lattice, w: ValueSurface,
+            levels: int, x0: float) -> RefinementStudy:
+    """:func:`refinement_study` from a level 0 already solved: ``w`` on ``g``."""
+    x_min, x_max = float(g.x_nodes[0]), float(g.x_nodes[-1])
+    steps, nodes = g.grid.n_steps, g.n_nodes
     resolutions = []
     roots = []
     for lvl in range(levels):
-        steps = base_steps * 4 ** lvl
-        nodes = (base_nodes - 1) * 2 ** lvl + 1
-        g = build_lattice(p, steps, x_min, x_max, nodes)
-        w = solve_obstacle_pde(p, g, order)
+        if lvl:
+            steps, nodes = 4 * steps, 2 * (nodes - 1) + 1
+            g = build_lattice(p, steps, x_min, x_max, nodes, t0=g.grid.t0)
+            w = solve_obstacle_pde(p, g, order)
         resolutions.append(f"{steps}x{nodes}")
         roots.append(float(np.interp(x0, g.x_nodes, w.W[0])))
     return RefinementStudy(resolutions=resolutions, roots=roots)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
-from drgame import ProblemError, game, make_preset
+from drgame import ProblemError, cli, game, make_preset, pde
 from drgame.cli import (ConfigError, RunConfig, SUBCOMMANDS, main,
                         parse_config, run, serialize_config)
 
@@ -162,6 +162,7 @@ class TestRun:
             lines = (tmp_path / sub / "run.txt").read_text().splitlines()
             items = dict(line.split("=", 1) for line in lines)
             assert items["diag.time_homogeneous"] == "true", sub
+            assert items["diag.broadcast_controls"] == "true", sub
             assert float(items["diag.cfl_diffusion"]) == pytest.approx(dt / dx ** 2), sub
             assert float(items["diag.cfl_drift"]) == 0.0, sub
             assert float(items["diag.gamma_dt"]) == pytest.approx(gamma * dt), sub
@@ -218,6 +219,31 @@ class TestRun:
         assert run("dpp-check", RunConfig(out_dir=str(tmp_path))) == 0
         assert len(calls) == 5, calls
         assert calls.count((0.0, 500)) == 1, calls
+
+    def test_pde_solves_its_base_lattice_once(self, tmp_path, monkeypatch):
+        # the 500 x 41 surface is level 0 of the refinement study too
+        builds, solves = [], []
+
+        def spies(mod):
+            build, solve = mod.build_lattice, mod.solve_obstacle_pde
+
+            def build_spy(p, n_steps, x_min, x_max, n_nodes, **kw):
+                builds.append((n_steps, n_nodes))
+                return build(p, n_steps, x_min, x_max, n_nodes, **kw)
+
+            def solve_spy(p, g, order):
+                solves.append((g.grid.n_steps, g.n_nodes))
+                return solve(p, g, order)
+
+            monkeypatch.setattr(mod, "build_lattice", build_spy)
+            monkeypatch.setattr(mod, "solve_obstacle_pde", solve_spy)
+
+        for mod in (cli, pde):
+            spies(mod)
+        assert run("pde", RunConfig(out_dir=str(tmp_path))) == 0
+        assert builds == solves == [(500, 41), (2000, 81)]
+        rows = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["500x41", "2000x81"]
 
     def test_sqrt_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path, trials=30)

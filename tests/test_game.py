@@ -7,6 +7,7 @@ from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
                     dynkin_brute_force, dynkin_oracle_corpus,
                     lattice_occupancy, make_preset, solve_drbsde_lattice,
                     solve_obstacle_pde, value_backward_induction)
+from drgame.game import _stencil
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -109,6 +110,59 @@ class TestStencil:
         p = scalar_problem(T=10.0, sig=0.1, gamma=1.0)
         with pytest.raises(CflError, match="gamma"):
             build_lattice(p, n_steps=5, x_min=-10, x_max=10, n_nodes=11)
+
+
+def slice_moments(st, vals, dt):
+    """Reference for ``Lattice.moments``: the neighbour products on
+    ``[..., 1:]`` and ``[..., :-1]`` slices, so no product touches the
+    placeholder dW of an edge node."""
+    stay = st.p_stay * vals
+    dn = st.p_dn[..., 1:] * vals[:-1]
+    up = st.p_up[..., :-1] * vals[1:]
+    z = stay * st.dw_stay
+    stay[..., 1:] += dn
+    stay[..., :-1] += up
+    z[..., 1:] += np.multiply(dn, st.dw_dn[..., 1:], out=dn)
+    z[..., :-1] += np.multiply(up, st.dw_up[..., :-1], out=up)
+    z /= dt
+    return stay, (z if st.all_move else np.where(st.moves, z, 0.0))
+
+
+class TestMoments:
+    """The padded read of ``Lattice.moments`` against the slice reference."""
+
+    @staticmethod
+    def random_layers(rng, n):
+        """(b, sig, vals): signed drifts, some non-moving nodes, signed zeros."""
+        shape = (2, 3, n)
+        b = rng.uniform(-2.0, 2.0, shape)
+        sig = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        sig[rng.random(shape) < 0.1] = rng.choice([0.0, -0.0])
+        vals = rng.standard_normal(n) * rng.choice([1.0, 1e-300, 1e300])
+        zeros = rng.random(n) < rng.choice([0.1, 0.5, 1.0])
+        vals[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        vals[[0, 1, -2, -1]] = rng.choice([0.0, -0.0, 1.5, -1.5], 4)
+        return b, sig, vals
+
+    def test_bit_equal_to_the_slice_reference_on_random_layers(self):
+        lat = build_lattice(scalar_problem(), 50, -2, 2, 17)
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            b, sig, vals = self.random_layers(rng, lat.n_nodes)
+            full = _stencil(b, sig, lat.dt, lat.dx)
+            ui, vi = rng.integers(0, 2, lat.n_nodes), rng.integers(0, 3, lat.n_nodes)
+            for st in (full, full.pair(1, 2), full.pair(ui, vi), full.pair(0, vi)):
+                got = lat.moments(st, vals)
+                want = slice_moments(st, vals, lat.dt)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), trial
+
+    def test_edge_placeholders_are_plus_one(self):
+        b, sig, _ = self.random_layers(np.random.default_rng(1), 9)
+        st = _stencil(b, sig, 0.01, 0.5)
+        assert np.all(st.dw_dn[..., 0] == 1.0) and np.all(st.dw_up[..., -1] == 1.0)
+        assert np.all(st.p_dn[..., 0] == 0.0) and np.all(st.p_up[..., -1] == 0.0)
 
 
 class TestNodeStencil:
@@ -284,14 +338,19 @@ class TestSharedStencil:
             calls.append(t)
             return base.drift(t, x, u, v)
 
-        p = replace(base, drift=drift)
-        lat = build_lattice(p, 100, -4, 4, 41)
-        assert len(calls) == 100 * p.u_grid.size * p.v_grid.size  # the scan
-        calls.clear()
-        value_backward_induction(p, lat, "supinf")
-        solve_obstacle_pde(p, lat, "infsup")
-        solve_drbsde_lattice(p, lat)
-        assert calls == []
+        declared = replace(base, drift=drift)
+        pairs = base.u_grid.size * base.v_grid.size
+        # the scan calls a declared drift once per knot, an undeclared one per pair
+        for p, scan_calls in ((declared, 100), (replace(declared, broadcast_controls=False),
+                                                100 * pairs)):
+            calls.clear()
+            lat = build_lattice(p, 100, -4, 4, 41)
+            assert len(calls) == scan_calls
+            calls.clear()
+            value_backward_induction(p, lat, "supinf")
+            solve_obstacle_pde(p, lat, "infsup")
+            solve_drbsde_lattice(p, lat)
+            assert calls == []
 
     def test_shared_stencil_is_read_only(self):
         lat, _ = self.lattices("linear-quadratic")
