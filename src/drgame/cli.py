@@ -28,8 +28,8 @@ regression diagnostics ``diag.lsmc_rank_min``, ``diag.lsmc_cond_max`` and
 ``dpp-check`` and a lattice ``drbsde`` add their lattice's diagnostics
 ``diag.cfl_diffusion`` (largest dt*sigma^2/dx^2), ``diag.cfl_drift``
 (largest dt*|b|/dx), ``diag.gamma_dt``, ``diag.time_homogeneous`` and
-``diag.broadcast_controls`` (whether the problem's callables took every
-control pair in one call).
+``diag.broadcast_controls`` (``true`` when every control point is a
+scalar, so the problem's callables took every control pair in one call).
 Exit status: 0 success, 1 a check failed, 2 numerical failure (CFL/NaN),
 3 configuration error.
 ``--threads`` is accepted as a hint and recorded, but solvers are
@@ -47,8 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (NumericsError, PRESETS, ProblemError, _csv, make_preset,
-                    validate_problem)
+from .model import (NumericsError, PRESETS, ProblemError, _csv, _scalar_controls,
+                    make_preset, validate_problem)
 from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
 from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
@@ -285,7 +285,7 @@ def _lattice_diag(lat):
             "diag.cfl_drift": f"{lat.cfl[1]:.17g}",
             "diag.gamma_dt": f"{lat.problem.lipschitz * lat.dt:.17g}",
             "diag.time_homogeneous": str(lat.shared_stencil is not None).lower(),
-            "diag.broadcast_controls": str(lat.problem.broadcast_controls).lower()}
+            "diag.broadcast_controls": str(_scalar_controls(lat.problem)).lower()}
 
 
 def _snap_t_mid(cfg, grid: TimeGrid) -> float:

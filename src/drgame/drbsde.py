@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError, _csv
-from .game import (Lattice, _check_grid, _generator, _layer_stencils, _node_controls,
+from .model import GameProblem, NumericsError, ProblemError, _csv, _evaluate
+from .game import (Lattice, _check_grid, _layer_stencils, _node_controls,
                    backward_sweep, lattice_occupancy)
 from .paths import StatePaths, TimeGrid, _check_controls
 
@@ -109,7 +109,7 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
 
     def step(j, t, nxt):
         e, Z[j, :, 0] = lat.moments(stencil(j), nxt)
-        return e + dt * _generator(p, t, xb, e, Z[j], mu[j], nu[j])
+        return e + dt * _evaluate(p, "generator", t, xb, e, Z[j], ui=mu[j], vi=nu[j])
 
     Y, K_lo, K_hi = backward_sweep(p, lat.knots, lambda j: xb, step)
     return DrbsdeSolution(grid=lat.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
@@ -249,7 +249,8 @@ def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, st
         for s, fit in zip(blocks, fits):
             e[s] = fit[:, 0]
             Z[j, s] = fit[:, 1:] / dt
-        return e + dt * _generator(p, t, xj, e, Z[j], mu_vals[:, j], nu_vals[:, j])
+        return e + dt * _evaluate(p, "generator", t, xj, e, Z[j], ui=mu_vals[:, j],
+                                    vi=nu_vals[:, j])
 
     obstacles = (lambda j: (design[:, -2], design[:, -1])) if basis == "poly" else None
     Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step,
@@ -410,8 +411,8 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
         t = float(knots[j])
         y2 = sol2.Y[j]
         z2 = sol2.Z[j]
-        f1 = _generator(p1, t, xb, y2, z2, mu, nu)
-        f2 = _generator(p2, t, xb, y2, z2, mu, nu)
+        f1 = _evaluate(p1, "generator", t, xb, y2, z2, ui=mu, vi=nu)
+        f2 = _evaluate(p2, "generator", t, xb, y2, z2, ui=mu, vi=nu)
         acc += dt * float(np.sum(pi[j] * np.abs(f1 - f2)))
     driver = term + acc ** varpi
     return StabilityReport(gap=gap, driver=driver)

@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    _broadcast_points, _control_pairs, _csv, _one_index)
+from .model import (ControlGrid, GameProblem, NumericsError, ProblemError, _csv,
+                    _evaluate, _indices, _one_index)
 from .paths import TimeGrid
 
 __all__ = [
@@ -102,39 +102,9 @@ class ValueSurface:
 def _coefficients(p: GameProblem, t: float, xb: np.ndarray):
     """Scalar drift and diffusion of every control pair at knot ``t`` on the
     states ``xb`` (m, 1), each (nU, nV, m); per-node controls select from
-    these tables (:meth:`Stencil.pair`), so no pair is called on a subset.
-    A problem with ``broadcast_controls`` calls each coefficient once."""
-    shape = (p.u_grid.size, p.v_grid.size, len(xb))
-    b, sig = np.empty(shape), np.empty(shape)
-    if p.broadcast_controls:
-        b[...] = np.asarray(p.drift(t, xb, *_broadcast_points(p, 2)), dtype=float)[..., 0]
-        sig[...] = np.asarray(p.diffusion(t, xb, *_broadcast_points(p, 3)),
-                              dtype=float)[..., 0, 0]
-        return b, sig
-    for u, v, cell, _ in _control_pairs(p):
-        b[cell] = np.asarray(p.drift(t, xb, u, v), dtype=float)[:, 0]
-        sig[cell] = np.asarray(p.diffusion(t, xb, u, v), dtype=float)[:, 0, 0]
-    return b, sig
-
-
-def _generator(p: GameProblem, t: float, x: np.ndarray, y, z, ui=None, vi=None):
-    """f at knot ``t`` on the states ``x`` (m, k): (m,) with indices ``ui``/
-    ``vi``, (nU, nV, m) without.  ``z`` has that shape plus d; ``y`` has it
-    too, or is (m,) and shared by every pair.  A problem with
-    ``broadcast_controls`` is called once, with the points of every pair or
-    of each state's indices."""
-    if p.broadcast_controls:
-        if ui is not None:
-            ui, vi = _one_index(ui), _one_index(vi)
-        f = np.asarray(p.generator(t, x, y, z, *_broadcast_points(p, 1, ui, vi)), dtype=float)
-        return f if f.shape == z.shape[:-1] else np.broadcast_to(f, z.shape[:-1])
-    fv = np.empty(z.shape[:-1])
-    for u, v, cell, nodes in _control_pairs(p, ui, vi):
-        f = p.generator(t, x[nodes], y[nodes] if y.ndim == 1 else y[cell], z[cell], u, v)
-        if isinstance(cell, slice):
-            return np.asarray(f, dtype=float)
-        fv[cell] = f
-    return fv
+    these tables (:meth:`Stencil.pair`), so no pair is called on a subset."""
+    return (_evaluate(p, "drift", t, xb)[..., 0],
+            _evaluate(p, "diffusion", t, xb)[..., 0, 0])
 
 
 def _up_down(b, sig, dt, dx):
@@ -528,7 +498,7 @@ def value_backward_induction(p: GameProblem, lat: Lattice, order: str,
 
     def step(j, t, nxt):
         e, z = lat.moments(lat.stencil(t), nxt)
-        return e + dt * _generator(p, t, xb, e, z[..., None])
+        return e + dt * _evaluate(p, "generator", t, xb, e, z[..., None])
 
     W, _, _ = backward_sweep(p, lat.knots, lambda j: xb, step, order, terminal,
                              pushes=False)
@@ -800,7 +770,7 @@ def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
 def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
     """Validated node controls, a grid index or an (n_steps, n_nodes) table,
     as that table; one index becomes a zero-stride view of it."""
-    idx = np.asarray(ctrl, dtype=np.int64)
+    idx = _indices(ctrl, f"{name} control indices")
     table = np.broadcast_to(idx, (n_steps, n_nodes)) if idx.ndim == 0 else idx
     if table.shape != (n_steps, n_nodes):
         raise ProblemError(
@@ -837,6 +807,8 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     nu = _node_controls(nu, n_steps, n, lat.problem.v_grid.size, "nu")
     if root_index is None:
         root_index = n // 2
+    if not (isinstance(root_index, (int, np.integer)) and 0 <= root_index < n):
+        raise ProblemError(f"root_index must be a node index in [0, {n}), got {root_index!r}")
     pi = np.zeros((n_steps + 1, n))
     pi[0, root_index] = 1.0
     folded = 0.0

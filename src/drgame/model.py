@@ -20,18 +20,14 @@ leading axes.  Shapes:
     f(t, x, y, z, u, v)-> (...,)        y: (...,), z: (..., d)
     h(x), l_lo(t, x), l_hi(t, x) -> (...,)
 
-``u`` and ``v`` are single points of the respective control grid (scalars or
-small arrays), unless the problem sets ``broadcast_controls``.  That flag
-declares that drift, diffusion and generator also accept arrays ``u`` and
-``v`` that broadcast on leading axes, and it needs scalar control points.
-The lattice and PDE routes then call each of them once for every control
-pair, with ``u`` of shape ``(nU, 1) + (1,) * r`` and ``v`` of shape
-``(1, nV) + (1,) * r``, where ``r`` is the rank of one pair's result (drift
-2, diffusion 3, generator 1 on a batch ``x`` of shape ``(m, k)``); the
-result is broadcast to the ``(nU, nV) + ...`` table.  With one control index
-per state the generator gets the gathered points, of shape ``(m,)``.  The
-result must have the bits of the per-pair calls, which
-:func:`validate_problem` checks at its sampled states.
+``u`` and ``v`` are control points.  A callable with scalar control points
+broadcasts over controls the same way it broadcasts over states: it gets
+``u`` of shape ``(nU, 1) + (1,) * r`` and ``v`` of shape ``(1, nV) + (1,) *
+r`` for every control pair at once (``r`` is the rank of one pair's result
+on ``x`` of shape ``(m, k)``: drift 2, diffusion 3, generator 1), or the
+points of one pair per state, of shape ``(m,) + (1,) * (r - 1)``, and must
+give the per-pair bits, which :func:`validate_problem` checks.
+Array-valued points are passed one pair at a time.
 
 The built-in catalog (:func:`make_preset`) covers four families; everything
 else can be built by calling :class:`GameProblem` directly with custom maps.
@@ -139,11 +135,21 @@ class ControlGrid:
         return _point_distance(self.points[i], self.points[self.origin])
 
     @cached_property
-    def _array(self):
-        """The points as one read-only array, made on first use."""
+    def _scalars(self):
+        """The points as one read-only 1-d array; None if any is array-valued."""
+        if any(np.ndim(pt) for pt in self.points):
+            return None
         a = np.asarray(self.points)
         a.setflags(write=False)
         return a
+
+
+def _indices(values, what):
+    """``values`` as int64 indices; ProblemError unless each is an integer."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu" and a.size:
+        raise ProblemError(f"{what} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 def _one_index(idx):
@@ -151,18 +157,6 @@ def _one_index(idx):
     if not isinstance(idx, np.ndarray):
         return int(idx)
     return int(idx.item(0)) if not any(idx.strides) or idx.min() == idx.max() else idx
-
-
-def _broadcast_points(p, rank, ui=None, vi=None):
-    """``u`` and ``v`` for one call of a callable that declares broadcast
-    controls: every pair, as ``(nU, 1) + (1,) * rank`` and ``(1, nV) + (1,) *
-    rank`` with ``rank`` that of one pair's result; or, with grid indices
-    (scalars or 1-d, one per state), the points they pick."""
-    U, V = p.u_grid._array, p.v_grid._array
-    if ui is None:
-        pad = (1,) * rank
-        return U.reshape((-1, 1) + pad), V.reshape((1, -1) + pad)
-    return U[ui], V[vi]
 
 
 def _control_pairs(p, ui=None, vi=None):
@@ -179,18 +173,15 @@ def _control_pairs(p, ui=None, vi=None):
     if isinstance(ui, int) and isinstance(vi, int):
         return [(U[ui], V[vi], slice(None), slice(None))]
     codes = ui * len(V) + vi
-    sels = {c: np.flatnonzero(codes == c) for c in np.unique(codes).tolist()}
+    used = np.flatnonzero(np.bincount(codes))  # np.unique's first call imports numpy.ma
+    sels = {c: np.flatnonzero(codes == c) for c in used.tolist()}
     return [(U[c // len(V)], V[c % len(V)], sel, sel) for c, sel in sels.items()]
 
 
 @dataclass(frozen=True)
 class GameProblem:
     """Immutable problem instance; all fields are read-only after creation.
-
-    ``broadcast_controls`` declares that drift, diffusion and generator accept
-    control arrays that broadcast on leading axes (see the module docstring);
-    the default keeps black-box callables on one call per control pair.
-    """
+    Its callables follow the contract of the module docstring."""
 
     state_dim: int
     noise_dim: int
@@ -207,12 +198,8 @@ class GameProblem:
     v_grid: ControlGrid
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    broadcast_controls: bool = False
 
     def __post_init__(self):
-        if self.broadcast_controls and any(
-                np.ndim(pt) for g in (self.u_grid, self.v_grid) for pt in g.points):
-            raise ProblemError("broadcast_controls needs scalar control points")
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ProblemError("state_dim and noise_dim must be positive")
         if not self.horizon > 0:
@@ -221,6 +208,53 @@ class GameProblem:
             raise ProblemError("lipschitz constant must be positive")
         if not (1.0 < self.holder_q <= 2.0):
             raise ProblemError(f"holder_q must lie in (1, 2], got {self.holder_q}")
+
+
+def _scalar_controls(p: GameProblem) -> bool:
+    """True when every control point is a scalar: one call takes every pair."""
+    return p.u_grid._scalars is not None and p.v_grid._scalars is not None
+
+
+def _broadcast(p: GameProblem, name, t, x, args, ui=None, vi=None):
+    """One call of ``p``'s callable ``name`` with the points of every control
+    pair, or of each state's pair, shaped as in the module docstring."""
+    k, d = p.state_dim, p.noise_dim
+    one = x.shape[:-1] + {"drift": (k,), "diffusion": (k, d), "generator": ()}[name]
+    U, V = p.u_grid._scalars, p.v_grid._scalars
+    u, v = ((U[:, None, None], V[None, :, None]) if ui is None
+            else (U[_one_index(ui)], V[_one_index(vi)]))
+    pad = (1,) * (len(one) - 1)
+    f = np.asarray(getattr(p, name)(t, x, *args, u.reshape(u.shape + pad),
+                                    v.reshape(v.shape + pad)), dtype=float)
+    shape = one if ui is not None else (len(U), len(V)) + one
+    if f.shape == shape:
+        return f
+    table = np.empty(shape)  # far cheaper than np.broadcast_to on small tables
+    table[...] = f
+    return table
+
+
+def _per_pair(p: GameProblem, name, t, x, args, ui=None, vi=None):
+    """``p``'s callable ``name`` called once per control pair in use
+    (:func:`_control_pairs`), each pair on its own states."""
+    fn, out = getattr(p, name), None
+    for u, v, cell, nodes in _control_pairs(p, ui, vi):
+        f = np.asarray(fn(t, x[nodes], *[a[cell] if a.ndim > x.ndim else a[nodes]
+                                         for a in args], u, v), dtype=float)
+        if out is None:
+            out = np.empty((p.u_grid.size, p.v_grid.size) + f.shape if ui is None
+                           else (len(x),) + f.shape[1:])
+        out[cell] = f
+    return out
+
+
+def _evaluate(p: GameProblem, name, t, x, *args, ui=None, vi=None):
+    """``p``'s callable ``name`` (drift, diffusion or generator) at time ``t``
+    on the states ``x`` (m, k), for every control pair as an (nU, nV) table
+    or, with grid indices ``ui``/``vi`` (scalars or one per state), for each
+    state's own pair.  ``args`` with more axes than ``x`` are (nU, nV) tables,
+    the others shared.  Every solver passes control points through here."""
+    return (_broadcast if _scalar_controls(p) else _per_pair)(p, name, t, x, args, ui, vi)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +378,8 @@ def _require(cond, msg):
 def make_preset(name, params=None) -> GameProblem:
     """Build a catalog problem.
 
-    Presets (all one-dimensional, ``holder_q`` defaulting to 2, every one
-    declaring ``broadcast_controls``):
+    Presets (all one-dimensional, ``holder_q`` defaulting to 2, each with
+    scalar control points and callables that broadcast over them):
 
     ``dynkin-flat``
         Pure stopping game: ``f = 0``, singleton control grids, unit noise
@@ -388,7 +422,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(hval), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, sig), holder_q=q,
             u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-            name=name, params=p, broadcast_controls=True,
+            name=name, params=p,
         )
 
     if name == "uncertain-volatility":
@@ -410,7 +444,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, abs(b0) + s_hi), holder_q=q,
             u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p, broadcast_controls=True,
+            name=name, params=p,
         )
 
     if name == "bsb-convex":
@@ -432,7 +466,7 @@ def make_preset(name, params=None) -> GameProblem:
             terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
             lipschitz=max(1.0, abs(rate) + s_hi), holder_q=q,
             u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p, broadcast_controls=True,
+            name=name, params=p,
         )
 
     if name == "linear-quadratic":
@@ -470,7 +504,7 @@ def make_preset(name, params=None) -> GameProblem:
             lipschitz=gamma, holder_q=q,
             u_grid=ControlGrid(points=(u_lo, u_hi)),
             v_grid=ControlGrid(points=(s_lo, s_hi)),
-            name=name, params=p, broadcast_controls=True,
+            name=name, params=p,
         )
 
     raise AssertionError("unreachable")
@@ -529,28 +563,24 @@ def _worst(values, start=0.0):
 _SAMPLE_RADIUS = 2.0  # validate_problem draws x, y and z from [-2, 2]
 
 
-def _check_broadcast(p: GameProblem, t, x, y, z):
-    """Raise unless one broadcast call of drift, diffusion and generator at
-    knot ``t`` gives, for every control pair, the bits of that pair's call.
-
-    ``x`` is (m, k), ``y`` (m,) and ``z`` (m, d), shared by every pair.
-    """
-    pairs = _control_pairs(p)
-    for name, args, rank in (("drift", (x,), 2), ("diffusion", (x,), 3),
-                             ("generator", (x, y, z), 1)):
-        fn = getattr(p, name)
-        want = np.array([np.asarray(fn(t, *args, u, v), dtype=float)
-                         for u, v, _, _ in pairs])
-        want = want.reshape((p.u_grid.size, p.v_grid.size) + want.shape[1:])
-        try:  # a callable that cannot take arrays fails the check too
-            got = np.broadcast_to(np.asarray(fn(t, *args, *_broadcast_points(p, rank)),
-                                             dtype=float), want.shape)
-        except (TypeError, ValueError):
-            got = None
-        if got is None or not np.array_equal(got.view(np.int64), want.view(np.int64)):
-            raise ProblemError(
-                f"{name} declares broadcast controls, but one call with every "
-                "control pair differs from the per-pair calls")
+def _check_broadcast(p: GameProblem, t, x, y, z, rng):
+    """Raise unless one call of drift, diffusion and generator at knot ``t``
+    on ``x`` (m, k), ``y`` (m,) and ``z`` (m, d) gives the per-pair bits, for
+    every control pair and for per-state grid indices drawn from ``rng``."""
+    drawn = rng.integers(0, p.u_grid.size, len(x)), rng.integers(0, p.v_grid.size, len(x))
+    for name, args in (("drift", ()), ("diffusion", ()), ("generator", (y, z))):
+        for form, idx in (("every control pair", (None, None)),
+                          ("a control pair per state", drawn)):
+            want = _per_pair(p, name, t, x, args, *idx)
+            try:  # a callable that cannot take arrays fails the check too
+                got = _broadcast(p, name, t, x, args, *idx)
+                same = np.array_equal(got.view(np.int64), want.view(np.int64))
+            except (TypeError, ValueError):
+                same = False
+            if not same:
+                raise ProblemError(
+                    f"{name} declares broadcast controls by its scalar control points, "
+                    f"but one call with {form} differs from the per-pair calls")
 
 
 def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationReport:
@@ -562,11 +592,11 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
     observed difference quotient to its assumed bound.  Identical calls
     return identical reports.  Per sample, drift, diffusion and generator
     see the (3, k) batch of states (0, x, x') once each, the obstacles x;
-    the first non-finite value, in sample order, raises.  A problem that
-    declares ``broadcast_controls`` must then give the per-pair bits from
-    one broadcast call of each of the three, on all sampled states at the
-    first sampled time, or :class:`ProblemError` names the callable.
-    """
+    the first non-finite value, in sample order, raises.  With scalar
+    control points, one call of each of the three with every control pair,
+    and one with random per-state grid indices (drawn after the samples),
+    must then give the per-pair bits on all sampled states at the first
+    sampled time, or :class:`ProblemError` names the callable."""
     if samples < 1:
         raise ProblemError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -601,8 +631,8 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
         i, c = divmod(int(np.argmin(ok)), ok.shape[1])
         name = (("drift", "diffusion") * 3 + ("generator",) * 2 + ("obstacles",))[c]
         raise _nonfinite(name, float(ts[i]), X[i, (0, 0, 1, 1, 2, 2, 0, 1, 1)[c]])
-    if p.broadcast_controls:
-        _check_broadcast(p, float(ts[0]), X.reshape(-1, k), Y.reshape(-1), Z.reshape(-1, d))
+    if _scalar_controls(p):
+        _check_broadcast(p, float(ts[0]), X.reshape(-1, k), Y.ravel(), Z.reshape(-1, d), rng)
 
     def norm(a):  # Euclidean norm over the last axis
         return np.sqrt(np.sum(a ** 2, axis=-1))

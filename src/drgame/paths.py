@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError, _control_pairs, _csv
+from .model import GameProblem, NumericsError, ProblemError, _csv, _evaluate, _indices
 
 __all__ = [
     "TimeGrid",
@@ -109,7 +109,7 @@ class ControlPath:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int64)
+        self.values = _indices(self.values, "control path indices")
         if self.values.ndim != 2:
             raise ProblemError("control path values must be (n_paths, n_steps)")
         if np.any(self.values < 0):
@@ -123,6 +123,7 @@ class ControlPath:
 def _check_controls(p: GameProblem, mu: ControlPath, nu: ControlPath, shape):
     """Reject control paths not of ``shape`` (n_paths, n_steps) or off p's grids."""
     for cp, grid in ((mu, p.u_grid), (nu, p.v_grid)):
+        _indices(cp.values, "control path indices")
         if cp.values.shape != shape:
             raise ProblemError("control path shape does not match the ensemble")
         cp.check_range(grid.size)
@@ -160,12 +161,9 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEn
 
 def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
                   nu: ControlPath) -> StatePaths:
-    """Explicit forward step X_{j+1} = X_j + b dt + sigma dW_j along every path.
-
-    Coefficients are evaluated in batches grouped by the control pair active
-    at the step, so the per-step cost is one vectorised call per distinct
-    (u, v) combination.
-    """
+    """Explicit forward step X_{j+1} = X_j + b dt + sigma dW_j along every path;
+    each step calls drift and diffusion once for all paths, each path at its
+    own control pair (once per distinct pair for array-valued points)."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (p.state_dim,):
         raise ProblemError(f"x0 must have shape ({p.state_dim},)")
@@ -181,13 +179,11 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
     for j in range(n_steps):
         t = float(knots[j])
         xj = X[:, j]
-        xn = X[:, j + 1]
-        for u, v, _, idx in _control_pairs(p, mu.values[:, j], nu.values[:, j]):
-            xb = xj[idx]
-            bv = np.asarray(p.drift(t, xb, u, v), dtype=float)
-            sv = np.asarray(p.diffusion(t, xb, u, v), dtype=float)
-            xn[idx] = xb + bv * dt + np.einsum("mkd,md->mk", sv, ens.dW[idx, j])
-        bad = ~np.isfinite(xn).all(axis=1)
+        ui, vi = mu.values[:, j], nu.values[:, j]
+        bv = _evaluate(p, "drift", t, xj, ui=ui, vi=vi)
+        sv = _evaluate(p, "diffusion", t, xj, ui=ui, vi=vi)
+        X[:, j + 1] = xj + bv * dt + np.einsum("mkd,md->mk", sv, ens.dW[:, j])
+        bad = ~np.isfinite(X[:, j + 1]).all(axis=1)
         if bad.any():
             ip = int(np.nonzero(bad)[0][0])
             raise NumericsError(f"non-finite state at step {j + 1}, path {ip}")
@@ -229,7 +225,7 @@ def paste_controls(mu: ControlPath, replacements) -> ControlPath:
     out = mu.values.copy()
     seen = np.zeros(n_paths, dtype=bool)
     for path_set, knot, repl in replacements:
-        idx = np.asarray(path_set, dtype=np.int64).ravel()
+        idx = _indices(path_set, "path indices").ravel()
         if idx.size == 0:
             continue
         if np.any(idx < 0) or np.any(idx >= n_paths):
@@ -241,7 +237,7 @@ def paste_controls(mu: ControlPath, replacements) -> ControlPath:
         if knot < 0 or knot > n_steps:
             raise ProblemError(f"knot index {knot} out of range")
         width = n_steps - knot
-        vals = np.asarray(repl, dtype=np.int64)
+        vals = _indices(repl, "replacement control indices")
         if vals.ndim == 1:
             if vals.shape[0] != width:
                 raise ProblemError("replacement does not cover [knot, T]")

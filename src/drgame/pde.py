@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, ProblemError, _control_pairs, _csv
-from .game import (Lattice, ValueSurface, _check_grid, _check_order,
-                   _generator, _saddle, backward_sweep, build_lattice,
-                   value_backward_induction)
+from .model import GameProblem, ProblemError, _control_pairs, _csv, _evaluate
+from .game import (Lattice, ValueSurface, _check_grid, _check_order, _saddle,
+                   backward_sweep, build_lattice, value_backward_induction)
 
 __all__ = [
     "CrossCheckReport",
@@ -117,7 +116,7 @@ def _layer_derivatives(w, dx):
 
 def _hamiltonians(p, t, x_col, w, d2, dc, b, sig):
     """H per (u, v, node) from one layer's derivatives and coefficients."""
-    fv = _generator(p, t, x_col, w, (dc * sig)[..., None])
+    fv = _evaluate(p, "generator", t, x_col, w, (dc * sig)[..., None])
     return 0.5 * sig * sig * d2 + b * dc + fv
 
 

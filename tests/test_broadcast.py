@@ -1,5 +1,5 @@
-"""Broadcast controls: a problem that declares ``broadcast_controls`` is
-called once per callable per layer, and must give the per-pair bits."""
+"""Broadcast controls: a problem with scalar control points is called once
+per callable per layer or step, and must give the per-pair bits."""
 
 from dataclasses import replace
 
@@ -12,6 +12,7 @@ from drgame import (ControlGrid, ProblemError, TimeGrid, build_lattice,
                     solve_drbsde_lattice, solve_drbsde_lsmc, solve_obstacle_pde,
                     validate_problem, value_backward_induction)
 from drgame import cli
+from drgame.model import _scalar_controls
 from drgame.paths import ControlPath
 
 
@@ -28,15 +29,21 @@ def wide_linear_quadratic():
                    v_grid=ControlGrid(points=tuple(np.linspace(1.0, 2.0, 21))))
 
 
+def one_element_points(p):
+    """``p`` with each scalar control point as a 1-element array: the solvers
+    then call every callable once per control pair in use."""
+    return replace(p, **{g: replace(getattr(p, g), points=tuple(
+        np.array([u]) for u in getattr(p, g).points)) for g in ("u_grid", "v_grid")})
+
+
 PROBLEMS = [make_preset(name, {}) for name in preset_names()] + [wide_linear_quadratic()]
 
 
 @pytest.fixture(params=PROBLEMS, ids=lambda p: p.name)
 def both(request):
-    """A declared problem and its undeclared copy, which calls every pair."""
+    """A problem with scalar control points and its per-pair reference."""
     p = request.param
-    assert p.broadcast_controls
-    return p, replace(p, broadcast_controls=False)
+    return p, one_element_points(p)
 
 
 class TestBothPathsGiveTheSameBits:
@@ -88,6 +95,7 @@ class TestBothPathsGiveTheSameBits:
         ens = simulate_brownian(grid, n_paths, 1, seed=5)
         for mu, nu in controls:
             states = euler_forward(p, ens, [0.1], mu, nu)
+            assert same_bits(states.X, euler_forward(q, ens, [0.1], mu, nu).X)
             a = solve_drbsde_lsmc(p, states, mu, nu, se_batches=4)
             b = solve_drbsde_lsmc(q, states, mu, nu, se_batches=4)
             assert same_bits(a.Y, b.Y) and same_bits(a.Z, b.Z)
@@ -97,24 +105,46 @@ class TestBothPathsGiveTheSameBits:
 class TestDeclaration:
     LQ = make_preset("linear-quadratic", {})
 
-    def test_array_valued_control_points_are_rejected(self):
-        grid = ControlGrid(points=((0.0, 1.0), (1.0, 0.0)))
-        with pytest.raises(ProblemError, match="scalar control points"):
-            replace(self.LQ, u_grid=grid)
-        assert not replace(self.LQ, u_grid=grid, broadcast_controls=False).broadcast_controls
+    @staticmethod
+    def counted(p, calls):
+        """``p`` with drift and diffusion that count their calls in ``calls``."""
+        def wrap(name):
+            def fn(t, x, u, v):
+                calls[name] += 1
+                return getattr(p, name)(t, x, u, v)
+            return fn
+        return replace(p, drift=wrap("drift"), diffusion=wrap("diffusion"))
+
+    def test_array_valued_control_points_take_the_per_pair_path(self):
+        pairs_of_points = ControlGrid(points=((0.0, 1.0), (1.0, 0.0)))
+        assert not _scalar_controls(replace(self.LQ, u_grid=pairs_of_points))
+        calls = {"drift": 0, "diffusion": 0}
+        build_lattice(self.counted(one_element_points(self.LQ), calls), 50, -4, 4, 21)
+        assert calls == {"drift": 50 * 4, "diffusion": 50 * 4}
+        # a generator written for one point runs, and validates, on such grids
+        p = one_element_points(replace(self.LQ, generator=self.item_generator))
+        value_backward_induction(p, build_lattice(p, 50, -4, 4, 21), "supinf")
+        assert validate_problem(p, samples=50, seed=1).passed
 
     def test_each_callable_is_called_once_per_knot_by_the_scan(self):
         calls = {"drift": 0, "diffusion": 0}
-
-        def counted(name):
-            def fn(t, x, u, v):
-                calls[name] += 1
-                return getattr(self.LQ, name)(t, x, u, v)
-            return fn
-
-        p = replace(self.LQ, drift=counted("drift"), diffusion=counted("diffusion"))
-        build_lattice(p, 50, -4, 4, 21)
+        build_lattice(self.counted(self.LQ, calls), 50, -4, 4, 21)
         assert calls == {"drift": 50, "diffusion": 50}
+
+    def test_euler_calls_each_coefficient_once_per_step(self):
+        p = wide_linear_quadratic()
+        n_paths, n_steps = 2000, 50
+        rng = np.random.default_rng(2)
+        mu = ControlPath(rng.integers(0, p.u_grid.size, (n_paths, n_steps)))
+        nu = ControlPath(rng.integers(0, p.v_grid.size, (n_paths, n_steps)))
+        ens = simulate_brownian(TimeGrid(0.0, p.horizon, n_steps), n_paths, 1, seed=4)
+        calls = {"drift": 0, "diffusion": 0}
+        euler_forward(self.counted(p, calls), ens, [0.0], mu, nu)
+        assert calls == {"drift": n_steps, "diffusion": n_steps}
+
+    @staticmethod
+    def item_generator(t, x, y, z, u, v):
+        return 0.5 * x[..., 0] + 1.0 * u.item() * (v.item() - 1.5)
 
     @staticmethod
     def float_u_generator(t, x, y, z, u, v):
@@ -131,8 +161,26 @@ class TestDeclaration:
         p = replace(self.LQ, generator=getattr(self, gen))
         with pytest.raises(ProblemError, match="^generator declares broadcast controls"):
             validate_problem(p, samples=50, seed=1)
-        # the same callable is fine without the declaration
-        validate_problem(replace(p, broadcast_controls=False), samples=50, seed=1)
+
+    @staticmethod
+    def all_pairs_only_drift(t, x, u, v):
+        # right for one point and for (nU, 1, 1, 1) points, but gathered (m, 1)
+        # points become (m, 1, 1, 1)
+        return 0.0 * x + np.reshape(u, (-1, 1, 1, 1) if np.ndim(u) else ())
+
+    def test_validate_checks_the_gathered_form(self, tmp_path, monkeypatch):
+        bad = replace(self.LQ, drift=self.all_pairs_only_drift)
+        # the all-pairs form is right
+        assert same_bits(build_lattice(bad, 50, -4, 4, 21).shared_stencil.b,
+                         build_lattice(self.LQ, 50, -4, 4, 21).shared_stencil.b)
+        with pytest.raises(ProblemError, match="^drift declares .* a control pair per state"):
+            validate_problem(bad, samples=50, seed=1)
+        monkeypatch.setattr(cli, "make_preset", lambda name, params: bad)
+        conf = tmp_path / "lq.ini"
+        conf.write_text("[problem]\npreset = linear-quadratic\n[mc]\nsamples = 50\n")
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", str(conf), "--out", str(out)]) == 3
+        assert "error=drift declares" in (out / "run.txt").read_text()
 
     def test_validate_names_the_callable(self):
         def diffusion(t, x, u, v):  # 2 for one pair, 1 for a grid of v

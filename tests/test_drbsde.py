@@ -98,6 +98,14 @@ class TestLatticeSolver:
         tabled = solve_drbsde_lattice(p, lat, mu=table, nu=0)
         assert np.array_equal(frozen.Y, tabled.Y)
 
+    def test_fractional_node_controls_are_rejected(self):
+        p = make_preset("uncertain-volatility", {"h": "square"})
+        lat = build_lattice(p, 64, -6, 6, 25)
+        with pytest.raises(ProblemError, match="mu control indices must be integers"):
+            solve_drbsde_lattice(p, lat, mu=0.9)
+        with pytest.raises(ProblemError, match="nu control indices must be integers"):
+            solve_drbsde_lattice(p, lat, nu=np.zeros((64, 25)))
+
     def test_mixed_node_controls_sit_between_frozen_regimes(self):
         p = make_preset("uncertain-volatility", {"h": "square"})
         lat = build_lattice(p, 256, -6, 6, 49)
@@ -229,6 +237,14 @@ class TestStability:
         sol = solve_drbsde_lattice(p, lat)
         rep = stability_gap(lat, p, sol, p, sol, varpi=2.0)
         assert rep.gap == 0.0 and rep.driver == 0.0
+
+    def test_root_index_outside_the_nodes_is_rejected(self):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 50, -3, 3, 31)
+        sol = solve_drbsde_lattice(p, lat)
+        for root in (-1, 31):
+            with pytest.raises(ProblemError, match="root_index"):
+                stability_gap(lat, p, sol, p, sol, varpi=2.0, root_index=root)
 
     def test_uniform_terminal_shift_is_exact(self):
         eps = 0.25

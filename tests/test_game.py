@@ -208,7 +208,7 @@ class TestNodeStencil:
     def test_gathered_stencil_matches_the_per_layer_one_bit_for_bit(self):
         # the second problem freezes the nodes whose u picks sigma = 0
         frozen = replace(scalar_problem(), u_grid=ControlGrid(points=(1.0, 0.0)),
-                         diffusion=lambda t, x, u, v: np.full(np.shape(x)[:-1] + (1, 1), u))
+                         diffusion=lambda t, x, u, v: u * np.ones(np.shape(x)[:-1] + (1, 1)))
         rng = np.random.default_rng(11)
         for p in (make_preset("linear-quadratic", {}), frozen):
             lat = build_lattice(p, 100, -4, 4, 41)
@@ -338,11 +338,13 @@ class TestSharedStencil:
             calls.append(t)
             return base.drift(t, x, u, v)
 
-        declared = replace(base, drift=drift)
+        scalar = replace(base, drift=drift)
+        per_pair = replace(scalar, **{g: replace(getattr(base, g), points=tuple(
+            np.array([u]) for u in getattr(base, g).points)) for g in ("u_grid", "v_grid")})
         pairs = base.u_grid.size * base.v_grid.size
-        # the scan calls a declared drift once per knot, an undeclared one per pair
-        for p, scan_calls in ((declared, 100), (replace(declared, broadcast_controls=False),
-                                                100 * pairs)):
+        # the scan calls the drift once per knot on scalar control points, and
+        # once per pair and knot on 1-element array points
+        for p, scan_calls in ((scalar, 100), (per_pair, 100 * pairs)):
             calls.clear()
             lat = build_lattice(p, 100, -4, 4, 41)
             assert len(calls) == scan_calls
@@ -668,3 +670,15 @@ class TestOccupancy:
         lat = build_lattice(p, 100, -1.0, 1.0, 21)
         _, folded = lattice_occupancy(lat)
         assert folded > 1e-3
+
+    @pytest.mark.parametrize("root", [-1, 41, 2.0])
+    def test_root_index_outside_the_nodes_is_rejected(self, root):
+        lat = build_lattice(make_preset("dynkin-flat", {}), 50, -6, 6, 41)
+        with pytest.raises(ProblemError, match="root_index"):
+            lattice_occupancy(lat, root_index=root)
+
+    def test_fractional_node_controls_are_rejected(self):
+        lat = build_lattice(make_preset("linear-quadratic", {}), 50, -4, 4, 21)
+        for mu in (0.9, np.full((50, 21), 1.0)):
+            with pytest.raises(ProblemError, match="mu control indices must be integers"):
+                lattice_occupancy(lat, mu=mu)

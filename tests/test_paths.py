@@ -281,3 +281,20 @@ class TestPaste:
         mu = ControlPath(values=np.zeros((4, 6), dtype=int))
         with pytest.raises(ProblemError, match="out of range"):
             paste_controls(mu, [([9], 2, np.zeros(4, dtype=int))])
+
+    def test_fractional_indices_are_rejected(self):
+        with pytest.raises(ProblemError, match="control path indices must be integers"):
+            ControlPath([[0.7, 1.2]])
+        mu = ControlPath(values=np.zeros((4, 6), dtype=int))
+        with pytest.raises(ProblemError, match="replacement control indices must be"):
+            paste_controls(mu, [([1], 2, [0.5, 1.0, 1.0, 1.0])])
+        with pytest.raises(ProblemError, match="path indices must be integers"):
+            paste_controls(mu, [([1.5], 2, [1, 1, 1, 1])])
+
+    def test_euler_rejects_a_fractional_table_set_after_construction(self):
+        p = make_preset("uncertain-volatility", {})
+        ens = simulate_brownian(TimeGrid(0.0, 1.0, 6), 4, 1, seed=0)
+        mu, nu = constant_controls(4, 6), constant_controls(4, 6)
+        mu.values = np.full((4, 6), 0.5)
+        with pytest.raises(ProblemError, match="control path indices must be integers"):
+            euler_forward(p, ens, [0.0], mu, nu)
