@@ -53,7 +53,7 @@ from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
 from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
-from .pde import _refine, cross_check, solve_obstacle_pde, viscosity_residual
+from .pde import cross_check, refinement_study, solve_obstacle_pde, viscosity_residual
 from .linalg import random_spd, spd_sqrt_series
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
@@ -345,18 +345,19 @@ def _cmd_value(cfg, out):
     lat = _lattice(cfg, prob)
     surf = value_backward_induction(prob, lat, cfg.order)
     _write_text(out / "surface.csv", surf.to_csv())
-    return 0, {"result.root": f"{surf.root():.17g}", **_lattice_diag(lat)}
+    root = np.interp(cfg.x0, lat.x_nodes, surf.W[0])  # as crosscheck reads it
+    return 0, {"result.root": f"{root:.17g}", **_lattice_diag(lat)}
 
 def _cmd_pde(cfg, out):
     prob = _problem(cfg)
     g = _lattice(cfg, prob)
     surf = solve_obstacle_pde(prob, g, cfg.order)
     resid = viscosity_residual(prob, g, surf, cfg.order)
-    study = _refine(prob, cfg.order, g, surf, levels=2, x0=cfg.x0)
+    study = refinement_study(prob, g, surf, cfg.order, levels=2, x0=cfg.x0)
     _write_text(out / "surface.csv", surf.to_csv())
     _write_text(out / "residual.csv", resid.to_csv())
     _write_text(out / "convergence.csv", study.to_csv())
-    return 0, {"result.root": f"{surf.root():.17g}",
+    return 0, {"result.root": f"{study.roots[0]:.17g}",
                "result.max_residual": f"{resid.max_abs:.17g}", **_lattice_diag(g)}
 
 def _cmd_dynkin_oracle(cfg, out):

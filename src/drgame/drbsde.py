@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError, _csv, _evaluate
-from .game import (Lattice, _check_grid, _layer_stencils, _node_controls,
-                   backward_sweep, lattice_occupancy)
-from .paths import StatePaths, TimeGrid, _check_controls
+from .model import (GameProblem, NumericsError, ProblemError, _control_tables, _csv,
+                    _evaluate, _point_index)
+from .game import Lattice, _check_grid, _layer_stencils, backward_sweep, lattice_occupancy
+from .paths import StatePaths, TimeGrid
 
 __all__ = [
     "DrbsdeSolution",
@@ -75,7 +75,7 @@ class DrbsdeSolution:
         return float(self.Y[0, 0]) if self.mode == "lsmc" else float(np.nan)
 
     def root_at(self, index: int) -> float:
-        return float(self.Y[0, index])
+        return float(self.Y[0, _point_index(index, self.Y.shape[1], "index")])
 
     def to_csv(self) -> str:
         d = self.Z.shape[2]
@@ -93,14 +93,13 @@ class DrbsdeSolution:
 def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolution:
     """Backward clamp recursion on the lattice under fixed node controls.
 
-    ``mu``/``nu`` are either a single grid index (control frozen everywhere)
-    or (n_steps, n_nodes) index tables into the control grids, which must be
+    ``mu``/``nu`` are each one grid index (control frozen everywhere) or an
+    (n_steps, n_nodes) index table into the control grids, which must be
     the ones ``lat`` was built with.
     """
     _check_grid(p, lat)
     n_steps, n = lat.grid.n_steps, lat.n_nodes
-    mu = _node_controls(mu, n_steps, n, p.u_grid.size, "mu")
-    nu = _node_controls(nu, n_steps, n, p.v_grid.size, "nu")
+    mu, nu = _control_tables(p, mu, nu, (n_steps, n))
 
     dt = lat.dt
     xb = lat.x_nodes[:, None]
@@ -215,7 +214,7 @@ def _fit(designs, targets, step):
     return fits, rank, cond, fallback
 
 
-def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, stats):
+def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
     """The recursion with one regression per step and block of paths
     [edges[b], edges[b + 1]); the clamp and the generator act per path.
     With the ``poly`` basis the clamp reads the obstacles from the design's
@@ -249,8 +248,7 @@ def _lsmc_backward(p, states, mu_vals, nu_vals, basis, degree, n_bins, edges, st
         for s, fit in zip(blocks, fits):
             e[s] = fit[:, 0]
             Z[j, s] = fit[:, 1:] / dt
-        return e + dt * _evaluate(p, "generator", t, xj, e, Z[j], ui=mu_vals[:, j],
-                                    vi=nu_vals[:, j])
+        return e + dt * _evaluate(p, "generator", t, xj, e, Z[j], ui=mu[:, j], vi=nu[:, j])
 
     obstacles = (lambda j: (design[:, -2], design[:, -1])) if basis == "poly" else None
     Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step,
@@ -268,6 +266,8 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     increments proceed exactly as in lattice mode.  At the initial layer
     the cross-section is a point, so the projection degenerates to the
     plain sample mean, which is the correct conditional expectation there.
+    ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index
+    table, as for :func:`euler_forward`.
 
     ``se_batches > 0`` additionally runs the recursion on that many
     disjoint path batches and stores the batch-means standard error of the
@@ -285,9 +285,9 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
     n_paths = states.X.shape[0]
-    _check_controls(p, mu, nu, (n_paths, states.grid.n_steps))
+    mu, nu = _control_tables(p, mu, nu, (n_paths, states.grid.n_steps))
     stats = []
-    args = (p, states, mu.values, nu.values, basis, degree, n_bins)
+    args = (p, states, mu, nu, basis, degree, n_bins)
 
     se_root = None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
@@ -379,17 +379,17 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
     difference evaluated along the second solution, mirroring the a-priori
     bound this ratio is screened against.  Obstacles must agree between the
     two problems (checked on the grid), and both must have ``lat``'s control
-    grids.
+    grids.  ``mu``/``nu`` are the node controls of both solutions, as in
+    :func:`solve_drbsde_lattice`.
     """
     for p in (p1, p2):
         _check_grid(p, lat)
     if not 1.0 < varpi <= p1.holder_q:
         raise ProblemError(f"varpi must lie in (1, q], got {varpi}")
-    if not (np.isscalar(mu) and np.isscalar(nu)):
-        raise ProblemError("stability_gap supports frozen (scalar-index) controls")
     if sol1.Y.shape != sol2.Y.shape or sol1.grid != sol2.grid:
         raise ProblemError("solutions do not live on a common lattice grid")
     n_time, n = sol1.Y.shape
+    mu, nu = _control_tables(p1, mu, nu, (n_time - 1, n))
     knots = sol1.grid.knots
     xb = lat.x_nodes[:, None]
     for j in range(n_time):
@@ -411,8 +411,8 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
         t = float(knots[j])
         y2 = sol2.Y[j]
         z2 = sol2.Z[j]
-        f1 = _evaluate(p1, "generator", t, xb, y2, z2, ui=mu, vi=nu)
-        f2 = _evaluate(p2, "generator", t, xb, y2, z2, ui=mu, vi=nu)
+        f1 = _evaluate(p1, "generator", t, xb, y2, z2, ui=mu[j], vi=nu[j])
+        f2 = _evaluate(p2, "generator", t, xb, y2, z2, ui=mu[j], vi=nu[j])
         acc += dt * float(np.sum(pi[j] * np.abs(f1 - f2)))
     driver = term + acc ** varpi
     return StabilityReport(gap=gap, driver=driver)

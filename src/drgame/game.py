@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (ControlGrid, GameProblem, NumericsError, ProblemError, _csv,
-                    _evaluate, _indices, _one_index)
+from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
+                    _control_tables, _csv, _evaluate, _one_index, _point_index)
 from .paths import TimeGrid
 
 __all__ = [
@@ -85,9 +85,9 @@ class ValueSurface:
     kind: str
 
     def root(self, x_index=None) -> float:
-        if x_index is None:
-            x_index = len(self.x_nodes) // 2
-        return float(self.W[0, x_index])
+        n = len(self.x_nodes)
+        i = n // 2 if x_index is None else _point_index(x_index, n, "x_index")
+        return float(self.W[0, i])
 
     def to_csv(self) -> str:
         j, i = np.indices(self.W.shape).reshape(2, -1)
@@ -767,21 +767,6 @@ def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
 # occupancy
 # ---------------------------------------------------------------------------
 
-def _node_controls(ctrl, n_steps, n_nodes, grid_size, name):
-    """Validated node controls, a grid index or an (n_steps, n_nodes) table,
-    as that table; one index becomes a zero-stride view of it."""
-    idx = _indices(ctrl, f"{name} control indices")
-    table = np.broadcast_to(idx, (n_steps, n_nodes)) if idx.ndim == 0 else idx
-    if table.shape != (n_steps, n_nodes):
-        raise ProblemError(
-            f"{name} node-control assignment must be an index or an array "
-            f"of shape ({n_steps}, {n_nodes})"
-        )
-    if idx.min() < 0 or idx.max() >= grid_size:
-        raise ProblemError(f"{name} control index out of range")
-    return table
-
-
 def _layer_stencils(lat: Lattice, mu, nu):
     """j -> layer j's stencil under the validated (n_steps, n) control
     tables ``mu``/``nu``; one pair for every node and layer of a shared
@@ -803,14 +788,9 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     when the domain is wide enough).
     """
     n_steps, n = lat.grid.n_steps, lat.n_nodes
-    mu = _node_controls(mu, n_steps, n, lat.problem.u_grid.size, "mu")
-    nu = _node_controls(nu, n_steps, n, lat.problem.v_grid.size, "nu")
-    if root_index is None:
-        root_index = n // 2
-    if not (isinstance(root_index, (int, np.integer)) and 0 <= root_index < n):
-        raise ProblemError(f"root_index must be a node index in [0, {n}), got {root_index!r}")
+    mu, nu = _control_tables(lat.problem, mu, nu, (n_steps, n))
     pi = np.zeros((n_steps + 1, n))
-    pi[0, root_index] = 1.0
+    pi[0, n // 2 if root_index is None else _point_index(root_index, n, "root_index")] = 1.0
     folded = 0.0
     stencil = _layer_stencils(lat, mu, nu)
     for j in range(n_steps):

@@ -29,6 +29,9 @@ points of one pair per state, of shape ``(m,) + (1,) * (r - 1)``, and must
 give the per-pair bits, which :func:`validate_problem` checks.
 Array-valued points are passed one pair at a time.
 
+Each player's control is one grid index or an integer index table of the
+route's shape, checked for every solver by one rule (:func:`_control_tables`).
+
 The built-in catalog (:func:`make_preset`) covers four families; everything
 else can be built by calling :class:`GameProblem` directly with custom maps.
 Standing regularity assumptions are not provable for black-box callables, so
@@ -150,6 +153,38 @@ def _indices(values, what):
     if a.dtype.kind not in "iu" and a.size:
         raise ProblemError(f"{what} must be integers, got dtype {a.dtype}")
     return a.astype(np.int64, copy=False)
+
+
+def _point_index(i, n, name):
+    """``i`` when it is an integer index in [0, n); ProblemError otherwise."""
+    if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+        raise ProblemError(f"{name} must be an index in [0, {n}), got {i!r}")
+    return i
+
+
+def _control_table(ctrl, shape, size, name):
+    """One player's controls as an int64 index table of ``shape``, indices in
+    [0, size); one index becomes a read-only zero-stride view, range-checked
+    by its one value.  ``shape`` None fits any 2-d table and ``size`` None
+    any index >= 0, for :func:`paste_controls`, which knows neither."""
+    a = _indices(ctrl, f"{name} control indices")
+    table = np.broadcast_to(a, shape) if a.ndim == 0 and shape else a
+    if table.ndim != 2 or shape and table.shape != shape:
+        raise ProblemError(f"{name} controls of shape {a.shape} do not fit the "
+                           f"tables {shape or '(n_paths, n_steps)'} of their route")
+    one = table if any(table.strides) else table[:1, :1]
+    if one.size and (one.min() < 0 or size is not None and one.max() >= size):
+        raise ProblemError(f"{name} control index out of range for its grid"
+                           + ("" if size is None else f" of {size} points"))
+    return table
+
+
+def _control_tables(p, mu, nu, shape):
+    """Both players' controls as index tables of ``shape`` into ``p``'s grids:
+    (n_steps, n_nodes) on a lattice, (n_paths, n_steps) along paths.  Every
+    solver checks its controls here and nowhere else."""
+    return (_control_table(mu, shape, p.u_grid.size, "mu"),
+            _control_table(nu, shape, p.v_grid.size, "nu"))
 
 
 def _one_index(idx):

@@ -1,6 +1,6 @@
 """Time grids, Brownian ensembles and forward simulation of the controlled
 state equation, plus the two path-surgery operations (concatenation of a
-path with a continuation, and pasting of controls on selected paths).
+path with a continuation, and pasting into a path table of control indices).
 
 Randomness is counter-based: the increments of path ``p`` are the standard
 normals of a Philox stream keyed ``(seed mod 2**64, p)``, reshaped to
@@ -13,17 +13,17 @@ across platforms and any worker layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameProblem, NumericsError, ProblemError, _csv, _evaluate, _indices
+from .model import (GameProblem, NumericsError, ProblemError, _control_table,
+                    _control_tables, _csv, _evaluate, _indices)
 
 __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "StatePaths",
-    "ControlPath",
     "simulate_brownian",
     "euler_forward",
     "concat_paths",
@@ -102,36 +102,10 @@ class StatePaths:
                     *np.indices(self.X.shape).reshape(3, -1), self.X.ravel())
 
 
-@dataclass
-class ControlPath:
-    """Per-path, per-step indices into a control grid, shape (n_paths, n_steps)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _indices(self.values, "control path indices")
-        if self.values.ndim != 2:
-            raise ProblemError("control path values must be (n_paths, n_steps)")
-        if np.any(self.values < 0):
-            raise ProblemError("control indices must be nonnegative")
-
-    def check_range(self, grid_size: int):
-        if np.any(self.values >= grid_size):
-            raise ProblemError("control index out of range for the control grid")
-
-
-def _check_controls(p: GameProblem, mu: ControlPath, nu: ControlPath, shape):
-    """Reject control paths not of ``shape`` (n_paths, n_steps) or off p's grids."""
-    for cp, grid in ((mu, p.u_grid), (nu, p.v_grid)):
-        _indices(cp.values, "control path indices")
-        if cp.values.shape != shape:
-            raise ProblemError("control path shape does not match the ensemble")
-        cp.check_range(grid.size)
-
-
-def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> ControlPath:
-    """Grid index ``index`` at every (path, step): a read-only zero-stride view."""
-    return ControlPath(values=np.broadcast_to(np.int64(index), (n_paths, n_steps)))
+def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> np.ndarray:
+    """Grid index ``index`` at every (path, step): a read-only zero-stride
+    int64 table, so it takes no memory per path and is checked in O(1)."""
+    return np.broadcast_to(_indices(index, "control index"), (n_paths, n_steps))
 
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEnsemble:
@@ -159,18 +133,18 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEn
     return PathEnsemble(grid=grid, n_paths=n_paths, d=d, seed=seed, dW=dW)
 
 
-def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
-                  nu: ControlPath) -> StatePaths:
+def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:
     """Explicit forward step X_{j+1} = X_j + b dt + sigma dW_j along every path;
     each step calls drift and diffusion once for all paths, each path at its
-    own control pair (once per distinct pair for array-valued points)."""
+    own control pair (once per distinct pair for array-valued points).
+    ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index table."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (p.state_dim,):
         raise ProblemError(f"x0 must have shape ({p.state_dim},)")
     n_paths, n_steps = ens.n_paths, ens.grid.n_steps
     if ens.d != p.noise_dim:
         raise ProblemError("ensemble noise dimension does not match the problem")
-    _check_controls(p, mu, nu, (n_paths, n_steps))
+    mu, nu = _control_tables(p, mu, nu, (n_paths, n_steps))
 
     dt = ens.grid.dt
     knots = ens.grid.knots
@@ -179,7 +153,7 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu: ControlPath,
     for j in range(n_steps):
         t = float(knots[j])
         xj = X[:, j]
-        ui, vi = mu.values[:, j], nu.values[:, j]
+        ui, vi = mu[:, j], nu[:, j]
         bv = _evaluate(p, "drift", t, xj, ui=ui, vi=vi)
         sv = _evaluate(p, "diffusion", t, xj, ui=ui, vi=vi)
         X[:, j + 1] = xj + bv * dt + np.einsum("mkd,md->mk", sv, ens.dW[:, j])
@@ -213,16 +187,18 @@ def concat_paths(grid: TimeGrid, omega: np.ndarray, s, omega_tilde: np.ndarray) 
     return out
 
 
-def paste_controls(mu: ControlPath, replacements) -> ControlPath:
+def paste_controls(mu, replacements) -> np.ndarray:
     """Swap in replacement controls from a knot onward on selected paths.
 
-    ``replacements`` is a list of ``(path_indices, knot_index, values)``
-    where ``values`` covers the steps ``knot_index .. n_steps - 1`` either
-    as a single row (shared by the whole path set) or one row per path.
-    Path sets must be disjoint; unlisted paths keep ``mu`` unchanged.
+    ``mu`` is any (n_paths, n_steps) index table; the result is a writable
+    int64 copy.  ``replacements`` is a list of ``(path_indices, knot_index,
+    values)`` where ``values`` covers the steps ``knot_index .. n_steps - 1``
+    either as a single row (shared by the whole path set) or one row per
+    path.  Path sets must be disjoint; unlisted paths keep ``mu`` unchanged.
+    Indices must be >= 0; the solver that takes the table checks its grid.
     """
-    n_paths, n_steps = mu.values.shape
-    out = mu.values.copy()
+    out = _control_table(mu, None, None, "mu").copy()
+    n_paths, n_steps = out.shape
     seen = np.zeros(n_paths, dtype=bool)
     for path_set, knot, repl in replacements:
         idx = _indices(path_set, "path indices").ravel()
@@ -233,17 +209,12 @@ def paste_controls(mu: ControlPath, replacements) -> ControlPath:
         if np.any(seen[idx]):
             raise ProblemError("replacement path sets overlap")
         seen[idx] = True
-        knot = int(knot)
+        knot = int(_indices(knot, "knot index"))
         if knot < 0 or knot > n_steps:
             raise ProblemError(f"knot index {knot} out of range")
         width = n_steps - knot
         vals = _indices(repl, "replacement control indices")
-        if vals.ndim == 1:
-            if vals.shape[0] != width:
-                raise ProblemError("replacement does not cover [knot, T]")
-            out[idx, knot:] = vals[None, :]
-        else:
-            if vals.shape != (idx.size, width):
-                raise ProblemError("replacement does not cover [knot, T]")
-            out[idx, knot:] = vals
-    return ControlPath(values=out)
+        if vals.shape not in ((width,), (idx.size, width)):
+            raise ProblemError("replacement does not cover [knot, T]")
+        out[idx, knot:] = vals
+    return _control_table(out, None, None, "mu")

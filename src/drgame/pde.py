@@ -216,35 +216,29 @@ class RefinementStudy:
                     [float("nan")] + self.diffs)
 
 
-def refinement_study(p: GameProblem, order: str, base_steps: int,
-                     x_min: float, x_max: float, base_nodes: int,
+def refinement_study(p: GameProblem, g: Lattice, w: ValueSurface, order: str,
                      levels: int = 3, x0: float = None) -> RefinementStudy:
-    """Solve at ``levels`` successive refinements and tabulate root motion.
+    """Root values at ``levels`` successive refinements of the grid ``g``.
 
-    Each level quarters the time step and halves the space step; the root
-    is read at ``x0`` (domain centre by default) by linear interpolation.
+    Level 0 is ``w``, solved by :func:`solve_obstacle_pde` on ``g`` in
+    ``order``; each further level quarters dt and halves dx.  The root is
+    read at ``x0`` (domain centre by default) by linear interpolation.
     """
     if levels < 2:
         raise ProblemError("need at least 2 levels")
-    if x0 is None:
-        x0 = 0.5 * (x_min + x_max)
-    g = build_lattice(p, base_steps, x_min, x_max, base_nodes)
-    return _refine(p, order, g, solve_obstacle_pde(p, g, order), levels, x0)
-
-
-def _refine(p: GameProblem, order: str, g: Lattice, w: ValueSurface,
-            levels: int, x0: float) -> RefinementStudy:
-    """:func:`refinement_study` from a level 0 already solved: ``w`` on ``g``."""
+    if w.W.shape != (g.grid.n_steps + 1, g.n_nodes):
+        raise ProblemError("surface does not live on the given grid")
     x_min, x_max = float(g.x_nodes[0]), float(g.x_nodes[-1])
-    steps, nodes = g.grid.n_steps, g.n_nodes
-    resolutions = []
-    roots = []
+    x0 = 0.5 * (x_min + x_max) if x0 is None else x0
+    if not x_min <= x0 <= x_max:
+        raise ProblemError(f"x0 = {x0!r} outside the grid [{x_min!r}, {x_max!r}]")
+    resolutions, roots = [], []
     for lvl in range(levels):
         if lvl:
-            steps, nodes = 4 * steps, 2 * (nodes - 1) + 1
-            g = build_lattice(p, steps, x_min, x_max, nodes, t0=g.grid.t0)
+            g = build_lattice(p, 4 * g.grid.n_steps, x_min, x_max, 2 * g.n_nodes - 1,
+                              t0=g.grid.t0)
             w = solve_obstacle_pde(p, g, order)
-        resolutions.append(f"{steps}x{nodes}")
+        resolutions.append(f"{g.grid.n_steps}x{g.n_nodes}")
         roots.append(float(np.interp(x0, g.x_nodes, w.W[0])))
     return RefinementStudy(resolutions=resolutions, roots=roots)
 

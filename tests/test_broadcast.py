@@ -13,7 +13,6 @@ from drgame import (ControlGrid, ProblemError, TimeGrid, build_lattice,
                     validate_problem, value_backward_induction)
 from drgame import cli
 from drgame.model import _scalar_controls
-from drgame.paths import ControlPath
 
 
 def same_bits(a, b):
@@ -89,8 +88,8 @@ class TestBothPathsGiveTheSameBits:
         rng = np.random.default_rng(8)
         controls = [
             (constant_controls(n_paths, n_steps), constant_controls(n_paths, n_steps)),
-            (ControlPath(rng.integers(0, p.u_grid.size, (n_paths, n_steps))),
-             ControlPath(rng.integers(0, p.v_grid.size, (n_paths, n_steps)))),
+            (rng.integers(0, p.u_grid.size, (n_paths, n_steps)),
+             rng.integers(0, p.v_grid.size, (n_paths, n_steps))),
         ]
         ens = simulate_brownian(grid, n_paths, 1, seed=5)
         for mu, nu in controls:
@@ -135,8 +134,8 @@ class TestDeclaration:
         p = wide_linear_quadratic()
         n_paths, n_steps = 2000, 50
         rng = np.random.default_rng(2)
-        mu = ControlPath(rng.integers(0, p.u_grid.size, (n_paths, n_steps)))
-        nu = ControlPath(rng.integers(0, p.v_grid.size, (n_paths, n_steps)))
+        mu = rng.integers(0, p.u_grid.size, (n_paths, n_steps))
+        nu = rng.integers(0, p.v_grid.size, (n_paths, n_steps))
         ens = simulate_brownian(TimeGrid(0.0, p.horizon, n_steps), n_paths, 1, seed=4)
         calls = {"drift": 0, "diffusion": 0}
         euler_forward(self.counted(p, calls), ens, [0.0], mu, nu)

@@ -245,6 +245,23 @@ class TestRun:
         rows = (tmp_path / "convergence.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["500x41", "2000x81"]
 
+    def test_root_is_read_at_x0_on_an_off_centre_grid(self, tmp_path):
+        # x0 = 0 is a node of [-2, 3] with 41 nodes, but not the middle one
+        def manifest(sub):
+            cfg = RunConfig(preset="uncertain-volatility", x_min=-2.0, x_max=3.0,
+                            out_dir=str(tmp_path / sub))
+            assert run(sub, cfg) == 0
+            lines = (tmp_path / sub / "run.txt").read_text().splitlines()
+            return dict(line.split("=", 1) for line in lines)
+
+        value, pde_run = manifest("value"), manifest("pde")
+        manifest("crosscheck")
+        lattice_root = (tmp_path / "crosscheck" / "crosscheck.csv").read_text() \
+            .splitlines()[1].split(",")[0]
+        level0 = (tmp_path / "pde" / "convergence.csv").read_text().splitlines()[1]
+        assert float(value["result.root"]) == float(lattice_root)
+        assert pde_run["result.root"] == level0.split(",")[1]
+
     def test_sqrt_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path, trials=30)
         assert run("sqrt-check", cfg) == 0

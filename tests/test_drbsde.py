@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from drgame import (ControlPath, ProblemError, RegressionError, TimeGrid,
+from drgame import (ProblemError, RegressionError, TimeGrid,
                     build_lattice, check_flat_off, compare_drbsde,
                     constant_controls, euler_forward, make_preset,
                     simulate_brownian, solve_drbsde_lattice, solve_drbsde_lsmc,
@@ -246,6 +246,14 @@ class TestStability:
             with pytest.raises(ProblemError, match="root_index"):
                 stability_gap(lat, p, sol, p, sol, varpi=2.0, root_index=root)
 
+    def test_root_at_a_point_off_the_solution_is_rejected(self):
+        p = make_preset("dynkin-flat", {})
+        sol = solve_drbsde_lattice(p, build_lattice(p, 50, -3, 3, 31))
+        assert sol.root_at(30) == sol.Y[0, 30]
+        for index in (-1, 31, 2.0):
+            with pytest.raises(ProblemError, match="index must be an index in"):
+                sol.root_at(index)
+
     def test_uniform_terminal_shift_is_exact(self):
         eps = 0.25
         p1 = scalar_problem(h=lambda x: np.cos(x[..., 0]))
@@ -280,6 +288,23 @@ class TestStability:
         s2 = solve_drbsde_lattice(p2, lat)
         bound = (1.0 + p1.lipschitz * lat.grid.dt) ** 100 * delta
         assert np.max(np.abs(s1.Y - s2.Y)) <= bound + 1e-12
+
+    def test_node_control_tables_follow_the_table_rule(self):
+        # a constant table gives the frozen figures; mixed tables run
+        p1 = make_preset("linear-quadratic", {})
+        p2 = make_preset("linear-quadratic", {"c_x": 0.7})
+        lat = build_lattice(p1, 64, -4, 4, 21)
+        table = np.ones((64, 21), dtype=np.int64)
+        frozen = stability_gap(lat, p1, solve_drbsde_lattice(p1, lat, mu=1),
+                               p2, solve_drbsde_lattice(p2, lat, mu=1), mu=1)
+        tabled = stability_gap(lat, p1, solve_drbsde_lattice(p1, lat, mu=table),
+                               p2, solve_drbsde_lattice(p2, lat, mu=table), mu=table)
+        assert (tabled.gap, tabled.driver) == (frozen.gap, frozen.driver) > (0.0, 0.0)
+        table[:, 10:] = 0
+        s1, s2 = (solve_drbsde_lattice(q, lat, mu=table, nu=table) for q in (p1, p2))
+        assert stability_gap(lat, p1, s1, p2, s2, mu=table, nu=table).driver > 0.0
+        with pytest.raises(ProblemError, match="mu control indices must be integers"):
+            stability_gap(lat, p1, s1, p2, s2, mu=0.5)
 
     def test_varpi_range_enforced(self):
         p = make_preset("dynkin-flat", {})
@@ -369,8 +394,8 @@ class TestLsmc:
         grid = TimeGrid(0.0, p.horizon, n_steps)
         ens = simulate_brownian(grid, n_paths, p.noise_dim, 29)
         rng = np.random.default_rng(29)
-        mu = ControlPath(rng.integers(0, p.u_grid.size, (n_paths, n_steps)))
-        nu = ControlPath(rng.integers(0, p.v_grid.size, (n_paths, n_steps)))
+        mu = rng.integers(0, p.u_grid.size, (n_paths, n_steps))
+        nu = rng.integers(0, p.v_grid.size, (n_paths, n_steps))
         st = euler_forward(p, ens, [0.0], mu, nu)
         sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10,
                                 se_batches=batches)
@@ -380,7 +405,7 @@ class TestLsmc:
             part = replace(st, X=st.X[a:b],
                            ens=replace(ens, n_paths=b - a, dW=ens.dW[a:b]))
             roots.append(solve_drbsde_lsmc(
-                p, part, ControlPath(mu.values[a:b]), ControlPath(nu.values[a:b]),
+                p, part, mu[a:b], nu[a:b],
                 basis=basis, n_bins=10, se_batches=0).root)
         assert sol.se_root == float(np.std(roots, ddof=1) / np.sqrt(batches))
         assert sol.se_root > 0.0
@@ -390,7 +415,7 @@ class TestLsmc:
         st, _, _ = simulate(p, 50, 10, seed=30)
         for n_steps in (8, 12):
             mu = nu = constant_controls(50, n_steps)
-            with pytest.raises(ProblemError, match="control path shape"):
+            with pytest.raises(ProblemError, match="mu controls of shape .* do not fit"):
                 solve_drbsde_lsmc(p, st, mu, nu)
 
     def test_states_must_carry_ensemble(self):

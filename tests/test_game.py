@@ -656,6 +656,17 @@ class TestDpp:
             gaps.append(rep.gap)
         assert gaps[1] <= gaps[0] / 2.0
 
+    @pytest.mark.parametrize("x_index", [-1, 41, 20.0])
+    def test_root_off_the_nodes_is_rejected(self, x_index):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 50, -6, 6, 41)
+        surf = value_backward_induction(p, lat, "supinf")
+        assert surf.root() == surf.root(20) == surf.W[0, 20]
+        with pytest.raises(ProblemError, match="x_index must be an index in"):
+            surf.root(x_index)
+        with pytest.raises(ProblemError, match="x_index must be an index in"):
+            dpp_check(p, lat, 0.5, "supinf", x_index=x_index)
+
 
 class TestOccupancy:
     def test_distribution_is_normalized(self):

@@ -1,12 +1,16 @@
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
-                    ProblemError, TimeGrid, make_preset, preset_names,
-                    validate_problem)
-from drgame.model import _CSV_BLOCK, _control_pairs, _csv
+                    ProblemError, TimeGrid, build_lattice, constant_controls,
+                    euler_forward, lattice_occupancy, make_preset, paste_controls,
+                    preset_names, simulate_brownian, solve_drbsde_lattice,
+                    solve_drbsde_lsmc, validate_problem)
+from drgame.model import _CSV_BLOCK, _control_pairs, _control_tables, _csv
 
 
 def custom_problem(drift, gamma=1.0, sigma_const=1.0):
@@ -362,3 +366,82 @@ class TestControlPairs:
             [(u, v, cell, nodes)] = _control_pairs(self.P, ui, vi)
             assert (u, v) == (self.U[1], self.V[0])
             assert cell == nodes == slice(None)
+
+
+
+CONTROL_ERRORS = {"fraction": "mu control indices must be integers",
+                  "negative": "mu control index out of range",
+                  "past the grid": "mu control index out of range",
+                  "wrong shape": "mu controls of shape .* do not fit the tables",
+                  "3-d table": "mu controls of shape .* do not fit the tables"}
+TABLE_ENTRIES = ("solve_drbsde_lattice", "lattice_occupancy", "euler_forward",
+                 "solve_drbsde_lsmc", "paste_controls")
+
+
+def bad_controls(kind, shape):
+    """A mu of the given kind of fault for a route whose tables are ``shape``."""
+    table = np.zeros(shape, dtype=np.int64)
+    if kind == "fraction":
+        return np.full(shape, 0.5)
+    if kind in ("negative", "past the grid"):
+        table[-1, -1] = -1 if kind == "negative" else 2
+        return table
+    return table[0] if kind == "wrong shape" else table[..., None]
+
+
+class TestControlTables:
+    """Node tables (n_steps, n_nodes) and path tables (n_paths, n_steps)
+    follow one rule: the same bad controls raise the same ProblemError at
+    every entry point that takes a table."""
+
+    P = make_preset("uncertain-volatility", {})  # mu indexes a 2-point grid
+    LAT = build_lattice(P, 16, -2.0, 2.0, 7)
+    ENS = simulate_brownian(TimeGrid(0.0, 1.0, 4), 5, 1, seed=0)
+
+    def call(self, entry, mu):
+        """``entry`` called with ``mu``; returns nothing."""
+        p, lat, ens = self.P, self.LAT, self.ENS
+        if entry == "solve_drbsde_lattice":
+            solve_drbsde_lattice(p, lat, mu=mu)
+        elif entry == "lattice_occupancy":
+            lattice_occupancy(lat, mu=mu)
+        elif entry == "euler_forward":
+            euler_forward(p, ens, [0.0], mu, 0)
+        elif entry == "solve_drbsde_lsmc":
+            solve_drbsde_lsmc(p, euler_forward(p, ens, [0.0], 0, 0), mu, 0)
+        else:
+            paste_controls(mu, [])
+
+    # paste_controls knows no control grid: the solver that uses the pasted
+    # table rejects an index past it
+    @pytest.mark.parametrize("entry,kind", [
+        (entry, kind) for entry in TABLE_ENTRIES for kind in CONTROL_ERRORS
+        if (entry, kind) != ("paste_controls", "past the grid")])
+    def test_same_bad_controls_same_error_everywhere(self, entry, kind):
+        shape = (16, 7) if entry in TABLE_ENTRIES[:2] else (5, 4)
+        with pytest.raises(ProblemError, match=CONTROL_ERRORS[kind]):
+            self.call(entry, bad_controls(kind, shape))
+
+    def test_one_index_is_a_read_only_zero_stride_table(self):
+        for shape in ((16, 7), (5, 4)):
+            mu, nu = _control_tables(self.P, 1, np.int32(0), shape)
+            assert mu.shape == nu.shape == shape
+            assert mu.strides == nu.strides == (0, 0)
+            assert mu.dtype == nu.dtype == np.int64
+            assert not mu.flags.writeable
+            assert mu[0, 0] == 1 and nu[0, 0] == 0
+
+    def test_a_constant_table_is_checked_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            mu = constant_controls(100_000, 50)
+            _control_tables(self.P, mu, mu, (100_000, 50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_a_constant_table_off_the_grid_is_rejected(self):
+        for index in (-1, 2):
+            with pytest.raises(ProblemError, match="out of range for its grid of 2"):
+                euler_forward(self.P, self.ENS, [0.0], constant_controls(5, 4, index), 0)

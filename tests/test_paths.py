@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drgame import (ControlPath, ProblemError, TimeGrid, concat_paths,
+from drgame import (ProblemError, TimeGrid, concat_paths,
                     constant_controls, euler_forward, make_preset,
                     paste_controls, simulate_brownian)
 from drgame.model import ControlGrid, GameProblem
@@ -242,59 +242,63 @@ class TestConcat:
 class TestPaste:
     def test_constant_controls_are_a_read_only_zero_stride_view(self):
         mu = constant_controls(1000, 50, index=1)
-        assert mu.values.strides == (0, 0)
-        assert not mu.values.flags.writeable
-        assert np.all(mu.values == 1)
+        assert mu.strides == (0, 0)
+        assert not mu.flags.writeable
+        assert np.all(mu == 1)
         out = paste_controls(mu, [([0], 49, [0])])
-        assert out.values.flags.writeable and out.values[0, 49] == 0
+        assert out.flags.writeable and out[0, 49] == 0
 
     def test_empty_replacement_list_is_identity(self):
-        mu = ControlPath(values=np.arange(12).reshape(3, 4) % 2)
+        mu = np.arange(12).reshape(3, 4) % 2
         out = paste_controls(mu, [])
-        assert np.array_equal(out.values, mu.values)
+        assert np.array_equal(out, mu)
 
     def test_full_replacement_from_t0(self):
-        mu = ControlPath(values=np.zeros((3, 4), dtype=int))
+        mu = np.zeros((3, 4), dtype=int)
         out = paste_controls(mu, [(np.arange(3), 0, np.ones(4, dtype=int))])
-        assert np.all(out.values == 1)
+        assert np.all(out == 1)
 
     def test_single_path_midpoint_replacement(self):
-        mu = ControlPath(values=np.zeros((2, 4), dtype=int))
+        mu = np.zeros((2, 4), dtype=int)
         out = paste_controls(mu, [([0], 2, np.array([1, 1]))])
-        assert np.array_equal(out.values[0], [0, 0, 1, 1])
-        assert np.array_equal(out.values[1], [0, 0, 0, 0])
+        assert np.array_equal(out[0], [0, 0, 1, 1])
+        assert np.array_equal(out[1], [0, 0, 0, 0])
 
     def test_idempotent(self):
-        mu = ControlPath(values=np.zeros((4, 6), dtype=int))
+        mu = np.zeros((4, 6), dtype=int)
         repl = [([1, 2], 3, np.array([1, 1, 1]))]
         once = paste_controls(mu, repl)
         twice = paste_controls(once, repl)
-        assert np.array_equal(once.values, twice.values)
+        assert np.array_equal(once, twice)
 
     def test_overlapping_sets_rejected(self):
-        mu = ControlPath(values=np.zeros((4, 6), dtype=int))
+        mu = np.zeros((4, 6), dtype=int)
         with pytest.raises(ProblemError, match="overlap"):
             paste_controls(mu, [([0, 1], 2, np.zeros(4, dtype=int)),
                                 ([1, 3], 2, np.zeros(4, dtype=int))])
 
     def test_out_of_range_index(self):
-        mu = ControlPath(values=np.zeros((4, 6), dtype=int))
+        mu = np.zeros((4, 6), dtype=int)
         with pytest.raises(ProblemError, match="out of range"):
             paste_controls(mu, [([9], 2, np.zeros(4, dtype=int))])
 
     def test_fractional_indices_are_rejected(self):
-        with pytest.raises(ProblemError, match="control path indices must be integers"):
-            ControlPath([[0.7, 1.2]])
-        mu = ControlPath(values=np.zeros((4, 6), dtype=int))
+        mu = np.zeros((4, 6), dtype=int)
+        p = make_preset("uncertain-volatility", {})
+        ens = simulate_brownian(TimeGrid(0.0, 1.0, 2), 1, 1, seed=0)
+        with pytest.raises(ProblemError, match="mu control indices must be integers"):
+            euler_forward(p, ens, [0.0], [[0.7, 1.2]], 0)
+        with pytest.raises(ProblemError, match="mu control indices must be integers"):
+            paste_controls([[0.7, 1.2]], [])
         with pytest.raises(ProblemError, match="replacement control indices must be"):
             paste_controls(mu, [([1], 2, [0.5, 1.0, 1.0, 1.0])])
         with pytest.raises(ProblemError, match="path indices must be integers"):
             paste_controls(mu, [([1.5], 2, [1, 1, 1, 1])])
+        with pytest.raises(ProblemError, match="knot index must be integers"):
+            paste_controls(mu, [([0], 2.5, [1, 1, 1])])
 
-    def test_euler_rejects_a_fractional_table_set_after_construction(self):
+    def test_euler_rejects_a_fractional_table(self):
         p = make_preset("uncertain-volatility", {})
         ens = simulate_brownian(TimeGrid(0.0, 1.0, 6), 4, 1, seed=0)
-        mu, nu = constant_controls(4, 6), constant_controls(4, 6)
-        mu.values = np.full((4, 6), 0.5)
-        with pytest.raises(ProblemError, match="control path indices must be integers"):
-            euler_forward(p, ens, [0.0], mu, nu)
+        with pytest.raises(ProblemError, match="mu control indices must be integers"):
+            euler_forward(p, ens, [0.0], np.full((4, 6), 0.5), constant_controls(4, 6))

@@ -154,13 +154,27 @@ class TestSolver:
     def test_refinement_convergence(self):
         p = replace(make_preset("uncertain-volatility", {}),
                     terminal=lambda x: np.cos(x[..., 0]))
-        study = refinement_study(p, "supinf", base_steps=100, x_min=-10.0,
-                                 x_max=10.0, base_nodes=101, levels=3)
+        g = build_lattice(p, 100, -10.0, 10.0, 101)
+        w = solve_obstacle_pde(p, g, "supinf")
+        study = refinement_study(p, g, w, "supinf", levels=3)
+        assert study.roots[0] == w.root()
+        assert study.resolutions == ["100x101", "400x201", "1600x401"]
         d1, d2 = study.diffs
         assert d2 <= d1 / 2.0
         lines = study.to_csv().strip().split("\n")
         assert lines[0] == "resolution,root_value,diff"
         assert len(lines) == 4
+
+    def test_refinement_rejects_a_root_off_the_grid_or_surface(self):
+        p = make_preset("uncertain-volatility", {})
+        g = build_lattice(p, 100, -4.0, 4.0, 41)
+        w = solve_obstacle_pde(p, g, "supinf")
+        for x0 in (100.0, -4.5):
+            with pytest.raises(ProblemError, match="outside the grid"):
+                refinement_study(p, g, w, "supinf", levels=2, x0=x0)
+        other = solve_obstacle_pde(p, build_lattice(p, 100, -4.0, 4.0, 21), "supinf")
+        with pytest.raises(ProblemError, match="surface does not live on the given grid"):
+            refinement_study(p, g, other, "supinf", levels=2)
 
 
 class TestGridProblem:
