@@ -325,13 +325,16 @@ def _cmd_drbsde(cfg, out):
         sol = solve_drbsde_lattice(prob, lat)
         res_lo, res_hi = check_flat_off(sol, prob, lat)
         diag = _lattice_diag(lat)
+        root = np.interp(cfg.x0, lat.x_nodes, sol.Y[0])  # as value reads W(0, x0)
     else:
         states, mu, nu = _states(cfg, prob)
         sol = solve_drbsde_lsmc(prob, states, mu, nu, degree=cfg.basis_degree)
         res_lo, res_hi = check_flat_off(sol, prob, states)
         diag = {}
+        root = sol.root
     _write_text(out / "drbsde.csv", sol.to_csv())
-    extra = {"result.flat_off_lo": f"{res_lo:.17g}", "result.flat_off_hi": f"{res_hi:.17g}"}
+    extra = {"result.root": f"{root:.17g}", "result.flat_off_lo": f"{res_lo:.17g}",
+             "result.flat_off_hi": f"{res_hi:.17g}"}
     if sol.se_root is not None:
         extra["result.root_se"] = f"{sol.se_root:.17g}"
     if sol.lsmc_rank_min is not None:
@@ -375,9 +378,10 @@ def _cmd_dpp_check(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
     t_mid = _snap_t_mid(cfg, lat.grid)
-    rep = dpp_check(prob, lat, t_mid, cfg.order)
+    rep = dpp_check(prob, lat, t_mid, cfg.order, x0=cfg.x0)
     # the refined variant of dpp_cross_resolution, reusing rep's direct solve
-    refined = _refined_composition(prob, lat, t_mid, cfg.order).root()
+    refined = np.interp(cfg.x0, lat.x_nodes, _refined_composition(prob, lat, t_mid,
+                                                                  cfg.order).W[0])
     rows = [("matched", rep.direct, rep.composed, rep.gap),
             ("refined", rep.direct, refined, abs(rep.direct - refined))]
     _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))

@@ -29,7 +29,8 @@ import numpy as np
 
 from .model import (GameProblem, NumericsError, ProblemError, _control_tables, _csv,
                     _evaluate, _point_index)
-from .game import Lattice, _check_grid, _layer_stencils, backward_sweep, lattice_occupancy
+from .game import (Lattice, _check_grid, _clamp, _layer_stencils, backward_sweep,
+                   lattice_occupancy)
 from .paths import StatePaths, TimeGrid
 
 __all__ = [
@@ -169,27 +170,23 @@ def _basis_matrix(p, t, x, basis, degree, n_bins, out=None):
 
 
 def _fit(designs, targets, step):
-    """Least-squares fitted values of each block's ``targets`` (m, r) on its
-    design (m, nb), one block per pair.
+    """Least-squares fit of each block's ``targets`` (m, r) on its design
+    (m, nb), one block per pair; the fitted values overwrite the targets.
 
     Each block contributes its Gram matrix and right-hand side; all blocks
     are solved by one batched eigendecomposition of the Gram matrices
     scaled to unit diagonal, keeping the eigenvalues above ``_RANK_TOL``
-    times the largest.  Returns the fitted values per block, and per block
-    the kept rank, the kept spectrum's condition number and whether the
-    block fell back to ``lstsq``.
+    times the largest.  Returns per block the kept rank, the kept
+    spectrum's condition number and whether the block fell back to
+    ``lstsq``.  The designs must be finite.
     """
     nb = designs[0].shape[1]
     gram = np.empty((len(designs), nb, nb))
     rhs = np.empty((len(designs), nb, targets[0].shape[1]))
     for b, (A, y) in enumerate(zip(designs, targets)):
         if A.shape[0] < nb:
-            raise RegressionError(
-                f"rank-deficient regression at step {step}: {A.shape[0]} paths "
-                f"for {nb} basis functions"
-            )
-        if not np.all(np.isfinite(A)):
-            raise RegressionError(f"non-finite design matrix at step {step}")
+            raise RegressionError(f"rank-deficient regression at step {step}: "
+                                  f"{A.shape[0]} paths for {nb} basis functions")
         gram[b] = A.T @ A
         rhs[b] = A.T @ y
     diag = np.diagonal(gram, axis1=1, axis2=2)
@@ -204,56 +201,69 @@ def _fit(designs, targets, step):
     coef = s[:, :, None] * (V @ (inv[:, :, None] * proj))
     cond = w[:, -1] / np.min(np.where(keep, w, np.inf), axis=1)
     fallback = cond > _COND_MAX
-    fits = []
     for b, (A, y) in enumerate(zip(designs, targets)):
         if fallback[b]:
             coef_b, _, rank[b], _ = np.linalg.lstsq(A, y, rcond=None)
-            fits.append(A @ coef_b)
-        else:
-            fits.append(A @ coef[b])
-    return fits, rank, cond, fallback
+        np.matmul(A, coef_b if fallback[b] else coef[b], out=y)
+    return rank, cond, fallback
 
 
 def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
-    """The recursion with one regression per step and block of paths
-    [edges[b], edges[b + 1]); the clamp and the generator act per path.
-    With the ``poly`` basis the clamp reads the obstacles from the design's
-    last two columns, so each obstacle is evaluated once per step.
+    """One sweep of the recursion over all paths (the root lane), whose
+    steps also advance a batch lane: the recursion on each block of paths
+    [edges[b], edges[b + 1]), keeping only its current layer.  Per step the
+    lanes share the state layer, the design (``bins``: per block), one
+    evaluation of each obstacle and one batched fit of all blocks.
 
-    Appends (smallest kept rank, largest condition number, lstsq
-    fallbacks) over the blocks of each layer to ``stats``, except for the
-    initial layer, whose point cross-section has rank 1 by construction.
+    Returns Y, Z, K_lo, K_hi and the batch lane's initial layer (None
+    without blocks).  Appends each step's (smallest kept rank, largest
+    condition number, lstsq fallbacks) to ``stats``, except at the initial
+    layer, whose point cross-section has rank 1 by construction.
     """
     X, dW, dt = states.X, states.ens.dW, states.grid.dt
     n_paths, n_plus1, d = X.shape[0], X.shape[1], dW.shape[2]
     Z = np.zeros((n_plus1, n_paths, d))
-    e = np.empty(n_paths)
-    targets = np.empty((n_paths, 1 + d), order="F")
     blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    design = None
+    fit = np.empty((n_paths, 1 + d), order="F")  # targets (y, y dW), then the fit
+    fit_b = np.empty_like(fit) if blocks else None  # the batch lane's
+    design = bounds = y_b = None
+
+    def targets(out, y, dWj):
+        out[:, 0] = y
+        np.multiply(y[:, None], dWj, out=out[:, 1:])
+
+    def candidate(j, t, xj, fit, z):  # fit: (E, E dW) -> E + f dt, with Z in z
+        e, z = fit[:, 0], np.divide(fit[:, 1:], dt, out=z)
+        return e + dt * _evaluate(p, "generator", t, xj, e, z, ui=mu[:, j], vi=nu[:, j])
 
     def step(j, t, nxt):
-        nonlocal design
-        xj = np.ascontiguousarray(X[:, j])  # read the strided layer once
-        targets[:, 0] = nxt
-        np.multiply(nxt[:, None], dW[:, j], out=targets[:, 1:])
+        nonlocal design, bounds, y_b
+        # each strided layer is read once, for both lanes
+        xj, dWj = np.ascontiguousarray(X[:, j]), np.ascontiguousarray(dW[:, j])
+        targets(fit, nxt, dWj)
+        if blocks:
+            targets(fit_b, nxt if y_b is None else y_b, dWj)
         if basis == "poly":  # one design per layer; bins cells are per block
             design = _basis_matrix(p, t, xj, basis, degree, n_bins, out=design)
-            designs = [design[s] for s in blocks]
+            if not np.all(np.isfinite(design)):
+                raise RegressionError(f"non-finite design matrix at step {j}")
+            designs = [design] + [design[s] for s in blocks]
+            bounds = design[:, -2], design[:, -1]
         else:
-            designs = [_basis_matrix(p, t, xj[s], basis, degree, n_bins) for s in blocks]
-        fits, rank, cond, fallback = _fit(designs, [targets[s] for s in blocks], j)
+            designs = [_basis_matrix(p, t, xj[s], basis, degree, n_bins)
+                       for s in [slice(None)] + blocks]
+            bounds = [np.asarray(obstacle(t, xj), dtype=float)
+                      for obstacle in (p.lower_obstacle, p.upper_obstacle)]
+        rank, cond, fallback = _fit(designs, [fit] + [fit_b[s] for s in blocks], j)
         if j:
             stats.append((rank.min(), cond.max(), fallback.sum()))
-        for s, fit in zip(blocks, fits):
-            e[s] = fit[:, 0]
-            Z[j, s] = fit[:, 1:] / dt
-        return e + dt * _evaluate(p, "generator", t, xj, e, Z[j], ui=mu[:, j], vi=nu[:, j])
+        if blocks:
+            y_b = _clamp(candidate(j, t, xj, fit_b, fit_b[:, 1:]), *bounds, j, out=y_b)
+        return candidate(j, t, xj, fit, Z[j])
 
-    obstacles = (lambda j: (design[:, -2], design[:, -1])) if basis == "poly" else None
     Y, K_lo, K_hi = backward_sweep(p, states.grid.knots, lambda j: X[:, j], step,
-                                   obstacles=obstacles)
-    return Y, Z, K_lo, K_hi
+                                   obstacles=lambda j: bounds)
+    return Y, Z, K_lo, K_hi, y_b
 
 
 def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
@@ -269,33 +279,30 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index
     table, as for :func:`euler_forward`.
 
-    ``se_batches > 0`` additionally runs the recursion on that many
-    disjoint path batches and stores the batch-means standard error of the
-    root value in ``se_root`` (this captures regression noise that a naive
-    per-path estimate would miss).  Each step fits all blocks of a sweep,
-    the batches or the one block of all paths, in one batched solve.
+    ``se_batches > 1`` stores in ``se_root`` the batch-means standard error
+    of the root over that many disjoint path batches (this captures
+    regression noise that a naive per-path estimate would miss).  A batch
+    lane of the one backward sweep gives each batch's root, bit for bit as
+    a separate solve on the batch would, and leaves Y, Z and K unchanged.
 
     Over every fit after the initial layer, the solution records the
     smallest kept rank (``lsmc_rank_min``), the largest condition number of
     a scaled Gram matrix (``lsmc_cond_max``) and the number of blocks
-    refitted by ``lstsq`` (``lsmc_fallbacks``); with one step there is no
-    such fit and they stay None.
+    refitted by ``lstsq`` (``lsmc_fallbacks``), over the root and the
+    batches; with one step there is no such fit and they stay None.
     """
     if states.ens is None:
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
     n_paths = states.X.shape[0]
     mu, nu = _control_tables(p, mu, nu, (n_paths, states.grid.n_steps))
-    stats = []
-    args = (p, states, mu, nu, basis, degree, n_bins)
-
-    se_root = None
+    edges, stats, se_root = (), [], None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
-        # before the root sweep, so the two sweeps' arrays never coexist
         edges = np.linspace(0, n_paths, se_batches + 1, dtype=int)
-        roots = _lsmc_backward(*args, edges, stats)[0][0, edges[:-1]]
-        se_root = float(np.std(roots, ddof=1) / np.sqrt(se_batches))
-    Y, Z, K_lo, K_hi = _lsmc_backward(*args, (0, n_paths), stats)
+    Y, Z, K_lo, K_hi, y_b = _lsmc_backward(p, states, mu, nu, basis, degree, n_bins,
+                                           edges, stats)
+    if y_b is not None:
+        se_root = float(np.std(y_b[edges[:-1]], ddof=1) / np.sqrt(se_batches))
     sol = DrbsdeSolution(grid=states.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
                          mode="lsmc", se_root=se_root)
     if stats:
@@ -392,13 +399,11 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
     mu, nu = _control_tables(p1, mu, nu, (n_time - 1, n))
     knots = sol1.grid.knots
     xb = lat.x_nodes[:, None]
-    for j in range(n_time):
-        t = float(knots[j])
-        if (np.max(np.abs(np.asarray(p1.lower_obstacle(t, xb)) -
-                          np.asarray(p2.lower_obstacle(t, xb)))) > 1e-12 or
-                np.max(np.abs(np.asarray(p1.upper_obstacle(t, xb)) -
-                              np.asarray(p2.upper_obstacle(t, xb)))) > 1e-12):
-            raise ProblemError("stability_gap requires identical obstacles")
+    for t in map(float, knots):
+        for l1, l2 in ((p1.lower_obstacle, p2.lower_obstacle),
+                       (p1.upper_obstacle, p2.upper_obstacle)):
+            if np.max(np.abs(np.asarray(l1(t, xb)) - np.asarray(l2(t, xb)))) > 1e-12:
+                raise ProblemError("stability_gap requires identical obstacles")
 
     pi, _ = lattice_occupancy(lat, mu=mu, nu=nu, root_index=root_index)
     dY = np.abs(sol1.Y - sol2.Y) ** varpi
@@ -408,11 +413,8 @@ def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
     dt = sol1.grid.dt
     acc = 0.0
     for j in range(n_time - 1):
-        t = float(knots[j])
-        y2 = sol2.Y[j]
-        z2 = sol2.Z[j]
-        f1 = _evaluate(p1, "generator", t, xb, y2, z2, ui=mu[j], vi=nu[j])
-        f2 = _evaluate(p2, "generator", t, xb, y2, z2, ui=mu[j], vi=nu[j])
+        f1, f2 = (_evaluate(q, "generator", float(knots[j]), xb, sol2.Y[j], sol2.Z[j],
+                            ui=mu[j], vi=nu[j]) for q in (p1, p2))
         acc += dt * float(np.sum(pi[j] * np.abs(f1 - f2)))
     driver = term + acc ** varpi
     return StabilityReport(gap=gap, driver=driver)

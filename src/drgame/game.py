@@ -410,6 +410,15 @@ def _saddle(table, order: str):
     return table.max(axis=0).min(axis=0)
 
 
+def _clamp(cand, lo, hi, j, out=None):
+    """Value layer ``j``: ``cand`` pulled into [lo, hi], into ``out`` if given."""
+    w = np.minimum(hi, np.maximum(lo, cand), out=out)
+    # a finite sum has finite terms; only a non-finite one needs the exact test
+    if not np.isfinite(w.sum()) and not np.all(np.isfinite(w)):
+        raise NumericsError(f"non-finite value layer at time index {j}")
+    return w
+
+
 def backward_sweep(p: GameProblem, knots, states, step, order=None,
                    terminal=None, obstacles=None, pushes=True):
     """The backward skeleton every route shares.
@@ -458,10 +467,7 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
         if pushes:
             K_lo[j + 1] = np.maximum(lo - cand, 0.0)
             K_hi[j + 1] = np.maximum(cand - hi, 0.0)
-        W[j] = np.minimum(hi, np.maximum(lo, cand))
-        # a finite sum has finite terms; only a non-finite one needs the exact test
-        if not np.isfinite(W[j].sum()) and not np.all(np.isfinite(W[j])):
-            raise NumericsError(f"non-finite value layer at time index {j}")
+        _clamp(cand, lo, hi, j, out=W[j])
     if pushes:
         np.cumsum(K_lo[1:], axis=0, out=K_lo[1:])
         np.cumsum(K_hi[1:], axis=0, out=K_hi[1:])
@@ -720,19 +726,22 @@ class DppReport:
 
 
 def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-              x_index=None) -> DppReport:
+              x_index=None, x0=None) -> DppReport:
     """Solve-compose-compare at a deterministic intermediate knot.
 
     The direct route solves on [t0, T]; the composed route solves [t_mid, T]
     first and feeds W(t_mid, .) as terminal data to a solve on [t0, t_mid].
     The halves of a split step on the parent's clock, so the two recursions
-    perform the same arithmetic and the reported gap is exactly zero.
+    perform the same arithmetic and the reported gap is exactly zero.  Both
+    roots are read at node ``x_index`` or, if given, at the point ``x0`` by
+    linear interpolation (exact at a node).
     """
     head, tail = lat.split(lat.grid.index_of(t_mid))
-    direct = value_backward_induction(p, lat, order).root(x_index)
+    root = ((lambda s: s.root(x_index)) if x0 is None
+            else (lambda s: float(np.interp(x0, s.x_nodes, s.W[0]))))
+    direct = root(value_backward_induction(p, lat, order))
     tail_surf = value_backward_induction(p, tail, order)
-    comp_surf = value_backward_induction(p, head, order, terminal=tail_surf.W[0])
-    composed = comp_surf.root(x_index)
+    composed = root(value_backward_induction(p, head, order, terminal=tail_surf.W[0]))
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
 

@@ -126,6 +126,31 @@ class TestRun:
         cfg2 = tiny_cfg(tmp_path, mode="lsmc", out_dir=str(tmp_path / "o2"))
         assert run("drbsde", cfg2) == 0
 
+    @staticmethod
+    def manifest(out_dir):
+        lines = (Path(out_dir) / "run.txt").read_text().splitlines()
+        return dict(line.split("=", 1) for line in lines)
+
+    def test_drbsde_lattice_root_is_read_at_x0(self, tmp_path):
+        # x0 = 0 is node 8 of [-2, 3] with 21 nodes, not the middle one
+        cfg = tiny_cfg(tmp_path, x_min=-2.0, x_max=3.0, n_steps=100,
+                       preset="uncertain-volatility")
+        assert run("drbsde", cfg) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "out" / "drbsde.csv").read_text().splitlines()[1:22]]
+        assert [row[1] for row in rows] == [str(i) for i in range(21)]
+        assert self.manifest(cfg.out_dir)["result.root"] == rows[8][2]
+        assert rows[8][2] != rows[10][2]
+
+    def test_drbsde_lsmc_root_is_the_first_path_value(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, mode="lsmc", preset="uncertain-volatility")
+        assert run("drbsde", cfg) == 0
+        first = (tmp_path / "out" / "drbsde.csv").read_text().splitlines()[1].split(",")
+        items = self.manifest(cfg.out_dir)
+        assert first[:2] == ["0", "0"]
+        assert items["result.root"] == first[2]
+        assert float(items["result.root_se"]) > 0.0
+
     def test_lsmc_manifest_records_the_regression_diagnostics(self, tmp_path):
         assert run("drbsde", tiny_cfg(tmp_path, mode="lsmc")) == 0
         lines = (tmp_path / "out" / "run.txt").read_text().splitlines()
@@ -256,11 +281,16 @@ class TestRun:
 
         value, pde_run = manifest("value"), manifest("pde")
         manifest("crosscheck")
+        manifest("dpp-check")
         lattice_root = (tmp_path / "crosscheck" / "crosscheck.csv").read_text() \
             .splitlines()[1].split(",")[0]
         level0 = (tmp_path / "pde" / "convergence.csv").read_text().splitlines()[1]
         assert float(value["result.root"]) == float(lattice_root)
         assert pde_run["result.root"] == level0.split(",")[1]
+        dpp = [row.split(",") for row in
+               (tmp_path / "dpp-check" / "dpp.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in dpp] == [value["result.root"]] * 2
+        assert dpp[0][2] == value["result.root"]
 
     def test_sqrt_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path, trials=30)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,9 +371,9 @@ class TestLsmc:
         st, mu, nu = simulate(p, 2_000, 15, seed=24)
         calls.update(lo=0, hi=0)
         sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10, se_batches=4)
-        # two sweeps (the SE batches, then the root), each evaluating both
-        # obstacles once per step and once for the terminal check
-        assert calls == {"lo": 2 * (15 + 1), "hi": 2 * (15 + 1)}
+        # one sweep: the root lane and the SE batch lane share each step's
+        # obstacle values, plus one evaluation for the terminal check
+        assert calls == {"lo": 15 + 1, "hi": 15 + 1}
         assert sol.K_lo[-1].max() > 0.0
         assert check_flat_off(sol, p, st) == (0.0, 0.0)
 
@@ -409,6 +411,46 @@ class TestLsmc:
                 basis=basis, n_bins=10, se_batches=0).root)
         assert sol.se_root == float(np.std(roots, ddof=1) / np.sqrt(batches))
         assert sol.se_root > 0.0
+
+    @staticmethod
+    def random_control_states(p, n_paths, n_steps, seed):
+        grid = TimeGrid(0.0, p.horizon, n_steps)
+        ens = simulate_brownian(grid, n_paths, p.noise_dim, seed)
+        rng = np.random.default_rng(seed)
+        mu = rng.integers(0, p.u_grid.size, (n_paths, n_steps))
+        nu = rng.integers(0, p.v_grid.size, (n_paths, n_steps))
+        return euler_forward(p, ens, [0.0], mu, nu), mu, nu
+
+    @pytest.mark.parametrize("basis", ["poly", "bins"])
+    def test_batch_lane_leaves_the_root_lane_bit_identical(self, basis):
+        # both barriers bind, so both lanes clamp on both sides
+        p = make_preset("linear-quadratic", {"h": 0.0, "l_lo": -0.2, "l_hi": 0.2})
+        st, mu, nu = self.random_control_states(p, 2003, 12, 31)
+        alone, laned = (solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10,
+                                          se_batches=se) for se in (0, 5))
+        assert alone.se_root is None and laned.se_root > 0.0
+        assert laned.K_lo[-1].max() > 0.0 and laned.K_hi[-1].max() > 0.0
+        for field in ("Y", "Z", "K_lo", "K_hi"):
+            assert np.array_equal(getattr(alone, field), getattr(laned, field)), field
+
+    @pytest.mark.parametrize("basis", ["poly", "bins"])
+    def test_batch_lane_adds_one_layer_of_memory(self, basis):
+        p = make_preset("linear-quadratic", {})
+        n_paths, n_steps, d = 4000, 30, p.noise_dim
+        st, mu, nu = self.random_control_states(p, n_paths, n_steps, 5)
+        peaks = []
+        for se in (0, 0, 20):  # the first solve warms up numpy's lazy imports
+            tracemalloc.start()
+            try:
+                solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10, se_batches=se)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a layer of targets, and the blocks' own bins designs (poly blocks
+        # are row slices of the root's); a second history of n_steps + 1
+        # layers would add 992 kB per array
+        designs = n_paths * 10 * 8 if basis == "bins" else 0
+        assert peaks[2] - peaks[1] <= 4 * n_paths * (1 + d) * 8 + designs
 
     def test_control_steps_must_match_the_state_grid(self):
         p = scalar_problem()
@@ -454,21 +496,22 @@ class TestRegression:
         y = np.column_stack([np.sin(3 * x[:, 0]), rng.standard_normal((3001, 2))])
         A = _basis_matrix(p, 0.4, x, "poly", 3, 0)
         blocks = [slice(0, 1000), slice(1000, 2001), slice(2001, 3001)]
-        fits, rank, cond, fallback = _fit([A[s] for s in blocks], [y[s] for s in blocks], 5)
+        refs = [self.scaled_lstsq_fit(A[s], y[s]) for s in blocks]
+        rank, cond, fallback = _fit([A[s] for s in blocks], [y[s] for s in blocks], 5)
         assert rank.tolist() == [4, 4, 4] and not fallback.any()
         assert np.all(cond < 1e3)
-        for s, fit in zip(blocks, fits):
-            ref = self.scaled_lstsq_fit(A[s], y[s])
-            assert np.max(np.abs(fit - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for s, ref in zip(blocks, refs):
+            assert np.max(np.abs(y[s] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("x0", [0.0, 0.7])
     def test_point_cross_section_gives_the_sample_mean(self, x0):
         p = scalar_problem(l_lo=lambda t, x: x[..., 0] - 0.3)
         y = np.random.default_rng(41).standard_normal((64, 2))
         A = _basis_matrix(p, 0.0, np.full((64, 1), x0), "poly", 3, 0)
-        fits, rank, _, fallback = _fit([A], [y], 0)
+        mean = y.mean(axis=0)
+        rank, _, fallback = _fit([A], [y], 0)
         assert rank.tolist() == [1] and not fallback.any()
-        assert np.allclose(fits[0], y.mean(axis=0), rtol=1e-14, atol=1e-15)
+        assert np.allclose(y, mean, rtol=1e-14, atol=1e-15)
 
     def test_bins_block_with_an_empty_cell_gives_cell_means(self):
         p = scalar_problem()
@@ -476,11 +519,12 @@ class TestRegression:
         y = np.random.default_rng(42).standard_normal((100, 2))
         A = _basis_matrix(p, 0.5, x, "bins", 0, 5)
         assert np.any(A.sum(axis=0) == 0)
-        fits, rank, _, fallback = _fit([A], [y], 3)
+        cells = [x[:, 0] == v for v in (0.0, 1.0, 2.0)]
+        means = [y[cell].mean(axis=0) for cell in cells]
+        rank, _, fallback = _fit([A], [y], 3)
         assert rank.tolist() == [3] and not fallback.any()
-        for v in (0.0, 1.0, 2.0):
-            cell = x[:, 0] == v
-            assert np.allclose(fits[0][cell], y[cell].mean(axis=0), rtol=1e-13, atol=1e-15)
+        for cell, mean in zip(cells, means):
+            assert np.allclose(y[cell], mean, rtol=1e-13, atol=1e-15)
 
     def test_nearly_collinear_block_falls_back_to_lstsq(self):
         p = make_preset("linear-quadratic", {})
@@ -488,13 +532,14 @@ class TestRegression:
         x = [rng.normal(0.0, 1.0, (500, 1)), 1.0 + 0.01 * rng.random((2000, 1))]
         y = [rng.standard_normal((500, 2)), rng.standard_normal((2000, 2))]
         designs = [_basis_matrix(p, 0.5, xb, "poly", 3, 0) for xb in x]
-        fits, rank, cond, fallback = _fit(designs, y, 2)
-        assert fallback.tolist() == [False, True]
-        assert cond[1] > 1e8 and rank[1] == 4
         A = designs[1]
         ref = A @ np.linalg.lstsq(A, y[1], rcond=None)[0]
-        assert np.array_equal(fits[1], ref)
-        assert np.max(np.abs(fits[0] - self.scaled_lstsq_fit(designs[0], y[0]))) <= 1e-12
+        ref0 = self.scaled_lstsq_fit(designs[0], y[0])
+        rank, cond, fallback = _fit(designs, y, 2)
+        assert fallback.tolist() == [False, True]
+        assert cond[1] > 1e8 and rank[1] == 4
+        assert np.array_equal(y[1], ref)
+        assert np.max(np.abs(y[0] - ref0)) <= 1e-12
 
     def test_too_few_paths_names_the_step(self):
         p = scalar_problem()
