@@ -238,7 +238,8 @@ def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
 
     def step(j, t, nxt):
         nonlocal design, bounds, y_b
-        # each strided layer is read once, for both lanes
+        # both lanes share the layer; a no-op on knot-major states, and one
+        # copy per step on a hand-made path-major X or dW
         xj, dWj = np.ascontiguousarray(X[:, j]), np.ascontiguousarray(dW[:, j])
         targets(fit, nxt, dWj)
         if blocks:
@@ -294,8 +295,14 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     if states.ens is None:
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
-    n_paths = states.X.shape[0]
-    mu, nu = _control_tables(p, mu, nu, (n_paths, states.grid.n_steps))
+    X, dW, n_steps = states.X, states.ens.dW, states.grid.n_steps
+    n_paths = X.shape[0]
+    want_x, want_dw = (n_paths, n_steps + 1, p.state_dim), (n_paths, n_steps, p.noise_dim)
+    if X.shape != want_x or dW.shape != want_dw or states.ens.grid != states.grid:
+        raise ProblemError(f"states do not fit together: X {X.shape} and dW {dW.shape} "
+                           f"on grids {states.grid} and {states.ens.grid}; need X "
+                           f"{want_x} and dW {want_dw} on one grid")
+    mu, nu = _control_tables(p, mu, nu, (n_paths, n_steps))
     edges, stats, se_root = (), [], None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
         edges = np.linspace(0, n_paths, se_batches + 1, dtype=int)

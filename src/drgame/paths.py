@@ -9,10 +9,19 @@ each path, which draws exactly what a fresh ``Philox(key=(seed mod 2**64,
 p))`` would.  The draw for one path never depends on how many other paths
 exist or in which order they are filled, so output is bit-reproducible
 across platforms and any worker layout.
+
+Memory layout: ``PathEnsemble.dW`` and ``StatePaths.X`` keep their logical
+path-first shapes (n_paths, n_steps, d) and (n_paths, n_steps + 1, k), but
+are stored knot-major, as transposed views of (n_steps, n_paths, d) and
+(n_steps + 1, n_paths, k) arrays.  So ``dW[:, j]`` and ``X[:, j]``, the
+layers that the forward step and every backward sweep read one knot at a
+time, are C-contiguous.  A hand-made path-major array works everywhere
+too, but pays one strided copy per step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,19 @@ __all__ = [
     "constant_controls",
 ]
 
+_DRAW_CHUNK = 4096  # paths per contiguous draw buffer: 1.6 MB at 50 steps, d = 1
+
+
+def _integer(value, what) -> int:
+    """``value`` as a Python int; ProblemError for a bool, float or other
+    non-integer (numpy integers are accepted)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ProblemError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ProblemError(f"{what} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -41,7 +63,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ProblemError("n_steps must be >= 1")
         if not self.T > self.t0:
             raise ProblemError(f"need T > t0, got t0={self.t0}, T={self.T}")
@@ -71,7 +93,12 @@ class TimeGrid:
 
 @dataclass
 class PathEnsemble:
-    """Brownian increments dW (n_paths, n_steps, d), variance dt each."""
+    """Brownian increments dW (n_paths, n_steps, d), variance dt each.
+
+    ``simulate_brownian`` stores dW knot-major, as a transposed view of an
+    (n_steps, n_paths, d) array, so each step's layer ``dW[:, j]`` is
+    C-contiguous; a path-major dW works too, at one copy per step.
+    """
 
     grid: TimeGrid
     n_paths: int
@@ -87,6 +114,10 @@ class PathEnsemble:
 @dataclass
 class StatePaths:
     """Simulated states X (n_paths, n_steps + 1, k) with X[:, 0] = x0.
+
+    ``euler_forward`` stores X knot-major, as a transposed view of an
+    (n_steps + 1, n_paths, k) array, so each knot's layer ``X[:, j]`` is
+    C-contiguous; a path-major X works too, at one copy per step.
 
     ``ens`` keeps a reference to the driving ensemble so backward solvers
     can reuse the same increments.
@@ -109,27 +140,37 @@ def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> np.ndarray:
 
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEnsemble:
-    """Draw the Brownian increment array for ``n_paths`` independent paths."""
+    """Draw the Brownian increment array for ``n_paths`` independent paths.
+
+    ``seed`` is any integer (numpy integers included); it keys the streams
+    modulo 2**64.
+    """
     if n_paths < 1:
         raise ProblemError("n_paths must be >= 1")
     if d < 1:
         raise ProblemError("d must be >= 1")
-    dW = np.empty((n_paths, grid.n_steps, d))
+    key = np.array([_integer(seed, "seed") % 2 ** 64, 0], dtype=np.uint64)
+    dW = np.empty((grid.n_steps, n_paths, d)).transpose(1, 0, 2)
+    # a path's normals fill a contiguous row of the buffer; each chunk of
+    # paths is then scaled into the knot-major dW in one pass
+    buf = np.empty((min(n_paths, _DRAW_CHUNK), grid.n_steps, d))
+    sqrt_dt = np.sqrt(grid.dt)
     # one generator, re-keyed per path to the state of a fresh Philox keyed
     # (seed, p): zero counter, empty buffer; building a Philox per path took
     # about 70% of the draw at 50 steps
-    key = np.array([seed % (2 ** 64), 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for ip in range(n_paths):
-        key[1] = ip
-        bitgen.state = state
-        gen.standard_normal(out=dW[ip])
-    dW *= np.sqrt(grid.dt)
+    for a in range(0, n_paths, _DRAW_CHUNK):
+        b = min(a + _DRAW_CHUNK, n_paths)
+        for ip in range(a, b):
+            key[1] = ip
+            bitgen.state = state
+            gen.standard_normal(out=buf[ip - a])
+        np.multiply(buf[:b - a], sqrt_dt, out=dW[a:b])
     return PathEnsemble(grid=grid, n_paths=n_paths, d=d, seed=seed, dW=dW)
 
 
@@ -148,7 +189,7 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:
 
     dt = ens.grid.dt
     knots = ens.grid.knots
-    X = np.empty((n_paths, n_steps + 1, p.state_dim))
+    X = np.empty((n_steps + 1, n_paths, p.state_dim)).transpose(1, 0, 2)
     X[:, 0] = x0
     for j in range(n_steps):
         t = float(knots[j])

@@ -467,6 +467,33 @@ class TestLsmc:
         with pytest.raises(ProblemError, match="ensemble"):
             solve_drbsde_lsmc(p, st, mu, nu)
 
+    @pytest.mark.parametrize("case", ["steps", "noise-dim", "paths", "knots", "grid"])
+    def test_states_that_do_not_fit_together_are_rejected(self, case):
+        p = scalar_problem()
+        st, mu, nu = simulate(p, 200, 4, seed=32)
+        other = {"steps": lambda: simulate_brownian(TimeGrid(0.0, 1.0, 5), 200, 1, 32),
+                 "noise-dim": lambda: simulate_brownian(st.grid, 200, 2, 32),
+                 "paths": lambda: simulate_brownian(st.grid, 150, 1, 32),
+                 "grid": lambda: simulate_brownian(TimeGrid(0.0, 2.0, 4), 200, 1, 32)}
+        if case == "knots":
+            st = replace(st, X=st.X[:, :-1])
+        else:
+            st = replace(st, ens=other[case]())
+        with pytest.raises(ProblemError, match="states do not fit together"):
+            solve_drbsde_lsmc(p, st, mu, nu)
+
+    def test_path_major_states_solve_bit_identically(self):
+        p = scalar_problem(b0=-0.5, l_lo=lambda t, x: x[..., 0] - 0.3)
+        st, mu, nu = simulate(p, 2_000, 12, seed=33)
+        assert not st.X.flags.c_contiguous  # knot-major behind (n_paths, n_knots, k)
+        path_major = replace(st, X=np.ascontiguousarray(st.X),
+                             ens=replace(st.ens, dW=np.ascontiguousarray(st.ens.dW)))
+        sols = [solve_drbsde_lsmc(p, s, mu, nu, se_batches=5) for s in (st, path_major)]
+        for field in ("Y", "Z", "K_lo", "K_hi", "se_root"):
+            assert np.array_equal(getattr(sols[0], field), getattr(sols[1], field)), field
+        assert sols[0].K_lo[-1].max() > 0.0
+        assert check_flat_off(sols[1], p, path_major) == (0.0, 0.0)
+
     def test_lattice_consistency_on_binding_problem(self):
         # drift pushes Y onto the lower barrier at the root: both routes exact
         p = scalar_problem(b0=-0.5, l_lo=lambda t, x: x[..., 0] - 0.3)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from drgame import (ProblemError, TimeGrid, concat_paths,
                     constant_controls, euler_forward, make_preset,
                     paste_controls, simulate_brownian)
-from drgame.model import ControlGrid, GameProblem
+from drgame.model import ControlGrid, GameProblem, _evaluate
+from drgame.paths import _DRAW_CHUNK
 
 
 def plain_problem(b0=0.0, sig=1.0):
@@ -37,6 +38,17 @@ class TestTimeGrid:
         g = TimeGrid(0.0, 1.0, 4).restrict_from(0.5)
         assert g.t0 == 0.5 and g.n_steps == 2
 
+    @pytest.mark.parametrize("n_steps", [2.5, 4.0, np.float64(4.0), True, "4"],
+                             ids=["fraction", "float", "numpy-float", "bool", "str"])
+    def test_non_integer_n_steps_is_rejected(self, n_steps):
+        with pytest.raises(ProblemError, match="n_steps must be an integer"):
+            TimeGrid(0.0, 1.0, n_steps)
+
+    def test_numpy_integer_n_steps(self):
+        g = TimeGrid(0.0, 1.0, np.int64(4))
+        assert g == TimeGrid(0.0, 1.0, 4)
+        assert np.array_equal(g.knots, [0.0, 0.25, 0.5, 0.75, 1.0])
+
 
 class TestBrownian:
     def test_moments(self):
@@ -65,17 +77,149 @@ class TestBrownian:
     @pytest.mark.parametrize("d", [1, 3])
     def test_path_p_is_the_philox_stream_keyed_seed_and_p(self, d, n_steps, seed):
         grid = TimeGrid(0.0, 0.7, n_steps)
-        ens = simulate_brownian(grid, 5, d, seed)
-        for p in range(5):
-            bitgen = np.random.Philox(key=np.array([seed % 2 ** 64, p], dtype=np.uint64))
-            normals = np.random.Generator(bitgen).standard_normal((n_steps, d))
-            assert np.array_equal(ens.dW[p], normals * np.sqrt(grid.dt))
+        # the second ensemble crosses a block of the draw buffer
+        for n_paths, checked in ((5, range(5)),
+                                 (_DRAW_CHUNK + 7, (0, _DRAW_CHUNK - 1, _DRAW_CHUNK,
+                                                    _DRAW_CHUNK + 6))):
+            ens = simulate_brownian(grid, n_paths, d, seed)
+            for p in checked:
+                key = np.array([seed % 2 ** 64, p], dtype=np.uint64)
+                normals = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                    (n_steps, d))
+                assert np.array_equal(ens.dW[p], normals * np.sqrt(grid.dt))
+
+    @pytest.mark.parametrize("seed, key", [(np.int64(-1), 2 ** 64 - 1),
+                                           (np.uint64(5), 5), (np.int32(7), 7),
+                                           (np.uint64(2 ** 64 - 3), 2 ** 64 - 3)],
+                             ids=["int64-neg", "uint64", "int32", "uint64-max"])
+    def test_numpy_integer_seeds_key_the_python_int_stream(self, seed, key):
+        grid = TimeGrid(0.0, 1.0, 4)
+        ens = simulate_brownian(grid, 3, 2, seed)
+        assert np.array_equal(ens.dW, simulate_brownian(grid, 3, 2, key).dW)
+
+    @pytest.mark.parametrize("seed", [1.0, np.float64(3.0), True, np.bool_(False), "7"],
+                             ids=["float", "numpy-float", "bool", "numpy-bool", "str"])
+    def test_non_integer_seeds_are_rejected(self, seed):
+        with pytest.raises(ProblemError, match="seed must be an integer"):
+            simulate_brownian(TimeGrid(0.0, 1.0, 4), 3, 1, seed)
 
     def test_per_path_streams_do_not_depend_on_path_count(self):
         grid = TimeGrid(0.0, 1.0, 10)
         small = simulate_brownian(grid, 8, 1, seed=3)
         large = simulate_brownian(grid, 32, 1, seed=3)
         assert np.array_equal(small.dW, large.dW[:8])
+
+
+def identity_noise_problem():
+    return GameProblem(
+        state_dim=2, noise_dim=2, horizon=0.5,
+        drift=lambda t, x, u, v: np.zeros_like(x),
+        diffusion=lambda t, x, u, v: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)),
+        generator=lambda t, x, y, z, u, v: np.zeros(np.shape(x)[:-1]),
+        terminal=lambda x: x[..., 0],
+        lower_obstacle=lambda t, x: np.full(np.shape(x)[:-1], -1e6),
+        upper_obstacle=lambda t, x: np.full(np.shape(x)[:-1], 1e6),
+        lipschitz=1.0, holder_q=2.0,
+        u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton())
+
+
+def coupled_problem(points):
+    """k = d = 3, state-dependent non-diagonal diffusion, both players acting."""
+    a = np.array([[0.3, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, 0.1, 0.5]])
+
+    def scalar(c):
+        return np.asarray(c, dtype=float)[..., :1]
+
+    def diffusion(t, x, u, v):
+        u, v = scalar(u), scalar(v)
+        return ((a + 0.1 * np.sin(x)[..., :, None] * np.cos(x)[..., None, :])
+                * (1.0 + 0.2 * u + 0.1 * v))
+
+    return GameProblem(
+        state_dim=3, noise_dim=3, horizon=1.0,
+        drift=lambda t, x, u, v: -0.5 * x + scalar(u) - t * scalar(v),
+        diffusion=diffusion,
+        generator=lambda t, x, y, z, u, v: np.zeros(np.shape(x)[:-1]),
+        terminal=lambda x: x[..., 0],
+        lower_obstacle=lambda t, x: np.full(np.shape(x)[:-1], -1e6),
+        upper_obstacle=lambda t, x: np.full(np.shape(x)[:-1], 1e6),
+        lipschitz=3.0, holder_q=2.0,
+        u_grid=ControlGrid(points=points((0.0, 0.5, 1.0))),
+        v_grid=ControlGrid(points=points((0.0, 1.0))))
+
+
+class TestLayout:
+    def test_layers_are_contiguous_behind_path_first_shapes(self):
+        p = coupled_problem(tuple)
+        grid = TimeGrid(0.0, 1.0, 6)
+        ens = simulate_brownian(grid, 37, 3, seed=4)
+        st = euler_forward(p, ens, [0.1, 0.2, 0.3], 0, 1)
+        assert ens.dW.shape == (37, 6, 3) and st.X.shape == (37, 7, 3)
+        assert all(ens.dW[:, j].flags.c_contiguous for j in range(6))
+        assert all(st.X[:, j].flags.c_contiguous for j in range(7))
+        assert np.array_equal(st.X[:, 0], np.broadcast_to([0.1, 0.2, 0.3], (37, 3)))
+        assert ens.dW.nbytes == 37 * 6 * 3 * 8 and st.X.nbytes == 37 * 7 * 3 * 8
+
+    @pytest.mark.parametrize("points", [tuple, lambda c: tuple((x, 0.0) for x in c)],
+                             ids=["scalar-points", "vector-points"])
+    def test_euler_equals_the_path_major_loop_bit_for_bit(self, points):
+        p = coupled_problem(points)
+        n_paths, n_steps = _DRAW_CHUNK + 7, 8
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        ens = simulate_brownian(grid, n_paths, 3, seed=12)
+        rng = np.random.default_rng(12)
+        mu = rng.integers(0, 3, (n_paths, n_steps))
+        nu = rng.integers(0, 2, (n_paths, n_steps))
+        x0 = np.array([0.1, -0.2, 0.3])
+        dW = np.ascontiguousarray(ens.dW)  # the path-major loop, inline
+        X = np.empty((n_paths, n_steps + 1, 3))
+        X[:, 0] = x0
+        for j in range(n_steps):
+            t, xj = float(grid.knots[j]), X[:, j]
+            bv = _evaluate(p, "drift", t, xj, ui=mu[:, j], vi=nu[:, j])
+            sv = _evaluate(p, "diffusion", t, xj, ui=mu[:, j], vi=nu[:, j])
+            X[:, j + 1] = xj + bv * grid.dt + np.einsum("mkd,md->mk", sv, dW[:, j])
+        st = euler_forward(p, ens, x0, mu, nu)
+        assert np.array_equal(st.X, X)
+        assert np.ptp(X[:, -1], axis=0).min() > 0.1  # the paths really move
+
+    def test_csv_rows_stay_in_path_step_coord_order(self):
+        ens = simulate_brownian(TimeGrid(0.0, 0.5, 2), 3, 2, 17)
+        st = euler_forward(identity_noise_problem(), ens, [1.0, -1.0], 0, 0)
+        assert ens.to_csv() == """path,step,coord,value
+0,0,0,-0.31453016828164593
+0,0,1,-0.081297389833981423
+0,1,0,0.12898358974520341
+0,1,1,0.71346070578018439
+1,0,0,0.67936630766574135
+1,0,1,0.61960248918641103
+1,1,0,0.11800450264474788
+1,1,1,-1.1922616996095372
+2,0,0,-0.25794084555982599
+2,0,1,-0.26524580029658645
+2,1,0,0.32862212251077116
+2,1,1,-0.52585674720592201
+"""
+        assert st.to_csv() == """path,step,coord,value
+0,0,0,1
+0,0,1,-1
+0,1,0,0.68546983171835407
+0,1,1,-1.0812973898339815
+0,2,0,0.81445342146355748
+0,2,1,-0.3678366840537971
+1,0,0,1
+1,0,1,-1
+1,1,0,1.6793663076657412
+1,1,1,-0.38039751081358897
+1,2,0,1.7973708103104891
+1,2,1,-1.5726592104231263
+2,0,0,1
+2,0,1,-1
+2,1,0,0.74205915444017401
+2,1,1,-1.2652458002965865
+2,2,0,1.0706812769509453
+2,2,1,-1.7911025475025086
+"""
 
 
 class TestEulerForward:
