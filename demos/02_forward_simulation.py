@@ -1,5 +1,5 @@
 """Forward layer: counter-based Brownian ensembles, Euler stepping of the
-controlled state, and the two path-surgery operations.
+controlled state, and pasting controls into a path table.
 
 The increments of path p come from a Philox stream keyed (seed, p), so the
 ensemble is bit-reproducible and the first paths of a large run coincide
@@ -9,8 +9,8 @@ earlier numbers.
 
 import numpy as np
 
-from drgame import (TimeGrid, concat_paths, constant_controls, euler_forward,
-                    make_preset, paste_controls, simulate_brownian)
+from drgame import (TimeGrid, constant_controls, euler_forward, make_preset,
+                    paste_controls, simulate_brownian)
 
 grid = TimeGrid(0.0, 1.0, 50)
 ens = simulate_brownian(grid, n_paths=50_000, d=1, seed=7)
@@ -37,11 +37,3 @@ switched = states2.X[0::2, -1, 0].var()
 kept = states2.X[1::2, -1, 0].var()
 print(f"after pasting: switched paths var {switched:.3f} "
       f"(theory 4*0.5 + 1*0.5 = 2.5), untouched var {kept:.3f} (theory 4)")
-print()
-
-# concatenation: a path frozen at the splice knot continues with fresh noise
-omega = np.concatenate([[0.0], np.cumsum(ens.dW[0, :, 0])])
-tilde = np.concatenate([[0.0], np.cumsum(ens.dW[1, 25:, 0])])
-spliced = concat_paths(grid, omega, 0.5, tilde)
-print("splice keeps the past:", np.array_equal(spliced[:25], omega[:25]),
-      "and is continuous at the knot:", spliced[25] == omega[25])

@@ -19,15 +19,15 @@ lat = build_lattice(p, n_steps=400, x_min=-6, x_max=6, n_nodes=121)
 lower = value_backward_induction(p, lat, "supinf")
 upper = value_backward_induction(p, lat, "infsup")
 gap = upper.W - lower.W
-print(f"lower value at x=0: {lower.root():+.6f}")
-print(f"upper value at x=0: {upper.root():+.6f}")
+print(f"lower value at x=0: {lower.root(0.0):+.6f}")
+print(f"upper value at x=0: {upper.root(0.0):+.6f}")
 print(f"order inequality violations: {np.sum(gap < 0)} of {gap.size} nodes")
 print(f"largest saddle-point gap:    {gap.max():.4f} "
       "(nonzero: the two optimisation orders disagree)")
 print()
 
-print("dynamic programming identity (direct vs solve-compose):")
+print("dynamic programming identity at x=0 (direct vs solve-compose):")
 for t_mid in (0.25, 0.5, 0.75):
-    rep = dpp_check(p, lat, t_mid, "supinf")
+    rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
     print(f"  split at t={t_mid}: direct {rep.direct:+.12f}  "
           f"composed {rep.composed:+.12f}  gap {rep.gap:.1e}")

@@ -13,7 +13,7 @@ from drgame import (build_lattice, cross_check, make_preset, make_pde_grid,
                     solve_obstacle_pde, viscosity_residual,
                     value_backward_induction)
 
-print("cross-check on matching grids (identical affine updates):")
+print("cross-check at x=0 on matching grids (identical affine updates):")
 for name, steps, span, nodes in (
         ("dynkin-flat", 100, 4.0, 41),
         ("uncertain-volatility", 256, 6.0, 49),
@@ -22,7 +22,7 @@ for name, steps, span, nodes in (
     p = make_preset(name, {})
     lat = build_lattice(p, steps, -span, span, nodes)
     g = make_pde_grid(p, steps, -span, span, nodes)
-    rep = cross_check(p, lat, g, "supinf")
+    rep = cross_check(p, lat, g, "supinf", 0.0)
     print(f"  {name:22s} lattice {rep.lattice_root:+.8f}  "
           f"pde {rep.pde_root:+.8f}  rel gap {rep.rel_gap:.1e}")
 print()
@@ -35,7 +35,7 @@ for h, closed_form in (("square", 4.0), ("neg-square", -1.0)):
     p = make_preset("uncertain-volatility", {"h": h})
     g = make_pde_grid(p, n_steps, -8.0, 8.0, nodes)
     w = solve_obstacle_pde(p, g, "supinf")
-    print(f"  h = {h:10s} w(0,0) = {w.root():+.6f}  "
+    print(f"  h = {h:10s} w(0,0) = {w.root(0.0):+.6f}  "
           f"(closed form {closed_form:+.1f})")
 print()
 

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
                     ValidationReport, make_preset, preset_names,
                     validate_problem)
-from .paths import (PathEnsemble, StatePaths, TimeGrid, concat_paths, constant_controls,
+from .paths import (PathEnsemble, StatePaths, TimeGrid, constant_controls,
                     euler_forward, paste_controls, simulate_brownian)
 from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
                    ValueSurface, build_lattice, dpp_check,
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "ControlGrid", "GameProblem", "NumericsError", "ProblemError",
     "ValidationReport", "make_preset", "preset_names", "validate_problem",
-    "PathEnsemble", "StatePaths", "TimeGrid", "concat_paths",
+    "PathEnsemble", "StatePaths", "TimeGrid",
     "constant_controls", "euler_forward", "paste_controls", "simulate_brownian",
     "BinaryTree", "CflError", "DppReport", "Lattice", "OracleCase",
     "ValueSurface", "build_lattice", "dpp_check", "dpp_cross_resolution",

@@ -50,7 +50,7 @@ from . import __version__
 from .model import (NumericsError, PRESETS, ProblemError, _csv, _scalar_controls,
                     make_preset, validate_problem)
 from .paths import TimeGrid, constant_controls, euler_forward, simulate_brownian
-from .game import (_ORDERS, _refined_composition, build_lattice, dpp_check,
+from .game import (_ORDERS, _refined_composition, _value_at, build_lattice, dpp_check,
                    dynkin_oracle_corpus, value_backward_induction)
 from .drbsde import check_flat_off, solve_drbsde_lattice, solve_drbsde_lsmc
 from .pde import cross_check, refinement_study, solve_obstacle_pde, viscosity_residual
@@ -325,7 +325,7 @@ def _cmd_drbsde(cfg, out):
         sol = solve_drbsde_lattice(prob, lat)
         res_lo, res_hi = check_flat_off(sol, prob, lat)
         diag = _lattice_diag(lat)
-        root = np.interp(cfg.x0, lat.x_nodes, sol.Y[0])  # as value reads W(0, x0)
+        root = _value_at(lat.x_nodes, sol.Y[0], cfg.x0)  # as value reads W(0, x0)
     else:
         states, mu, nu = _states(cfg, prob)
         sol = solve_drbsde_lsmc(prob, states, mu, nu, degree=cfg.basis_degree)
@@ -348,15 +348,14 @@ def _cmd_value(cfg, out):
     lat = _lattice(cfg, prob)
     surf = value_backward_induction(prob, lat, cfg.order)
     _write_text(out / "surface.csv", surf.to_csv())
-    root = np.interp(cfg.x0, lat.x_nodes, surf.W[0])  # as crosscheck reads it
-    return 0, {"result.root": f"{root:.17g}", **_lattice_diag(lat)}
+    return 0, {"result.root": f"{surf.root(cfg.x0):.17g}", **_lattice_diag(lat)}
 
 def _cmd_pde(cfg, out):
     prob = _problem(cfg)
     g = _lattice(cfg, prob)
     surf = solve_obstacle_pde(prob, g, cfg.order)
     resid = viscosity_residual(prob, g, surf, cfg.order)
-    study = refinement_study(prob, g, surf, cfg.order, levels=2, x0=cfg.x0)
+    study = refinement_study(prob, g, surf, cfg.order, cfg.x0, levels=2)
     _write_text(out / "surface.csv", surf.to_csv())
     _write_text(out / "residual.csv", resid.to_csv())
     _write_text(out / "convergence.csv", study.to_csv())
@@ -378,10 +377,9 @@ def _cmd_dpp_check(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
     t_mid = _snap_t_mid(cfg, lat.grid)
-    rep = dpp_check(prob, lat, t_mid, cfg.order, x0=cfg.x0)
+    rep = dpp_check(prob, lat, t_mid, cfg.order, cfg.x0)
     # the refined variant of dpp_cross_resolution, reusing rep's direct solve
-    refined = np.interp(cfg.x0, lat.x_nodes, _refined_composition(prob, lat, t_mid,
-                                                                  cfg.order).W[0])
+    refined = _refined_composition(prob, lat, t_mid, cfg.order).root(cfg.x0)
     rows = [("matched", rep.direct, rep.composed, rep.gap),
             ("refined", rep.direct, refined, abs(rep.direct - refined))]
     _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))
@@ -391,11 +389,12 @@ def _cmd_dpp_check(cfg, out):
 def _cmd_crosscheck(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
-    rep = cross_check(prob, lat, lat, cfg.order, x0=cfg.x0)
+    rep = cross_check(prob, lat, lat, cfg.order, cfg.x0)
     _write_text(out / "crosscheck.csv",
                 _csv("lattice_root,pde_root,rel_gap",
                      [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))
-    return (0 if rep.rel_gap <= 1e-10 else 1), {"result.rel_gap": f"{rep.rel_gap:.17g}",
+    return (0 if rep.rel_gap <= 1e-10 else 1), {"result.root": f"{rep.lattice_root:.17g}",
+                                                "result.rel_gap": f"{rep.rel_gap:.17g}",
                                                 **_lattice_diag(lat)}
 
 def _cmd_sqrt_check(cfg, out):

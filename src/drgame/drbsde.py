@@ -57,7 +57,8 @@ class DrbsdeSolution:
     K_lo and K_hi are cumulative from t0 (first row zero, nondecreasing);
     the increment attributed to knot j is K[j + 1] - K[j].  LSMC solutions
     also carry ``se_root`` and the regression diagnostics ``lsmc_*`` (see
-    ``solve_drbsde_lsmc``).
+    ``solve_drbsde_lsmc``).  ``root`` is Y at t0 of an LSMC solution, whose
+    paths all start at x0; a lattice solution has one per node (``root_at``).
     """
 
     grid: TimeGrid
@@ -73,7 +74,9 @@ class DrbsdeSolution:
 
     @property
     def root(self) -> float:
-        return float(self.Y[0, 0]) if self.mode == "lsmc" else float(np.nan)
+        if self.mode != "lsmc":
+            raise ProblemError("a lattice solution has a root per node; use root_at")
+        return float(self.Y[0, 0])
 
     def root_at(self, index: int) -> float:
         return float(self.Y[0, _point_index(index, self.Y.shape[1], "index")])

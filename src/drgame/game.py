@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 _ORDERS = ("supinf", "infsup")
-_REFINE = 2  # dpp_cross_resolution's tail lattice has dx / _REFINE, dt / _REFINE**2
 
 
 class CflError(NumericsError):
@@ -84,15 +83,24 @@ class ValueSurface:
     W: np.ndarray
     kind: str
 
-    def root(self, x_index=None) -> float:
-        n = len(self.x_nodes)
-        i = n // 2 if x_index is None else _point_index(x_index, n, "x_index")
-        return float(self.W[0, i])
+    def root(self, x0: float) -> float:
+        """W(t0, x0), by linear interpolation between nodes (exact at a node)."""
+        return _value_at(self.x_nodes, self.W[0], x0)
 
     def to_csv(self) -> str:
         j, i = np.indices(self.W.shape).reshape(2, -1)
         return _csv("time,x,value,kind", self.grid.knots[j], self.x_nodes[i],
                     self.W.ravel(), self.kind)
+
+
+def _value_at(x_nodes, layer, x0) -> float:
+    """``layer`` on ``x_nodes`` at the point ``x0``: linear interpolation,
+    exact at a node.  The one root reader of the grid routes; an ``x0``
+    outside [x_nodes[0], x_nodes[-1]], NaN included, is rejected."""
+    lo, hi = float(x_nodes[0]), float(x_nodes[-1])
+    if not lo <= x0 <= hi:
+        raise ProblemError(f"x0 = {x0!r} outside the grid [{lo!r}, {hi!r}]")
+    return float(np.interp(x0, x_nodes, layer))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +639,7 @@ class OracleCase:
 
     def recursion_value(self) -> float:
         surf = value_backward_induction(self.problem, self.lattice, "supinf")
-        return surf.root(self.root_index)
+        return float(surf.W[0, self.root_index])
 
     def brute_force_value(self) -> float:
         return dynkin_brute_force(self.tree, self.problem.lower_obstacle,
@@ -726,47 +734,47 @@ class DppReport:
 
 
 def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-              x_index=None, x0=None) -> DppReport:
+              x0: float) -> DppReport:
     """Solve-compose-compare at a deterministic intermediate knot.
 
     The direct route solves on [t0, T]; the composed route solves [t_mid, T]
     first and feeds W(t_mid, .) as terminal data to a solve on [t0, t_mid].
     The halves of a split step on the parent's clock, so the two recursions
     perform the same arithmetic and the reported gap is exactly zero.  Both
-    roots are read at node ``x_index`` or, if given, at the point ``x0`` by
-    linear interpolation (exact at a node).
+    roots are read at ``x0`` by :meth:`ValueSurface.root`.
     """
     head, tail = lat.split(lat.grid.index_of(t_mid))
-    root = ((lambda s: s.root(x_index)) if x0 is None
-            else (lambda s: float(np.interp(x0, s.x_nodes, s.W[0]))))
-    direct = root(value_backward_induction(p, lat, order))
+    direct = value_backward_induction(p, lat, order).root(x0)
     tail_surf = value_backward_induction(p, tail, order)
-    composed = root(value_backward_induction(p, head, order, terminal=tail_surf.W[0]))
+    composed = value_backward_induction(p, head, order, terminal=tail_surf.W[0]).root(x0)
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
 
 
 def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-                         x_index=None) -> DppReport:
+                         x0: float) -> DppReport:
     """Composed route with a (dx/2, dt/4) lattice on [t_mid, T].
 
     The fine continuation value is interpolated linearly onto the coarse
     nodes before the head solve, so the gap measures scheme consistency
-    rather than an algebraic identity.
+    rather than an algebraic identity.  Both roots are read at ``x0``.
     """
-    composed = _refined_composition(p, lat, t_mid, order).root(x_index)
-    direct = value_backward_induction(p, lat, order).root(x_index)
+    composed = _refined_composition(p, lat, t_mid, order).root(x0)
+    direct = value_backward_induction(p, lat, order).root(x0)
     return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
+
+
+def _refine(p: GameProblem, lat: Lattice) -> Lattice:
+    """Lattice for ``p`` on ``lat``'s domain from its t0: 4x the steps and
+    2n - 1 nodes, so dt / 4 and dx / 2."""
+    return build_lattice(p, 4 * lat.grid.n_steps, float(lat.x_nodes[0]),
+                         float(lat.x_nodes[-1]), 2 * lat.n_nodes - 1, t0=lat.grid.t0)
 
 
 def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
                          order: str) -> ValueSurface:
     """Head surface of the composed route of :func:`dpp_cross_resolution`."""
-    j_mid = lat.grid.index_of(t_mid)
-    head, _ = lat.split(j_mid)
-    n_tail_fine = (lat.grid.n_steps - j_mid) * _REFINE * _REFINE
-    n_nodes_fine = (lat.n_nodes - 1) * _REFINE + 1
-    fine_tail = build_lattice(p, n_tail_fine, float(lat.x_nodes[0]),
-                              float(lat.x_nodes[-1]), n_nodes_fine, t0=float(t_mid))
+    head, tail = lat.split(lat.grid.index_of(t_mid))
+    fine_tail = _refine(p, tail)
     tail_surf = value_backward_induction(p, fine_tail, order)
     terminal = np.interp(lat.x_nodes, fine_tail.x_nodes, tail_surf.W[0])
     return value_backward_induction(p, head, order, terminal=terminal)

@@ -1,6 +1,5 @@
 """Time grids, Brownian ensembles and forward simulation of the controlled
-state equation, plus the two path-surgery operations (concatenation of a
-path with a continuation, and pasting into a path table of control indices).
+state equation, plus pasting into a path table of control indices.
 
 Randomness is counter-based: the increments of path ``p`` are the standard
 normals of a Philox stream keyed ``(seed mod 2**64, p)``, reshaped to
@@ -35,7 +34,6 @@ __all__ = [
     "StatePaths",
     "simulate_brownian",
     "euler_forward",
-    "concat_paths",
     "paste_controls",
     "constant_controls",
 ]
@@ -82,13 +80,6 @@ class TimeGrid:
         if idx < 0 or idx > self.n_steps or abs(self.t0 + idx * self.dt - s) > tol:
             raise ProblemError(f"{s!r} is not a knot of {self}")
         return idx
-
-    def restrict_from(self, s) -> "TimeGrid":
-        """Sub-grid on [s, T] sharing the knots of this grid."""
-        idx = self.index_of(s)
-        if idx == self.n_steps:
-            raise ProblemError("cannot restrict to the empty interval [T, T]")
-        return TimeGrid(t0=float(self.knots[idx]), T=self.T, n_steps=self.n_steps - idx)
 
 
 @dataclass
@@ -142,12 +133,12 @@ def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> np.ndarray:
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEnsemble:
     """Draw the Brownian increment array for ``n_paths`` independent paths.
 
-    ``seed`` is any integer (numpy integers included); it keys the streams
-    modulo 2**64.
+    ``n_paths``, ``d`` and ``seed`` are integers (numpy integers included);
+    the seed keys the streams modulo 2**64.
     """
-    if n_paths < 1:
+    if _integer(n_paths, "n_paths") < 1:
         raise ProblemError("n_paths must be >= 1")
-    if d < 1:
+    if _integer(d, "d") < 1:
         raise ProblemError("d must be >= 1")
     key = np.array([_integer(seed, "seed") % 2 ** 64, 0], dtype=np.uint64)
     dW = np.empty((grid.n_steps, n_paths, d)).transpose(1, 0, 2)
@@ -178,13 +169,17 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:
     """Explicit forward step X_{j+1} = X_j + b dt + sigma dW_j along every path;
     each step calls drift and diffusion once for all paths, each path at its
     own control pair (once per distinct pair for array-valued points).
-    ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index table."""
+    ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index table.
+    The path and step counts are those of ``ens.dW``, which must fit the
+    ensemble's grid and the problem's noise dimension."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (p.state_dim,):
         raise ProblemError(f"x0 must have shape ({p.state_dim},)")
-    n_paths, n_steps = ens.n_paths, ens.grid.n_steps
-    if ens.d != p.noise_dim:
-        raise ProblemError("ensemble noise dimension does not match the problem")
+    shape = np.shape(ens.dW)
+    if len(shape) != 3 or shape[1:] != (ens.grid.n_steps, p.noise_dim):
+        raise ProblemError(f"ensemble dW {shape} does not fit its {ens.grid.n_steps}-step "
+                           f"grid and noise dimension {p.noise_dim}")
+    n_paths, n_steps, _ = shape
     mu, nu = _control_tables(p, mu, nu, (n_paths, n_steps))
 
     dt = ens.grid.dt
@@ -203,29 +198,6 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:
             ip = int(np.nonzero(bad)[0][0])
             raise NumericsError(f"non-finite state at step {j + 1}, path {ip}")
     return StatePaths(grid=ens.grid, X=X, x0=x0, ens=ens)
-
-
-def concat_paths(grid: TimeGrid, omega: np.ndarray, s, omega_tilde: np.ndarray) -> np.ndarray:
-    """Concatenate a path on [t0, T] with a continuation on [s, T].
-
-    The result equals ``omega`` before the knot ``s`` and ``omega(s) +
-    omega_tilde(r)`` from ``s`` on; because the continuation starts at zero
-    the spliced path has no jump at ``s``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    omega_tilde = np.asarray(omega_tilde, dtype=float)
-    if omega.shape[0] != grid.n_steps + 1:
-        raise ProblemError("omega does not live on the given grid")
-    idx = grid.index_of(s)
-    if omega_tilde.shape[0] != grid.n_steps + 1 - idx:
-        raise ProblemError("omega_tilde does not live on the sub-grid from s to T")
-    if omega_tilde.shape[1:] != omega.shape[1:]:
-        raise ProblemError("coordinate dimensions of the two paths differ")
-    if np.max(np.abs(omega_tilde[0])) > 1e-12:
-        raise ProblemError("continuation path must start at 0")
-    out = omega.copy()
-    out[idx:] = omega[idx] + omega_tilde
-    return out
 
 
 def paste_controls(mu, replacements) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameProblem, ProblemError, _control_pairs, _csv, _evaluate
-from .game import (Lattice, ValueSurface, _check_grid, _check_order, _saddle,
+from .game import (Lattice, ValueSurface, _check_grid, _check_order, _refine, _saddle,
                    backward_sweep, build_lattice, value_backward_induction)
 
 __all__ = [
@@ -217,29 +217,24 @@ class RefinementStudy:
 
 
 def refinement_study(p: GameProblem, g: Lattice, w: ValueSurface, order: str,
-                     levels: int = 3, x0: float = None) -> RefinementStudy:
+                     x0: float, levels: int = 3) -> RefinementStudy:
     """Root values at ``levels`` successive refinements of the grid ``g``.
 
     Level 0 is ``w``, solved by :func:`solve_obstacle_pde` on ``g`` in
-    ``order``; each further level quarters dt and halves dx.  The root is
-    read at ``x0`` (domain centre by default) by linear interpolation.
+    ``order``; each further level quarters dt and halves dx.  Every root
+    is read at ``x0`` by :meth:`ValueSurface.root`.
     """
     if levels < 2:
         raise ProblemError("need at least 2 levels")
     if w.W.shape != (g.grid.n_steps + 1, g.n_nodes):
         raise ProblemError("surface does not live on the given grid")
-    x_min, x_max = float(g.x_nodes[0]), float(g.x_nodes[-1])
-    x0 = 0.5 * (x_min + x_max) if x0 is None else x0
-    if not x_min <= x0 <= x_max:
-        raise ProblemError(f"x0 = {x0!r} outside the grid [{x_min!r}, {x_max!r}]")
     resolutions, roots = [], []
     for lvl in range(levels):
         if lvl:
-            g = build_lattice(p, 4 * g.grid.n_steps, x_min, x_max, 2 * g.n_nodes - 1,
-                              t0=g.grid.t0)
+            g = _refine(p, g)
             w = solve_obstacle_pde(p, g, order)
         resolutions.append(f"{g.grid.n_steps}x{g.n_nodes}")
-        roots.append(float(np.interp(x0, g.x_nodes, w.W[0])))
+        roots.append(w.root(x0))
     return RefinementStudy(resolutions=resolutions, roots=roots)
 
 
@@ -251,18 +246,19 @@ class CrossCheckReport:
 
 
 def cross_check(p: GameProblem, lat: Lattice, g: Lattice, order: str,
-                x0: float = None) -> CrossCheckReport:
+                x0: float) -> CrossCheckReport:
     """Lattice route vs finite-difference route at the initial time.
 
-    Both solvers run on their own grids and are read off at ``x0`` (domain
-    centre by default; linear interpolation where ``x0`` is off-node, exact
-    at shared nodes).  On matching grids the two updates are the same affine
-    map, so the relative gap sits at rounding level, for a generator that
-    does not read (y, z).  One that does gets (next layer, central difference
-    times sigma) here but the stencil's (expectation, z-moment) on the
-    lattice: a gap first order in dt (2.3e-4 for f = -0.5 y, 400 x 201).
-    Across resolutions the gap measures scheme consistency.  The gap is
-    normalised by max(1, |roots|) so flat zero solutions report zero.
+    Both solvers run on their own grids and are read off at ``x0`` by
+    :meth:`ValueSurface.root` (linear interpolation where ``x0`` is
+    off-node, exact at shared nodes).  On matching grids the two updates
+    are the same affine map, so the relative gap sits at rounding level,
+    for a generator that does not read (y, z).  One that does gets (next
+    layer, central difference times sigma) here but the stencil's
+    (expectation, z-moment) on the lattice: a gap first order in dt (2.3e-4
+    for f = -0.5 y, 400 x 201).  Across resolutions the gap measures scheme
+    consistency.  The gap is normalised by max(1, |roots|) so flat zero
+    solutions report zero.
     """
     lo_l, hi_l = float(lat.x_nodes[0]), float(lat.x_nodes[-1])
     lo_g, hi_g = float(g.x_nodes[0]), float(g.x_nodes[-1])
@@ -270,14 +266,8 @@ def cross_check(p: GameProblem, lat: Lattice, g: Lattice, order: str,
             or abs(lat.grid.t0 - g.grid.t0) > 1e-12 \
             or abs(lat.grid.T - g.grid.T) > 1e-12:
         raise ProblemError("lattice and PDE grids cover different domains")
-    if x0 is None:
-        x0 = 0.5 * (lo_l + hi_l)
-    if not lo_l <= x0 <= hi_l:
-        raise ProblemError("x0 outside the common domain")
-    surf_lat = value_backward_induction(p, lat, order)
-    surf_pde = solve_obstacle_pde(p, g, order)
-    v_lat = float(np.interp(x0, lat.x_nodes, surf_lat.W[0]))
-    v_pde = float(np.interp(x0, g.x_nodes, surf_pde.W[0]))
+    v_lat = value_backward_induction(p, lat, order).root(x0)
+    v_pde = solve_obstacle_pde(p, g, order).root(x0)
     denom = max(1.0, abs(v_lat), abs(v_pde))
     return CrossCheckReport(lattice_root=v_lat, pde_root=v_pde,
                             rel_gap=abs(v_lat - v_pde) / denom)

@@ -224,9 +224,9 @@ def _heat_roots(dx):
     n_steps = int(round(1.0 / dt))
     nodes = int(round(12.0 / dx)) + 1
     lat = build_lattice(p, n_steps, -6.0, 6.0, nodes)
-    v_lat = value_backward_induction(p, lat, "supinf").root()
+    v_lat = value_backward_induction(p, lat, "supinf").root(0.0)
     g = make_pde_grid(p, n_steps, -6.0, 6.0, nodes)
-    v_pde = solve_obstacle_pde(p, g, "supinf").root()
+    v_pde = solve_obstacle_pde(p, g, "supinf").root(0.0)
     return v_lat, v_pde
 
 
@@ -239,10 +239,10 @@ def _heat_cos_roots(n_steps):
     intervals = int(np.floor(20.0 / np.sqrt(2.0 / n_steps)))
     nodes = intervals - intervals % 2 + 1
     lat = build_lattice(p, n_steps, -10.0, 10.0, nodes)
-    v_lat = value_backward_induction(p, lat, "supinf").root()
+    v_lat = value_backward_induction(p, lat, "supinf").root(0.0)
     folded = lattice_occupancy(lat)[1]
     g = make_pde_grid(p, n_steps, -10.0, 10.0, nodes)
-    v_pde = solve_obstacle_pde(p, g, "supinf").root()
+    v_pde = solve_obstacle_pde(p, g, "supinf").root(0.0)
     return v_lat, v_pde, folded
 
 
@@ -292,12 +292,12 @@ def test_criterion_07_uncertain_volatility_selection():
     for hname, ref_sig in (("square", 2.0), ("neg-square", 1.0)):
         p = make_preset("uncertain-volatility", {"h": hname})
         lat = build_lattice(p, n_steps, -span, span, nodes)
-        v_game = value_backward_induction(p, lat, "supinf").root()
+        v_game = value_backward_induction(p, lat, "supinf").root(0.0)
         sign = 1.0 if hname == "square" else -1.0
         single = scalar_problem(sig=ref_sig, gamma=ref_sig,
                                 h=lambda x: sign * x[..., 0] ** 2)
         lat_s = build_lattice(single, n_steps, -span, span, nodes)
-        v_single = value_backward_induction(single, lat_s, "supinf").root()
+        v_single = value_backward_induction(single, lat_s, "supinf").root(0.0)
         rel = abs(v_game - v_single) / abs(v_single)
         results.append((hname, ref_sig, rel))
     ok = all(rel <= 0.01 for _, _, rel in results)
@@ -312,7 +312,7 @@ def test_criterion_08_dpp_identity():
         n = lat.grid.n_steps
         for j in (1, n // 2, n - 1):
             t_mid = float(lat.grid.knots[j])
-            rep = dpp_check(p, lat, t_mid, "supinf")
+            rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
             worst = max(worst, rep.gap)
     matched_ok = worst <= 1e-12
 
@@ -321,7 +321,7 @@ def test_criterion_08_dpp_identity():
     gaps = []
     for dx, steps in ((0.2, 100), (0.1, 400)):
         lat = build_lattice(p, steps, -10, 10, int(round(20 / dx)) + 1)
-        gaps.append(dpp_cross_resolution(p, lat, 0.5, "supinf").gap)
+        gaps.append(dpp_cross_resolution(p, lat, 0.5, "supinf", 0.0).gap)
     shrink_ok = gaps[1] <= gaps[0] / 2.0
     ok = matched_ok and shrink_ok
     assert report(8, "dynamic programming identity", ok,
@@ -349,7 +349,7 @@ def test_criterion_10_lattice_pde_equivalence():
         g = make_pde_grid(p, lat.grid.n_steps, float(lat.x_nodes[0]),
                           float(lat.x_nodes[-1]), lat.n_nodes)
         for order in ("supinf", "infsup"):
-            rep = cross_check(p, lat, g, order)
+            rep = cross_check(p, lat, g, order, 0.0)
             worst = max(worst, rep.rel_gap)
     ok = worst <= 1e-10
     assert report(10, "lattice/PDE algebraic equivalence", ok,

@@ -249,8 +249,8 @@ class TestRun:
         # the 500 x 41 surface is level 0 of the refinement study too
         builds, solves = [], []
 
-        def spies(mod):
-            build, solve = mod.build_lattice, mod.solve_obstacle_pde
+        def spies(build_mod, solve_mod):
+            build, solve = build_mod.build_lattice, solve_mod.solve_obstacle_pde
 
             def build_spy(p, n_steps, x_min, x_max, n_nodes, **kw):
                 builds.append((n_steps, n_nodes))
@@ -260,11 +260,12 @@ class TestRun:
                 solves.append((g.grid.n_steps, g.n_nodes))
                 return solve(p, g, order)
 
-            monkeypatch.setattr(mod, "build_lattice", build_spy)
-            monkeypatch.setattr(mod, "solve_obstacle_pde", solve_spy)
+            monkeypatch.setattr(build_mod, "build_lattice", build_spy)
+            monkeypatch.setattr(solve_mod, "solve_obstacle_pde", solve_spy)
 
-        for mod in (cli, pde):
-            spies(mod)
+        # level 1 is built by game._refine and solved by pde.refinement_study
+        for build_mod, solve_mod in ((cli, cli), (game, pde)):
+            spies(build_mod, solve_mod)
         assert run("pde", RunConfig(out_dir=str(tmp_path))) == 0
         assert builds == solves == [(500, 41), (2000, 81)]
         rows = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -291,6 +292,17 @@ class TestRun:
                (tmp_path / "dpp-check" / "dpp.csv").read_text().splitlines()[1:]]
         assert [row[1] for row in dpp] == [value["result.root"]] * 2
         assert dpp[0][2] == value["result.root"]
+
+    def test_crosscheck_writes_the_lattice_root_at_x0(self, tmp_path):
+        # x0 = 0.7 lies between nodes of [-2, 3] with 41 nodes
+        for sub in ("value", "crosscheck"):
+            cfg = RunConfig(preset="uncertain-volatility", x_min=-2.0, x_max=3.0,
+                            x0=0.7, out_dir=str(tmp_path / sub))
+            assert run(sub, cfg) == 0
+        value, cross = self.manifest(tmp_path / "value"), self.manifest(tmp_path / "crosscheck")
+        lattice_root = (tmp_path / "crosscheck" / "crosscheck.csv").read_text() \
+            .splitlines()[1].split(",")[0]
+        assert cross["result.root"] == value["result.root"] == lattice_root
 
     def test_sqrt_check(self, tmp_path):
         cfg = tiny_cfg(tmp_path, trials=30)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from functools import partial
 
 from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
-                    build_lattice, dpp_check, dpp_cross_resolution,
+                    build_lattice, cross_check, dpp_check, dpp_cross_resolution,
                     dynkin_brute_force, dynkin_oracle_corpus,
-                    lattice_occupancy, make_preset, solve_drbsde_lattice,
-                    solve_obstacle_pde, value_backward_induction)
-from drgame.game import _stencil
+                    lattice_occupancy, make_preset, refinement_study,
+                    solve_drbsde_lattice, solve_obstacle_pde, value_backward_induction)
+from drgame.game import _refined_composition, _stencil
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -372,7 +373,7 @@ class TestBackwardInduction:
         n_steps = int(round(1.0 / (dx * dx / 2.0)))
         lat = build_lattice(p, n_steps, -6.0, 6.0, int(round(12 / dx)) + 1)
         surf = value_backward_induction(p, lat, "supinf")
-        assert abs(surf.root() - 2.0) < 0.01 * 2.0
+        assert abs(surf.root(0.0) - 2.0) < 0.01 * 2.0
 
     def test_convex_payoff_selects_high_volatility(self):
         p = make_preset("uncertain-volatility", {"h": "square"})
@@ -380,7 +381,7 @@ class TestBackwardInduction:
         n_steps = int(round(1.0 / (dx * dx / 4.0)))
         lat = build_lattice(p, n_steps, -8.0, 8.0, int(round(16 / dx)) + 1)
         surf = value_backward_induction(p, lat, "supinf")
-        assert abs(surf.root() - 4.0) < 0.01 * 4.0
+        assert abs(surf.root(0.0) - 4.0) < 0.01 * 4.0
 
     def test_concave_payoff_selects_low_volatility(self):
         p = make_preset("uncertain-volatility", {"h": "neg-square"})
@@ -388,7 +389,7 @@ class TestBackwardInduction:
         n_steps = int(round(1.0 / (dx * dx / 4.0)))
         lat = build_lattice(p, n_steps, -8.0, 8.0, int(round(16 / dx)) + 1)
         surf = value_backward_induction(p, lat, "supinf")
-        assert abs(surf.root() - (-1.0)) < 0.01
+        assert abs(surf.root(0.0) - (-1.0)) < 0.01
 
     def test_dynkin_flat_is_identically_zero(self):
         p = make_preset("dynkin-flat", {})
@@ -610,7 +611,7 @@ class TestDpp:
             lat = build_lattice(p, 64, -4, 4, 33)
             for j in (1, 32, 63):
                 t_mid = float(lat.grid.knots[j])
-                rep = dpp_check(p, lat, t_mid, "supinf")
+                rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
                 assert rep.gap <= 1e-12
 
     def test_split_halves_keep_the_parent_arithmetic(self):
@@ -622,15 +623,15 @@ class TestDpp:
             for j in (2, 3, 5, 7, 388):
                 t_mid = float(lat.grid.knots[j])
                 for order in ("supinf", "infsup"):
-                    assert dpp_check(p, lat, t_mid, order).gap == 0.0, (name, j, order)
+                    assert dpp_check(p, lat, t_mid, order, 0.0).gap == 0.0, (name, j, order)
 
     def test_interior_knot_required(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 25, -2, 2, 21)
         with pytest.raises(ProblemError):
-            dpp_check(p, lat, 0.0, "supinf")
+            dpp_check(p, lat, 0.0, "supinf", 0.0)
         with pytest.raises(ProblemError):
-            dpp_check(p, lat, 0.55, "supinf")
+            dpp_check(p, lat, 0.55, "supinf", 0.0)
 
     def test_non_interior_knot_is_rejected_before_any_solve(self, monkeypatch):
         from drgame import game
@@ -640,7 +641,8 @@ class TestDpp:
                             lambda *a, **k: calls.append(a) or solve(*a, **k))
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 25, -2, 2, 21)
-        for check in (dpp_check, dpp_cross_resolution, game._refined_composition):
+        for check in (partial(dpp_check, x0=0.0), partial(dpp_cross_resolution, x0=0.0),
+                      game._refined_composition):
             for t_mid in (lat.grid.t0, lat.grid.T):
                 with pytest.raises(ProblemError, match="strictly interior"):
                     check(p, lat, t_mid, "supinf")
@@ -652,20 +654,59 @@ class TestDpp:
         gaps = []
         for dx, steps in ((0.2, 100), (0.1, 400)):
             lat = build_lattice(p, steps, -10, 10, int(round(20 / dx)) + 1)
-            rep = dpp_cross_resolution(p, lat, 0.5, "supinf")
+            rep = dpp_cross_resolution(p, lat, 0.5, "supinf", 0.0)
             gaps.append(rep.gap)
         assert gaps[1] <= gaps[0] / 2.0
 
-    @pytest.mark.parametrize("x_index", [-1, 41, 20.0])
-    def test_root_off_the_nodes_is_rejected(self, x_index):
-        p = make_preset("dynkin-flat", {})
-        lat = build_lattice(p, 50, -6, 6, 41)
+ROOT_ROUTES = ["ValueSurface.root", "dpp_check", "dpp_cross_resolution",
+               "cross_check", "refinement_study"]
+
+
+class TestRootReader:
+    @staticmethod
+    def roots(route, x0):
+        """(root, nodes, initial layer) for each root ``route`` reports at x0,
+        on [-2, 3] with 21 nodes, where x = 0 is node 8, not the middle one."""
+        p = make_preset("uncertain-volatility", {})
+        lat = build_lattice(p, 100, -2.0, 3.0, 21)
         surf = value_backward_induction(p, lat, "supinf")
-        assert surf.root() == surf.root(20) == surf.W[0, 20]
-        with pytest.raises(ProblemError, match="x_index must be an index in"):
-            surf.root(x_index)
-        with pytest.raises(ProblemError, match="x_index must be an index in"):
-            dpp_check(p, lat, 0.5, "supinf", x_index=x_index)
+        x, W0 = lat.x_nodes, surf.W[0]
+        if route == "ValueSurface.root":
+            return [(surf.root(x0), x, W0)]
+        if route == "dpp_check":
+            rep = dpp_check(p, lat, 0.5, "supinf", x0)
+            return [(rep.direct, x, W0), (rep.composed, x, W0)]
+        if route == "dpp_cross_resolution":
+            rep = dpp_cross_resolution(p, lat, 0.5, "supinf", x0)
+            head = _refined_composition(p, lat, 0.5, "supinf")
+            return [(rep.direct, x, W0), (rep.composed, x, head.W[0])]
+        w = solve_obstacle_pde(p, lat, "supinf")
+        if route == "cross_check":
+            rep = cross_check(p, lat, lat, "supinf", x0)
+            return [(rep.lattice_root, x, W0), (rep.pde_root, x, w.W[0])]
+        study = refinement_study(p, lat, w, "supinf", x0, levels=2)
+        fine = solve_obstacle_pde(p, build_lattice(p, 400, -2.0, 3.0, 41), "supinf")
+        return [(study.roots[0], x, w.W[0]), (study.roots[1], fine.x_nodes, fine.W[0])]
+
+    @pytest.mark.parametrize("route", ROOT_ROUTES)
+    @pytest.mark.parametrize("x0", [3.5, -2.5, np.nan, 0.0, 0.1],
+                             ids=["above", "below", "nan", "node", "between"])
+    def test_every_grid_route_reads_its_root_at_x0(self, route, x0):
+        if not -2.0 <= x0 <= 3.0:
+            with pytest.raises(ProblemError, match="outside the grid"):
+                self.roots(route, x0)
+            return
+        for root, x, layer in self.roots(route, x0):
+            node = x == x0
+            expect = layer[node][0] if node.any() else np.interp(x0, x, layer)
+            assert root.hex() == float(expect).hex(), route
+
+    def test_a_lattice_drbsde_solution_has_no_single_root(self):
+        p = make_preset("dynkin-flat", {})
+        sol = solve_drbsde_lattice(p, build_lattice(p, 50, -6, 6, 41))
+        with pytest.raises(ProblemError, match="root_at"):
+            sol.root
+        assert sol.root_at(20) == sol.Y[0, 20]
 
 
 class TestOccupancy:

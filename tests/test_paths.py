@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from drgame import (ProblemError, TimeGrid, concat_paths,
+from drgame import (ProblemError, TimeGrid,
                     constant_controls, euler_forward, make_preset,
                     paste_controls, simulate_brownian)
 from drgame.model import ControlGrid, GameProblem, _evaluate
@@ -33,10 +34,6 @@ class TestTimeGrid:
         assert g.index_of(0.5) == 2
         with pytest.raises(ProblemError):
             g.index_of(0.3)
-
-    def test_restrict(self):
-        g = TimeGrid(0.0, 1.0, 4).restrict_from(0.5)
-        assert g.t0 == 0.5 and g.n_steps == 2
 
     @pytest.mark.parametrize("n_steps", [2.5, 4.0, np.float64(4.0), True, "4"],
                              ids=["fraction", "float", "numpy-float", "bool", "str"])
@@ -102,6 +99,12 @@ class TestBrownian:
     def test_non_integer_seeds_are_rejected(self, seed):
         with pytest.raises(ProblemError, match="seed must be an integer"):
             simulate_brownian(TimeGrid(0.0, 1.0, 4), 3, 1, seed)
+
+    @pytest.mark.parametrize("n_paths, d", [(2.5, 1), (3, 1.0), (True, 1), (3, True)],
+                             ids=["fraction-paths", "float-d", "bool-paths", "bool-d"])
+    def test_non_integer_path_count_or_dimension_is_rejected(self, n_paths, d):
+        with pytest.raises(ProblemError, match="must be an integer"):
+            simulate_brownian(TimeGrid(0.0, 1.0, 4), n_paths, d, 0)
 
     def test_per_path_streams_do_not_depend_on_path_count(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -324,63 +327,22 @@ class TestEulerForward:
             assert est <= 3.0 * 0.5
         assert max(estimates) / min(estimates) <= 1.5
 
+    def test_path_count_comes_from_the_increments(self):
+        p = plain_problem()
+        ens = simulate_brownian(TimeGrid(0.0, 1.0, 4), 5, 1, seed=0)
+        st = euler_forward(p, replace(ens, n_paths=4), [0.0], 0, 0)
+        assert np.array_equal(st.X, euler_forward(p, ens, [0.0], 0, 0).X)
 
-class TestConcat:
-    def test_zero_continuation_freezes_the_path(self):
-        g = TimeGrid(0.0, 1.0, 4)
-        omega = np.array([0.0, 0.1, 0.3, 0.2, 0.5])
-        out = concat_paths(g, omega, 0.5, np.zeros(3))
-        assert np.allclose(out, [0.0, 0.1, 0.3, 0.3, 0.3])
-
-    def test_identity_at_left_endpoint(self):
-        g = TimeGrid(0.0, 1.0, 4)
-        tilde = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
-        out = concat_paths(g, np.zeros(5), 0.0, tilde)
-        assert np.allclose(out, tilde)
-
-    def test_linear_paths_splice_to_identity(self):
-        g = TimeGrid(0.0, 1.0, 4)
-        omega = g.knots.copy()
-        tilde = g.knots[2:] - 0.5
-        out = concat_paths(g, omega, 0.5, tilde)
-        assert np.allclose(out, g.knots)
-
-    def test_no_jump_at_the_splice_knot(self):
-        g = TimeGrid(0.0, 1.0, 10)
-        rng = np.random.default_rng(0)
-        omega = np.concatenate([[0.0], np.cumsum(rng.standard_normal(10))])
-        tilde = np.concatenate([[0.0], np.cumsum(rng.standard_normal(5))])
-        out = concat_paths(g, omega, 0.5, tilde)
-        assert out[5] == omega[5]
-
-    def test_continuation_must_start_at_zero(self):
-        g = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(ProblemError, match="start at 0"):
-            concat_paths(g, np.zeros(5), 0.5, np.ones(3))
-
-    def test_grid_mismatch(self):
-        g = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(ProblemError):
-            concat_paths(g, np.zeros(5), 0.5, np.zeros(4))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(2, 12), st.integers(0, 10 ** 6), st.data())
-    def test_splicing_is_associative(self, n_steps, seed, data):
-        # (omega +_s tilde) +_r hat equals omega +_s (tilde +_r hat)
-        i = data.draw(st.integers(1, n_steps - 1))
-        j = data.draw(st.integers(i, n_steps - 1))
-        g = TimeGrid(0.0, 1.0, n_steps)
-        rng = np.random.default_rng(seed)
-        omega = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n_steps))])
-        tilde = np.concatenate([[0.0],
-                                np.cumsum(rng.standard_normal(n_steps - i))])
-        hat = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n_steps - j))])
-        s, r = float(g.knots[i]), float(g.knots[j])
-        sub = g.restrict_from(s)
-        left = concat_paths(g, concat_paths(g, omega, s, tilde), r, hat)
-        right = concat_paths(g, omega, s,
-                             concat_paths(sub, tilde, r, hat))
-        assert np.allclose(left, right, atol=1e-12)
+    @pytest.mark.parametrize("change", [
+        lambda ens: replace(ens, dW=ens.dW[:, :3]),
+        lambda ens: replace(ens, grid=TimeGrid(0.0, 1.0, 5)),
+        lambda ens: replace(ens, dW=np.zeros((5, 4, 2))),
+        lambda ens: replace(ens, dW=ens.dW[:, :, 0]),
+    ], ids=["3-step-dW", "5-step-grid", "2-d-noise", "2-axis-dW"])
+    def test_increments_that_do_not_fit_are_rejected(self, change):
+        ens = simulate_brownian(TimeGrid(0.0, 1.0, 4), 5, 1, seed=0)
+        with pytest.raises(ProblemError, match="does not fit"):
+            euler_forward(plain_problem(), change(ens), [0.0], 0, 0)
 
 
 class TestPaste:

@@ -108,7 +108,7 @@ class TestSolver:
         n_steps = int(round(1.0 / (dx * dx / 2.0)))
         g = make_pde_grid(p, n_steps, -6.0, 6.0, int(round(12 / dx)) + 1)
         w = solve_obstacle_pde(p, g, "supinf")
-        assert abs(w.root() - 2.0) < 0.01 * 2.0
+        assert abs(w.root(0.0) - 2.0) < 0.01 * 2.0
 
     def test_dynkin_flat_zero(self):
         p = make_preset("dynkin-flat", {})
@@ -125,7 +125,7 @@ class TestSolver:
         w_game = solve_obstacle_pde(p, g, "supinf")
         g2 = make_pde_grid(single, n_steps, -8.0, 8.0, int(round(16 / dx)) + 1)
         w_single = solve_obstacle_pde(single, g2, "supinf")
-        assert abs(w_game.root() - w_single.root()) < 0.01 * abs(w_single.root())
+        assert abs(w_game.root(0.0) - w_single.root(0.0)) < 0.01 * abs(w_single.root(0.0))
 
     def test_cfl_guard(self):
         p = make_preset("dynkin-flat", {})
@@ -156,8 +156,8 @@ class TestSolver:
                     terminal=lambda x: np.cos(x[..., 0]))
         g = build_lattice(p, 100, -10.0, 10.0, 101)
         w = solve_obstacle_pde(p, g, "supinf")
-        study = refinement_study(p, g, w, "supinf", levels=3)
-        assert study.roots[0] == w.root()
+        study = refinement_study(p, g, w, "supinf", 0.0, levels=3)
+        assert study.roots[0] == w.root(0.0)
         assert study.resolutions == ["100x101", "400x201", "1600x401"]
         d1, d2 = study.diffs
         assert d2 <= d1 / 2.0
@@ -171,10 +171,10 @@ class TestSolver:
         w = solve_obstacle_pde(p, g, "supinf")
         for x0 in (100.0, -4.5):
             with pytest.raises(ProblemError, match="outside the grid"):
-                refinement_study(p, g, w, "supinf", levels=2, x0=x0)
+                refinement_study(p, g, w, "supinf", x0, levels=2)
         other = solve_obstacle_pde(p, build_lattice(p, 100, -4.0, 4.0, 21), "supinf")
         with pytest.raises(ProblemError, match="surface does not live on the given grid"):
-            refinement_study(p, g, other, "supinf", levels=2)
+            refinement_study(p, g, other, "supinf", 0.0, levels=2)
 
 
 class TestGridProblem:
@@ -279,14 +279,14 @@ class TestCrossCheck:
             p = make_preset(name, params)
             lat = build_lattice(p, steps, lo, hi, nodes)
             g = make_pde_grid(p, steps, lo, hi, nodes)
-            rep = cross_check(p, lat, g, "supinf")
+            rep = cross_check(p, lat, g, "supinf", 0.0)
             assert rep.rel_gap <= 1e-10, f"{name}: {rep}"
 
     def test_flat_game_roots_are_zero(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 100, -4, 4, 41)
         g = make_pde_grid(p, 100, -4, 4, 41)
-        rep = cross_check(p, lat, g, "supinf")
+        rep = cross_check(p, lat, g, "supinf", 0.0)
         assert rep.lattice_root == 0.0 and rep.pde_root == 0.0
 
     def test_lattice_at_double_resolution(self):
@@ -294,7 +294,7 @@ class TestCrossCheck:
                     terminal=lambda x: np.cos(x[..., 0]))
         lat = build_lattice(p, 1024, -6, 6, 97)
         g = make_pde_grid(p, 256, -6, 6, 49)
-        rep = cross_check(p, lat, g, "supinf")
+        rep = cross_check(p, lat, g, "supinf", 0.0)
         assert rep.rel_gap < 5e-3  # scheme-consistency level, not identity
 
     def test_domain_mismatch_rejected(self):
@@ -302,4 +302,4 @@ class TestCrossCheck:
         lat = build_lattice(p, 100, -4, 4, 41)
         g = make_pde_grid(p, 100, -3, 3, 31)
         with pytest.raises(ProblemError):
-            cross_check(p, lat, g, "supinf")
+            cross_check(p, lat, g, "supinf", 0.0)
