@@ -55,7 +55,9 @@ class DrbsdeSolution:
     """Discrete (Y, Z, K_lo, K_hi) fields over (time knot, node or path).
 
     K_lo and K_hi are cumulative from t0 (first row zero, nondecreasing);
-    the increment attributed to knot j is K[j + 1] - K[j].  LSMC solutions
+    the increment attributed to knot j is K[j + 1] - K[j].  The K of an
+    obstacle that never pushes is +0.0 everywhere and holds no resident
+    memory until something writes it.  LSMC solutions
     also carry ``se_root`` and the regression diagnostics ``lsmc_*`` (see
     ``solve_drbsde_lsmc``).  ``root`` is Y at t0 of an LSMC solution, whose
     paths all start at x0; a lattice solution has one per node (``root_at``).
@@ -207,7 +209,9 @@ def _fit(designs, targets, step):
     for b, (A, y) in enumerate(zip(designs, targets)):
         if fallback[b]:
             coef_b, _, rank[b], _ = np.linalg.lstsq(A, y, rcond=None)
-        np.matmul(A, coef_b if fallback[b] else coef[b], out=y)
+        # y = A coef, written transposed: numpy hands a C-order target to
+        # BLAS, but fills a Fortran-order one by a loop ~40x slower
+        np.matmul((coef_b if fallback[b] else coef[b]).T, A.T, out=y.T)
     return rank, cond, fallback
 
 

@@ -443,8 +443,12 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     ``obstacles(j) -> (l_lo, l_hi)``, called after the step.
 
     Returns (W, K_lo, K_hi), each of shape (n_knots, m); K is cumulative
-    from the first knot (first row zero).  A route that has no use for K
-    passes ``pushes=False``: the sweep then neither forms nor stores the
+    from the first knot (first row zero).  Each side's K rows are written
+    and summed from its first push on; an obstacle that never pushes has a
+    K of +0.0 (no sign bit) that holds no resident memory until something
+    writes it.  The bits are those of a dense cumulative sum of every
+    layer's overshoot.  A route that has no use for K passes
+    ``pushes=False``: the sweep then neither forms nor stores the
     overshoots, and K_lo and K_hi are None.
     """
     n_steps = len(knots) - 1
@@ -459,8 +463,10 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
     W[-1] = terminal
     K_lo = K_hi = None
     if pushes:
-        K_lo = np.zeros_like(W)
-        K_hi = np.zeros_like(W)
+        # np.zeros is calloc: rows that no push reaches stay unmapped pages
+        K_lo, K_hi = np.zeros(W.shape), np.zeros(W.shape)
+        push = np.empty((2,) + W.shape[1:])  # this layer's pushes, reused
+        first = [None, None]  # first row of K_lo and K_hi with a push
     for j in range(n_steps - 1, -1, -1):
         t = float(knots[j])
         cand = step(j, t, W[j + 1])
@@ -473,12 +479,21 @@ def backward_sweep(p: GameProblem, knots, states, step, order=None,
             lo, hi = obstacles(j)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if pushes:
-            K_lo[j + 1] = np.maximum(lo - cand, 0.0)
-            K_hi[j + 1] = np.maximum(cand - hi, 0.0)
+            np.subtract(lo, cand, out=push[0])
+            np.subtract(cand, hi, out=push[1])
+            np.maximum(push, 0.0, out=push)
+            for side, K in enumerate((K_lo, K_hi)):
+                # any nonzero bit, so a -0.0 push is stored with its sign
+                if push[side].view(np.int64).any():
+                    K[j + 1] = push[side]
+                    first[side] = j + 1
         _clamp(cand, lo, hi, j, out=W[j])
     if pushes:
-        np.cumsum(K_lo[1:], axis=0, out=K_lo[1:])
-        np.cumsum(K_hi[1:], axis=0, out=K_hi[1:])
+        for K, r0 in zip((K_lo, K_hi), first):
+            if r0 is not None:
+                # from the +0.0 row before r0, so row r0 rounds as 0.0 + push
+                a = max(1, r0 - 1)
+                np.cumsum(K[a:], axis=0, out=K[a:])
     return W, K_lo, K_hi
 
 

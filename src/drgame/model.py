@@ -297,13 +297,21 @@ def _evaluate(p: GameProblem, name, t, x, *args, ui=None, vi=None):
 # ---------------------------------------------------------------------------
 
 def _const_obstacles(lo, hi):
-    def l_lo(t, x):
-        return np.full(np.shape(x)[:-1], float(lo))
+    """Constant barriers; each returns one read-only array per state shape,
+    so a sweep that asks at every layer allocates nothing."""
+    def barrier(level):
+        cache = {}
 
-    def l_hi(t, x):
-        return np.full(np.shape(x)[:-1], float(hi))
+        def l(t, x):
+            shape = np.shape(x)[:-1]
+            if shape not in cache:
+                cache[shape] = np.full(shape, level)
+                cache[shape].flags.writeable = False
+            return cache[shape]
 
-    return l_lo, l_hi
+        return l
+
+    return barrier(float(lo)), barrier(float(hi))
 
 
 _TERMINALS = {

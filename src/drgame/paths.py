@@ -89,13 +89,20 @@ class PathEnsemble:
     ``simulate_brownian`` stores dW knot-major, as a transposed view of an
     (n_steps, n_paths, d) array, so each step's layer ``dW[:, j]`` is
     C-contiguous; a path-major dW works too, at one copy per step.
+    ``n_paths`` and ``d`` are read from dW, so they cannot disagree with it.
     """
 
     grid: TimeGrid
-    n_paths: int
-    d: int
     seed: int
     dW: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.dW.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.dW.shape[2]
 
     def to_csv(self) -> str:
         return _csv("path,step,coord,value",
@@ -162,7 +169,7 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEn
             bitgen.state = state
             gen.standard_normal(out=buf[ip - a])
         np.multiply(buf[:b - a], sqrt_dt, out=dW[a:b])
-    return PathEnsemble(grid=grid, n_paths=n_paths, d=d, seed=seed, dW=dW)
+    return PathEnsemble(grid=grid, seed=seed, dW=dW)
 
 
 def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:

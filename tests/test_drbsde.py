@@ -405,7 +405,7 @@ class TestLsmc:
         roots = []
         for a, b in zip(edges[:-1], edges[1:]):
             part = replace(st, X=st.X[a:b],
-                           ens=replace(ens, n_paths=b - a, dW=ens.dW[a:b]))
+                           ens=replace(ens, dW=ens.dW[a:b]))
             roots.append(solve_drbsde_lsmc(
                 p, part, mu[a:b], nu[a:b],
                 basis=basis, n_bins=10, se_batches=0).root)

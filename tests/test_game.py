@@ -8,7 +8,7 @@ from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
                     dynkin_brute_force, dynkin_oracle_corpus,
                     lattice_occupancy, make_preset, refinement_study,
                     solve_drbsde_lattice, solve_obstacle_pde, value_backward_induction)
-from drgame.game import _refined_composition, _stencil
+from drgame.game import _refined_composition, _stencil, backward_sweep
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -250,6 +250,67 @@ class TestLatticeMemory:
                        if isinstance(v, np.ndarray))
 
         assert held_bytes(100) == held_bytes(400)
+
+
+def k_case(name, n=6, m=5):
+    """Candidate layers cands[j] (j < n) and per-knot obstacles (n + 1, m)."""
+    rng = np.random.default_rng(7)
+    cands = rng.uniform(-0.9, 0.9, (n, m))
+    lo, hi = np.full((n + 1, m), -1.0), np.full((n + 1, m), 1.0)
+    if name == "signed-zero-floor":  # lo - cand is -0.0 at every layer
+        lo[:], cands[:] = -0.0, 0.0
+    elif name == "signed-zero-from-middle":
+        lo[3:], cands[3:] = -0.0, 0.0
+    elif name == "first-push-mid":
+        cands[2, 1] = -1.3
+        cands[4, :3] = -1.1 - rng.uniform(0.0, 0.3, 3)
+        cands[3, 4] = 1.7
+    elif name == "push-from-row-1":
+        cands[0] = -1.0 - rng.uniform(0.0, 1.0, m)
+        cands[1, 2] = 1.25
+    return cands, lo, hi
+
+
+class TestKBits:
+    """backward_sweep's K against a dense reference, compared as int64."""
+
+    CASES = ["signed-zero-floor", "signed-zero-from-middle", "first-push-mid",
+             "push-from-row-1", "never"]
+
+    @staticmethod
+    def sweep(cands, lo, hi):
+        knots = np.linspace(0.0, 1.0, len(cands) + 1)
+        _, K_lo, K_hi = backward_sweep(make_preset("dynkin-flat"), knots, None,
+                                       lambda j, t, nxt: cands[j],
+                                       terminal=np.zeros(cands.shape[1]),
+                                       obstacles=lambda j: (lo[j], hi[j]))
+        return K_lo, K_hi
+
+    @staticmethod
+    def dense(cands, lo, hi):
+        K_lo, K_hi = np.zeros((2, len(cands) + 1, cands.shape[1]))
+        K_lo[1:] = np.cumsum(np.maximum(lo[:-1] - cands, 0.0), axis=0)
+        K_hi[1:] = np.cumsum(np.maximum(cands - hi[:-1], 0.0), axis=0)
+        return K_lo, K_hi
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_k_has_the_bits_of_a_dense_cumulative_sum(self, case):
+        cands, lo, hi = k_case(case)
+        got = self.sweep(cands, lo, hi)
+        for g, w in zip(got, self.dense(cands, lo, hi)):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        K_lo, K_hi = got
+        if case == "first-push-mid":
+            assert not K_lo[:3].any() and K_lo[3, 1] > 0.0
+            assert not K_hi[:4].any() and K_hi[4, 4] > 0.0
+        elif case == "push-from-row-1":
+            assert (K_lo[1] > 0.0).all() and K_hi[2, 2] > 0.0
+        else:
+            # an upper obstacle that never pushes: +0.0, no sign bit anywhere
+            assert not K_hi.view(np.int64).any()
+        if case == "never":
+            assert not K_lo.view(np.int64).any()
 
 
 def same_bits(a, b):

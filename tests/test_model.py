@@ -64,6 +64,17 @@ class TestPresets:
         assert np.all(p.generator(0.1, x, np.ones(2), np.ones((2, 1)), 0.0, 0.0) == 0.0)
         assert p.u_grid.size == 1 and p.v_grid.size == 1
 
+    def test_constant_obstacles_are_one_read_only_array_per_shape(self):
+        p = make_preset("dynkin-flat", {"l_lo": -1.0, "l_hi": 1.0})
+        x = np.zeros((4, 1))
+        a, b = p.lower_obstacle(0.0, x), p.lower_obstacle(0.5, x + 1.0)
+        assert a is b and np.array_equal(a, np.full(4, -1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        assert np.array_equal(p.lower_obstacle(0.0, x), np.full(4, -1.0))
+        assert np.array_equal(p.upper_obstacle(0.0, np.zeros((2, 3, 1))),
+                              np.ones((2, 3)))
+
     def test_uncertain_volatility_structure(self):
         p = make_preset("uncertain-volatility", {"sigma_lo": 1.0, "sigma_hi": 2.0,
                                                  "h": "square"})

@@ -330,8 +330,13 @@ class TestEulerForward:
     def test_path_count_comes_from_the_increments(self):
         p = plain_problem()
         ens = simulate_brownian(TimeGrid(0.0, 1.0, 4), 5, 1, seed=0)
-        st = euler_forward(p, replace(ens, n_paths=4), [0.0], 0, 0)
-        assert np.array_equal(st.X, euler_forward(p, ens, [0.0], 0, 0).X)
+        assert (ens.n_paths, ens.d) == (5, 1)
+        with pytest.raises(TypeError):
+            replace(ens, n_paths=4)  # a count is no field: it is dW's
+        part = replace(ens, dW=ens.dW[:4])
+        assert part.n_paths == 4
+        st = euler_forward(p, part, [0.0], 0, 0)
+        assert np.array_equal(st.X, euler_forward(p, ens, [0.0], 0, 0).X[:4])
 
     @pytest.mark.parametrize("change", [
         lambda ens: replace(ens, dW=ens.dW[:, :3]),
