@@ -1,5 +1,5 @@
 """Forward layer: counter-based Brownian ensembles, Euler stepping of the
-controlled state, and pasting controls into a path table.
+controlled state, and a path table of controls that switches regime.
 
 The increments of path p come from a Philox stream keyed (seed, p), so the
 ensemble is bit-reproducible and the first paths of a large run coincide
@@ -10,7 +10,7 @@ earlier numbers.
 import numpy as np
 
 from drgame import (TimeGrid, constant_controls, euler_forward, make_preset,
-                    paste_controls, simulate_brownian)
+                    simulate_brownian)
 
 grid = TimeGrid(0.0, 1.0, 50)
 ens = simulate_brownian(grid, n_paths=50_000, d=1, seed=7)
@@ -29,11 +29,10 @@ states = euler_forward(p, ens, [0.0], mu_hi, nu)
 print(f"sigma=2 regime: var X_T = {states.X[:, -1, 0].var():.4f} (theory 4.0)")
 
 # switch half the paths to the low-volatility regime from t = 0.5
-mu_mixed = paste_controls(
-    mu_hi, [(np.arange(0, ens.n_paths, 2), grid.index_of(0.5),
-             np.zeros(25, dtype=int))])
+mu_mixed = np.array(mu_hi)  # a writable copy of the read-only view
+mu_mixed[0::2, grid.index_of(0.5):] = 0
 states2 = euler_forward(p, ens, [0.0], mu_mixed, nu)
 switched = states2.X[0::2, -1, 0].var()
 kept = states2.X[1::2, -1, 0].var()
-print(f"after pasting: switched paths var {switched:.3f} "
+print(f"after switching: switched paths var {switched:.3f} "
       f"(theory 4*0.5 + 1*0.5 = 2.5), untouched var {kept:.3f} (theory 4)")

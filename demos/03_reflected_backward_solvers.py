@@ -63,6 +63,7 @@ print(f"comparison with lifted data: max (Y1 - Y2)^+ = {rep.max_violation} "
 base = reflected_problem()
 pert = replace(base, terminal=lambda x: x[..., 0] + 0.25)
 s_pert = solve_drbsde_lattice(pert, lat)
-rep = stability_gap(lat, base, sol, pert, s_pert, varpi=2.0)
+rep = stability_gap(lat, base, sol, pert, s_pert, varpi=2.0,
+                    root_index=lat.n_nodes // 2)
 print(f"stability: gap {rep.gap:.4f} vs driver {rep.driver:.4f} "
       f"(ratio {rep.gap / rep.driver:.2f})")

@@ -17,7 +17,7 @@ from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
                     ValidationReport, make_preset, preset_names,
                     validate_problem)
 from .paths import (PathEnsemble, StatePaths, TimeGrid, constant_controls,
-                    euler_forward, paste_controls, simulate_brownian)
+                    euler_forward, simulate_brownian)
 from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
                    ValueSurface, build_lattice, dpp_check,
                    dpp_cross_resolution, dynkin_brute_force,
@@ -37,7 +37,7 @@ __all__ = [
     "ControlGrid", "GameProblem", "NumericsError", "ProblemError",
     "ValidationReport", "make_preset", "preset_names", "validate_problem",
     "PathEnsemble", "StatePaths", "TimeGrid",
-    "constant_controls", "euler_forward", "paste_controls", "simulate_brownian",
+    "constant_controls", "euler_forward", "simulate_brownian",
     "BinaryTree", "CflError", "DppReport", "Lattice", "OracleCase",
     "ValueSurface", "build_lattice", "dpp_check", "dpp_cross_resolution",
     "dynkin_brute_force", "dynkin_oracle_corpus", "enumerate_stopping_rules",

@@ -128,50 +128,36 @@ def solve_drbsde_lattice(p: GameProblem, lat: Lattice, mu=0, nu=0) -> DrbsdeSolu
 # The batched fit works on Gram matrices scaled to unit diagonal, so both
 # thresholds are relative to a spectrum of size about nb.  Eigenvalues below
 # _RANK_TOL times the largest are exact collinearity (a constant obstacle
-# column, an obstacle affine in x, an empty bins cell, the point
-# cross-section at the initial layer); rounding puts those near 1e-16.  A
-# Gram matrix squares the design's condition number, so a block whose kept
-# spectrum spreads wider than _COND_MAX is refitted by lstsq on its design.
+# column, a zero one, an obstacle affine in x, the point cross-section at
+# the initial layer); rounding puts those near 1e-16.  A Gram matrix squares
+# the design's condition number, so a block whose kept spectrum spreads
+# wider than _COND_MAX is refitted by lstsq on its design.
 _RANK_TOL = 1e-12
 _COND_MAX = 1e8
 
 
-def _basis_matrix(p, t, x, basis, degree, n_bins, out=None):
-    """Design matrix for the cross-sectional projection at one time layer.
-
-    ``poly``: intercept, per-coordinate monomials up to ``degree``, and the
-    two obstacle values at (t, x) as extra regressors (they carry the kink
-    of the value function near the barriers).  Powers are built by repeated
+def _basis_matrix(p, t, x, degree, out=None):
+    """Design matrix for the cross-sectional projection at one time layer:
+    intercept, per-coordinate monomials up to ``degree``, and the two
+    obstacle values at (t, x) as extra regressors (they carry the kink of
+    the value function near the barriers).  Powers are built by repeated
     multiplication into a Fortran-order matrix (``out`` if given, so a
     sweep reuses one).  Columns that are collinear on the cross-section
     (constant obstacles, an obstacle affine in x, the point cross-section
     at the initial layer) are expected: the fit drops them.
-
-    ``bins``: scalar state only; indicator columns of ``n_bins`` quantile
-    cells, i.e. a piecewise-constant conditional-mean estimate.
     """
     n, k = x.shape
-    if basis == "poly":
-        A = np.empty((n, 3 + k * degree), order="F") if out is None else out
-        A[:, 0] = 1.0
-        for c in range(k * degree):
-            i, power = divmod(c, degree)
-            if power:
-                np.multiply(A[:, c], x[:, i], out=A[:, c + 1])
-            else:
-                A[:, c + 1] = x[:, i]
-        A[:, -2] = p.lower_obstacle(t, x)
-        A[:, -1] = p.upper_obstacle(t, x)
-        return A
-    if basis == "bins":
-        if k != 1:
-            raise ProblemError("bins basis supports scalar states only")
-        edges = np.quantile(x[:, 0], np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-        cell = np.digitize(x[:, 0], edges)
-        design = np.zeros((n, n_bins))
-        design[np.arange(n), cell] = 1.0
-        return design
-    raise ProblemError(f"unknown basis {basis!r}; use 'poly' or 'bins'")
+    A = np.empty((n, 3 + k * degree), order="F") if out is None else out
+    A[:, 0] = 1.0
+    for c in range(k * degree):
+        i, power = divmod(c, degree)
+        if power:
+            np.multiply(A[:, c], x[:, i], out=A[:, c + 1])
+        else:
+            A[:, c + 1] = x[:, i]
+    A[:, -2] = p.lower_obstacle(t, x)
+    A[:, -1] = p.upper_obstacle(t, x)
+    return A
 
 
 def _fit(designs, targets, step):
@@ -215,12 +201,13 @@ def _fit(designs, targets, step):
     return rank, cond, fallback
 
 
-def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
+def _lsmc_backward(p, states, mu, nu, degree, edges, stats):
     """One sweep of the recursion over all paths (the root lane), whose
     steps also advance a batch lane: the recursion on each block of paths
     [edges[b], edges[b + 1]), keeping only its current layer.  Per step the
-    lanes share the state layer, the design (``bins``: per block), one
-    evaluation of each obstacle and one batched fit of all blocks.
+    lanes share the state layer, the design (each block's is a row slice),
+    whose last two columns are the obstacle bounds, and one batched fit of
+    all blocks.
 
     Returns Y, Z, K_lo, K_hi and the batch lane's initial layer (None
     without blocks).  Appends each step's (smallest kept rank, largest
@@ -251,18 +238,12 @@ def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
         targets(fit, nxt, dWj)
         if blocks:
             targets(fit_b, nxt if y_b is None else y_b, dWj)
-        if basis == "poly":  # one design per layer; bins cells are per block
-            design = _basis_matrix(p, t, xj, basis, degree, n_bins, out=design)
-            if not np.all(np.isfinite(design)):
-                raise RegressionError(f"non-finite design matrix at step {j}")
-            designs = [design] + [design[s] for s in blocks]
-            bounds = design[:, -2], design[:, -1]
-        else:
-            designs = [_basis_matrix(p, t, xj[s], basis, degree, n_bins)
-                       for s in [slice(None)] + blocks]
-            bounds = [np.asarray(obstacle(t, xj), dtype=float)
-                      for obstacle in (p.lower_obstacle, p.upper_obstacle)]
-        rank, cond, fallback = _fit(designs, [fit] + [fit_b[s] for s in blocks], j)
+        design = _basis_matrix(p, t, xj, degree, out=design)
+        if not np.all(np.isfinite(design)):
+            raise RegressionError(f"non-finite design matrix at step {j}")
+        bounds = design[:, -2], design[:, -1]
+        rank, cond, fallback = _fit([design] + [design[s] for s in blocks],
+                                    [fit] + [fit_b[s] for s in blocks], j)
         if j:
             stats.append((rank.min(), cond.max(), fallback.sum()))
         if blocks:
@@ -275,15 +256,15 @@ def _lsmc_backward(p, states, mu, nu, basis, degree, n_bins, edges, stats):
 
 
 def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
-                      basis: str = "poly", degree: int = 3, n_bins: int = 25,
-                      se_batches: int = 20) -> DrbsdeSolution:
+                      degree: int = 3, se_batches: int = 20) -> DrbsdeSolution:
     """Regression-based backward solve along simulated paths.
 
     Conditional expectations of Y_{j+1} (and of Y_{j+1} dW_j for Z) are
-    least-squares projections on basis functions of X_j; clamping and the K
-    increments proceed exactly as in lattice mode.  At the initial layer
-    the cross-section is a point, so the projection degenerates to the
-    plain sample mean, which is the correct conditional expectation there.
+    least-squares projections on the monomials of X_j up to ``degree`` and
+    the two obstacle values at X_j; clamping and the K increments proceed
+    exactly as in lattice mode.  At the initial layer the cross-section is
+    a point, so the projection degenerates to the plain sample mean, which
+    is the correct conditional expectation there.
     ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index
     table, as for :func:`euler_forward`.
 
@@ -313,8 +294,7 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     edges, stats, se_root = (), [], None
     if se_batches and se_batches > 1 and n_paths >= 2 * se_batches:
         edges = np.linspace(0, n_paths, se_batches + 1, dtype=int)
-    Y, Z, K_lo, K_hi, y_b = _lsmc_backward(p, states, mu, nu, basis, degree, n_bins,
-                                           edges, stats)
+    Y, Z, K_lo, K_hi, y_b = _lsmc_backward(p, states, mu, nu, degree, edges, stats)
     if y_b is not None:
         se_root = float(np.std(y_b[edges[:-1]], ddof=1) / np.sqrt(se_batches))
     sol = DrbsdeSolution(grid=states.grid, Y=Y, Z=Z, K_lo=K_lo, K_hi=K_hi,
@@ -337,22 +317,23 @@ def check_flat_off(sol: DrbsdeSolution, p: GameProblem, support):
     ``support`` supplies the state per (time, point): a Lattice in lattice
     mode, the StatePaths in Monte Carlo mode.  Both residuals vanish by
     construction because the K increments are defined as clamp overshoots.
+    A side whose K never leaves +0.0 reads 0.0 without evaluating its
+    obstacle, which may be infinite there (inf * 0 would be nan).
     """
-    n_time, n_pts = sol.Y.shape
     knots = sol.grid.knots
-    s_lo = np.zeros(n_pts)
-    s_hi = np.zeros(n_pts)
-    for j in range(n_time - 1):
-        t = float(knots[j])
-        if isinstance(support, Lattice):
-            xj = support.x_nodes[:, None]
-        else:
-            xj = support.X[:, j]
-        lo = np.asarray(p.lower_obstacle(t, xj), dtype=float)
-        hi = np.asarray(p.upper_obstacle(t, xj), dtype=float)
-        s_lo += (sol.Y[j] - lo) * (sol.K_lo[j + 1] - sol.K_lo[j])
-        s_hi += (hi - sol.Y[j]) * (sol.K_hi[j + 1] - sol.K_hi[j])
-    return float(np.max(np.abs(s_lo))), float(np.max(np.abs(s_hi)))
+
+    def residual(K, obstacle):
+        if not K[-1].any():
+            return 0.0
+        s = np.zeros(sol.Y.shape[1])
+        for j in range(len(knots) - 1):
+            xj = support.x_nodes[:, None] if isinstance(support, Lattice) else support.X[:, j]
+            bound = np.asarray(obstacle(float(knots[j]), xj), dtype=float)
+            # (Y - bound) on both sides: negating every term negates the sum exactly
+            s += (sol.Y[j] - bound) * (K[j + 1] - K[j])
+        return float(np.max(np.abs(s)))
+
+    return residual(sol.K_lo, p.lower_obstacle), residual(sol.K_hi, p.upper_obstacle)
 
 
 @dataclass
@@ -391,7 +372,7 @@ class StabilityReport:
 
 def stability_gap(lat: Lattice, p1: GameProblem, sol1: DrbsdeSolution,
                   p2: GameProblem, sol2: DrbsdeSolution, varpi: float = 2.0,
-                  mu=0, nu=0, root_index=None) -> StabilityReport:
+                  mu=0, nu=0, *, root_index) -> StabilityReport:
     """Perturbation response of Y against the size of the data perturbation.
 
     ``gap`` is the largest (over time layers) occupancy-weighted mean of

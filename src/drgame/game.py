@@ -811,8 +811,8 @@ def _layer_stencils(lat: Lattice, mu, nu):
     return lambda j: lat.stencil(float(knots[j]), mu[j], nu[j])
 
 
-def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
-    """Forward node-occupancy distribution from a root node.
+def lattice_occupancy(lat: Lattice, mu=0, nu=0, *, root_index):
+    """Forward node-occupancy distribution from the node ``root_index``.
 
     Returns (pi, folded_fraction): pi[j, i] is the chain probability of node
     i at knot j starting from the root, and folded_fraction is the total
@@ -822,7 +822,7 @@ def lattice_occupancy(lat: Lattice, mu=0, nu=0, root_index=None):
     n_steps, n = lat.grid.n_steps, lat.n_nodes
     mu, nu = _control_tables(lat.problem, mu, nu, (n_steps, n))
     pi = np.zeros((n_steps + 1, n))
-    pi[0, n // 2 if root_index is None else _point_index(root_index, n, "root_index")] = 1.0
+    pi[0, _point_index(root_index, n, "root_index")] = 1.0
     folded = 0.0
     stencil = _layer_stencils(lat, mu, nu)
     for j in range(n_steps):

@@ -165,17 +165,16 @@ def _point_index(i, n, name):
 def _control_table(ctrl, shape, size, name):
     """One player's controls as an int64 index table of ``shape``, indices in
     [0, size); one index becomes a read-only zero-stride view, range-checked
-    by its one value.  ``shape`` None fits any 2-d table and ``size`` None
-    any index >= 0, for :func:`paste_controls`, which knows neither."""
+    by its one value."""
     a = _indices(ctrl, f"{name} control indices")
-    table = np.broadcast_to(a, shape) if a.ndim == 0 and shape else a
-    if table.ndim != 2 or shape and table.shape != shape:
+    table = np.broadcast_to(a, shape) if a.ndim == 0 else a
+    if table.shape != shape:
         raise ProblemError(f"{name} controls of shape {a.shape} do not fit the "
-                           f"tables {shape or '(n_paths, n_steps)'} of their route")
+                           f"tables {shape} of their route")
     one = table if any(table.strides) else table[:1, :1]
-    if one.size and (one.min() < 0 or size is not None and one.max() >= size):
-        raise ProblemError(f"{name} control index out of range for its grid"
-                           + ("" if size is None else f" of {size} points"))
+    if one.size and (one.min() < 0 or one.max() >= size):
+        raise ProblemError(f"{name} control index out of range for its grid "
+                           f"of {size} points")
     return table
 
 

@@ -1,5 +1,5 @@
 """Time grids, Brownian ensembles and forward simulation of the controlled
-state equation, plus pasting into a path table of control indices.
+state equation.
 
 Randomness is counter-based: the increments of path ``p`` are the standard
 normals of a Philox stream keyed ``(seed mod 2**64, p)``, reshaped to
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GameProblem, NumericsError, ProblemError, _control_table,
-                    _control_tables, _csv, _evaluate, _indices)
+from .model import (GameProblem, NumericsError, ProblemError, _control_tables, _csv,
+                    _evaluate, _indices)
 
 __all__ = [
     "TimeGrid",
@@ -34,7 +34,6 @@ __all__ = [
     "StatePaths",
     "simulate_brownian",
     "euler_forward",
-    "paste_controls",
     "constant_controls",
 ]
 
@@ -123,7 +122,6 @@ class StatePaths:
 
     grid: TimeGrid
     X: np.ndarray
-    x0: np.ndarray
     ens: PathEnsemble = None
 
     def to_csv(self) -> str:
@@ -204,37 +202,5 @@ def euler_forward(p: GameProblem, ens: PathEnsemble, x0, mu, nu) -> StatePaths:
         if bad.any():
             ip = int(np.nonzero(bad)[0][0])
             raise NumericsError(f"non-finite state at step {j + 1}, path {ip}")
-    return StatePaths(grid=ens.grid, X=X, x0=x0, ens=ens)
+    return StatePaths(grid=ens.grid, X=X, ens=ens)
 
-
-def paste_controls(mu, replacements) -> np.ndarray:
-    """Swap in replacement controls from a knot onward on selected paths.
-
-    ``mu`` is any (n_paths, n_steps) index table; the result is a writable
-    int64 copy.  ``replacements`` is a list of ``(path_indices, knot_index,
-    values)`` where ``values`` covers the steps ``knot_index .. n_steps - 1``
-    either as a single row (shared by the whole path set) or one row per
-    path.  Path sets must be disjoint; unlisted paths keep ``mu`` unchanged.
-    Indices must be >= 0; the solver that takes the table checks its grid.
-    """
-    out = _control_table(mu, None, None, "mu").copy()
-    n_paths, n_steps = out.shape
-    seen = np.zeros(n_paths, dtype=bool)
-    for path_set, knot, repl in replacements:
-        idx = _indices(path_set, "path indices").ravel()
-        if idx.size == 0:
-            continue
-        if np.any(idx < 0) or np.any(idx >= n_paths):
-            raise ProblemError("path index out of range")
-        if np.any(seen[idx]):
-            raise ProblemError("replacement path sets overlap")
-        seen[idx] = True
-        knot = int(_indices(knot, "knot index"))
-        if knot < 0 or knot > n_steps:
-            raise ProblemError(f"knot index {knot} out of range")
-        width = n_steps - knot
-        vals = _indices(repl, "replacement control indices")
-        if vals.shape not in ((width,), (idx.size, width)):
-            raise ProblemError("replacement does not cover [knot, T]")
-        out[idx, knot:] = vals
-    return _control_table(out, None, None, "mu")

@@ -169,7 +169,7 @@ def test_criterion_04_stability_bound():
         lat = build_lattice(p1, 60, -4, 4, 33)
         s1 = solve_drbsde_lattice(p1, lat)
         s2 = solve_drbsde_lattice(p2, lat)
-        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0)
+        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0, root_index=16)
         assert rep.driver > 0.0
         worst_ratio = max(worst_ratio, rep.gap / rep.driver)
     ok = worst_ratio <= 5.0
@@ -240,7 +240,7 @@ def _heat_cos_roots(n_steps):
     nodes = intervals - intervals % 2 + 1
     lat = build_lattice(p, n_steps, -10.0, 10.0, nodes)
     v_lat = value_backward_induction(p, lat, "supinf").root(0.0)
-    folded = lattice_occupancy(lat)[1]
+    folded = lattice_occupancy(lat, root_index=nodes // 2)[1]
     g = make_pde_grid(p, n_steps, -10.0, 10.0, nodes)
     v_pde = solve_obstacle_pde(p, g, "supinf").root(0.0)
     return v_lat, v_pde, folded

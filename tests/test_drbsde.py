@@ -148,16 +148,37 @@ class TestFlatOff:
         sol = solve_drbsde_lattice(p, lat)
         assert check_flat_off(sol, p, lat) == (0.0, 0.0)
 
-    def test_corrupted_solution_is_flagged(self):
-        p = scalar_problem(b0=-0.5, l_lo=lambda t, x: x[..., 0] - 0.3)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pushing", [None, "lo", "hi"])
+    def test_infinite_obstacles_that_never_push_give_zero(self, pushing):
+        # an infinite side beside a finite one that pushes (mirrored for hi)
+        sign = -1.0 if pushing == "hi" else 1.0
+        lo = lambda t, x: np.full(np.shape(x)[:-1], -np.inf)
+        hi = lambda t, x: np.full(np.shape(x)[:-1], np.inf)
+        barrier = lambda t, x: sign * (x[..., 0] - 0.3)
+        p = scalar_problem(b0=-0.5, h=lambda x: sign * x[..., 0],
+                           l_lo=barrier if pushing == "lo" else lo,
+                           l_hi=barrier if pushing == "hi" else hi)
+        lat = build_lattice(p, 25, -3, 3, 31)
+        sol = solve_drbsde_lattice(p, lat)
+        for side in ("lo", "hi"):
+            assert (getattr(sol, f"K_{side}")[-1].max() > 0.0) == (side == pushing)
+        assert check_flat_off(sol, p, lat) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_corrupted_solution_is_flagged(self, side):
+        # the upper case mirrors Y, its terminal data and its barrier
+        sign = 1.0 if side == "lo" else -1.0
+        p = scalar_problem(b0=-0.5, h=lambda x: sign * x[..., 0],
+                           **{f"l_{side}": lambda t, x: sign * (x[..., 0] - 0.3)})
         lat = build_lattice(p, 100, -4, 4, 41)
         sol = solve_drbsde_lattice(p, lat)
-        dk = np.diff(sol.K_lo, axis=0)
+        dk = np.diff(getattr(sol, f"K_{side}"), axis=0)
         j, i = np.unravel_index(np.argmax(dk), dk.shape)
         assert dk[j, i] > 0.0
         sol.Y[j, i] += 0.1
-        res_lo, _ = check_flat_off(sol, p, lat)
-        assert res_lo >= 0.1 * dk[j, i] - 1e-15
+        res = check_flat_off(sol, p, lat)[side == "hi"]
+        assert res >= 0.1 * dk[j, i] - 1e-15
 
 
 class TestComparison:
@@ -237,8 +258,15 @@ class TestStability:
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 50, -3, 3, 31)
         sol = solve_drbsde_lattice(p, lat)
-        rep = stability_gap(lat, p, sol, p, sol, varpi=2.0)
+        rep = stability_gap(lat, p, sol, p, sol, varpi=2.0, root_index=15)
         assert rep.gap == 0.0 and rep.driver == 0.0
+
+    def test_root_index_has_no_default(self):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 50, -3, 3, 31)
+        sol = solve_drbsde_lattice(p, lat)
+        with pytest.raises(TypeError, match="root_index"):
+            stability_gap(lat, p, sol, p, sol, varpi=2.0)
 
     def test_root_index_outside_the_nodes_is_rejected(self):
         p = make_preset("dynkin-flat", {})
@@ -263,7 +291,7 @@ class TestStability:
         lat = build_lattice(p1, 50, -4, 4, 41)
         s1 = solve_drbsde_lattice(p1, lat)
         s2 = solve_drbsde_lattice(p2, lat)
-        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0)
+        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0, root_index=20)
         assert abs(rep.gap - eps ** 2) < 1e-12
         assert abs(rep.driver - eps ** 2) < 1e-12
 
@@ -274,7 +302,7 @@ class TestStability:
         lat = build_lattice(p1, 50, -3, 3, 31)
         s1 = solve_drbsde_lattice(p1, lat)
         s2 = solve_drbsde_lattice(p2, lat)
-        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0)
+        rep = stability_gap(lat, p1, s1, p2, s2, varpi=2.0, root_index=15)
         assert rep.gap <= eps ** 2 + 1e-15
         assert abs(rep.driver - eps ** 2) < 1e-12
 
@@ -298,22 +326,25 @@ class TestStability:
         lat = build_lattice(p1, 64, -4, 4, 21)
         table = np.ones((64, 21), dtype=np.int64)
         frozen = stability_gap(lat, p1, solve_drbsde_lattice(p1, lat, mu=1),
-                               p2, solve_drbsde_lattice(p2, lat, mu=1), mu=1)
+                               p2, solve_drbsde_lattice(p2, lat, mu=1), mu=1,
+                               root_index=10)
         tabled = stability_gap(lat, p1, solve_drbsde_lattice(p1, lat, mu=table),
-                               p2, solve_drbsde_lattice(p2, lat, mu=table), mu=table)
+                               p2, solve_drbsde_lattice(p2, lat, mu=table), mu=table,
+                               root_index=10)
         assert (tabled.gap, tabled.driver) == (frozen.gap, frozen.driver) > (0.0, 0.0)
         table[:, 10:] = 0
         s1, s2 = (solve_drbsde_lattice(q, lat, mu=table, nu=table) for q in (p1, p2))
-        assert stability_gap(lat, p1, s1, p2, s2, mu=table, nu=table).driver > 0.0
+        assert stability_gap(lat, p1, s1, p2, s2, mu=table, nu=table,
+                             root_index=10).driver > 0.0
         with pytest.raises(ProblemError, match="mu control indices must be integers"):
-            stability_gap(lat, p1, s1, p2, s2, mu=0.5)
+            stability_gap(lat, p1, s1, p2, s2, mu=0.5, root_index=10)
 
     def test_varpi_range_enforced(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 50, -3, 3, 31)
         sol = solve_drbsde_lattice(p, lat)
         with pytest.raises(ProblemError):
-            stability_gap(lat, p, sol, p, sol, varpi=3.0)
+            stability_gap(lat, p, sol, p, sol, varpi=3.0, root_index=15)
 
     def test_obstacles_must_match(self):
         p1 = make_preset("dynkin-flat", {"l_lo": -1.0})
@@ -322,7 +353,7 @@ class TestStability:
         s1 = solve_drbsde_lattice(p1, lat)
         s2 = solve_drbsde_lattice(p2, lat)
         with pytest.raises(ProblemError, match="identical obstacles"):
-            stability_gap(lat, p1, s1, p2, s2, varpi=2.0)
+            stability_gap(lat, p1, s1, p2, s2, varpi=2.0, root_index=15)
 
 
 class TestLsmc:
@@ -355,8 +386,8 @@ class TestLsmc:
         assert sol.K_lo[-1].max() > 0.0
         assert check_flat_off(sol, p, st) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("basis", ["poly", "bins"])
-    def test_each_obstacle_is_evaluated_once_per_step(self, basis):
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_each_obstacle_is_evaluated_once_per_step(self, degree):
         calls = {"lo": 0, "hi": 0}
 
         def l_lo(t, x):
@@ -370,18 +401,19 @@ class TestLsmc:
         p = scalar_problem(b0=-0.5, l_lo=l_lo, l_hi=l_hi)
         st, mu, nu = simulate(p, 2_000, 15, seed=24)
         calls.update(lo=0, hi=0)
-        sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10, se_batches=4)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, degree, se_batches=4)
         # one sweep: the root lane and the SE batch lane share each step's
         # obstacle values, plus one evaluation for the terminal check
         assert calls == {"lo": 15 + 1, "hi": 15 + 1}
         assert sol.K_lo[-1].max() > 0.0
         assert check_flat_off(sol, p, st) == (0.0, 0.0)
 
-    def test_bins_basis(self):
-        p = scalar_problem()
-        st, mu, nu = simulate(p, 4_000, 10, seed=25)
-        sol = solve_drbsde_lsmc(p, st, mu, nu, basis="bins", n_bins=20)
-        assert abs(sol.root) <= 3.0 * sol.se_root + 0.05
+    def test_an_infinite_obstacle_gives_a_non_finite_design(self):
+        # the obstacles are regressors, so LSMC cannot take an infinite one
+        p = scalar_problem(l_hi=lambda t, x: np.full(np.shape(x)[:-1], np.inf))
+        st, mu, nu = simulate(p, 500, 5, seed=27)
+        with pytest.raises(RegressionError, match="non-finite design matrix"):
+            solve_drbsde_lsmc(p, st, mu, nu)
 
     def test_insufficient_paths_raise(self):
         p = scalar_problem()
@@ -389,8 +421,8 @@ class TestLsmc:
         with pytest.raises(RegressionError, match="step"):
             solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
 
-    @pytest.mark.parametrize("basis", ["poly", "bins"])
-    def test_se_root_is_the_batch_means_se_of_separate_slice_solves(self, basis):
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_se_root_is_the_batch_means_se_of_separate_slice_solves(self, degree):
         p = make_preset("linear-quadratic", {})
         n_paths, n_steps, batches = 2003, 12, 5
         grid = TimeGrid(0.0, p.horizon, n_steps)
@@ -399,16 +431,14 @@ class TestLsmc:
         mu = rng.integers(0, p.u_grid.size, (n_paths, n_steps))
         nu = rng.integers(0, p.v_grid.size, (n_paths, n_steps))
         st = euler_forward(p, ens, [0.0], mu, nu)
-        sol = solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10,
-                                se_batches=batches)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, degree, se_batches=batches)
         edges = np.linspace(0, n_paths, batches + 1, dtype=int)
         roots = []
         for a, b in zip(edges[:-1], edges[1:]):
             part = replace(st, X=st.X[a:b],
                            ens=replace(ens, dW=ens.dW[a:b]))
-            roots.append(solve_drbsde_lsmc(
-                p, part, mu[a:b], nu[a:b],
-                basis=basis, n_bins=10, se_batches=0).root)
+            roots.append(solve_drbsde_lsmc(p, part, mu[a:b], nu[a:b], degree,
+                                           se_batches=0).root)
         assert sol.se_root == float(np.std(roots, ddof=1) / np.sqrt(batches))
         assert sol.se_root > 0.0
 
@@ -421,20 +451,20 @@ class TestLsmc:
         nu = rng.integers(0, p.v_grid.size, (n_paths, n_steps))
         return euler_forward(p, ens, [0.0], mu, nu), mu, nu
 
-    @pytest.mark.parametrize("basis", ["poly", "bins"])
-    def test_batch_lane_leaves_the_root_lane_bit_identical(self, basis):
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_batch_lane_leaves_the_root_lane_bit_identical(self, degree):
         # both barriers bind, so both lanes clamp on both sides
         p = make_preset("linear-quadratic", {"h": 0.0, "l_lo": -0.2, "l_hi": 0.2})
         st, mu, nu = self.random_control_states(p, 2003, 12, 31)
-        alone, laned = (solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10,
-                                          se_batches=se) for se in (0, 5))
+        alone, laned = (solve_drbsde_lsmc(p, st, mu, nu, degree, se_batches=se)
+                        for se in (0, 5))
         assert alone.se_root is None and laned.se_root > 0.0
         assert laned.K_lo[-1].max() > 0.0 and laned.K_hi[-1].max() > 0.0
         for field in ("Y", "Z", "K_lo", "K_hi"):
             assert np.array_equal(getattr(alone, field), getattr(laned, field)), field
 
-    @pytest.mark.parametrize("basis", ["poly", "bins"])
-    def test_batch_lane_adds_one_layer_of_memory(self, basis):
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_batch_lane_adds_one_layer_of_memory(self, degree):
         p = make_preset("linear-quadratic", {})
         n_paths, n_steps, d = 4000, 30, p.noise_dim
         st, mu, nu = self.random_control_states(p, n_paths, n_steps, 5)
@@ -442,15 +472,14 @@ class TestLsmc:
         for se in (0, 0, 20):  # the first solve warms up numpy's lazy imports
             tracemalloc.start()
             try:
-                solve_drbsde_lsmc(p, st, mu, nu, basis=basis, n_bins=10, se_batches=se)
+                solve_drbsde_lsmc(p, st, mu, nu, degree, se_batches=se)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # a layer of targets, and the blocks' own bins designs (poly blocks
-        # are row slices of the root's); a second history of n_steps + 1
-        # layers would add 992 kB per array
-        designs = n_paths * 10 * 8 if basis == "bins" else 0
-        assert peaks[2] - peaks[1] <= 4 * n_paths * (1 + d) * 8 + designs
+        # a layer of targets (the blocks' designs are row slices of the
+        # root's); a second history of n_steps + 1 layers would add 992 kB
+        # per array
+        assert peaks[2] - peaks[1] <= 4 * n_paths * (1 + d) * 8
 
     def test_control_steps_must_match_the_state_grid(self):
         p = scalar_problem()
@@ -521,7 +550,7 @@ class TestRegression:
         rng = np.random.default_rng(40)
         x = rng.normal(0.2, 0.7, (3001, 1))
         y = np.column_stack([np.sin(3 * x[:, 0]), rng.standard_normal((3001, 2))])
-        A = _basis_matrix(p, 0.4, x, "poly", 3, 0)
+        A = _basis_matrix(p, 0.4, x, 3)
         blocks = [slice(0, 1000), slice(1000, 2001), slice(2001, 3001)]
         refs = [self.scaled_lstsq_fit(A[s], y[s]) for s in blocks]
         rank, cond, fallback = _fit([A[s] for s in blocks], [y[s] for s in blocks], 5)
@@ -534,31 +563,31 @@ class TestRegression:
     def test_point_cross_section_gives_the_sample_mean(self, x0):
         p = scalar_problem(l_lo=lambda t, x: x[..., 0] - 0.3)
         y = np.random.default_rng(41).standard_normal((64, 2))
-        A = _basis_matrix(p, 0.0, np.full((64, 1), x0), "poly", 3, 0)
+        A = _basis_matrix(p, 0.0, np.full((64, 1), x0), 3)
         mean = y.mean(axis=0)
         rank, _, fallback = _fit([A], [y], 0)
         assert rank.tolist() == [1] and not fallback.any()
         assert np.allclose(y, mean, rtol=1e-14, atol=1e-15)
 
-    def test_bins_block_with_an_empty_cell_gives_cell_means(self):
-        p = scalar_problem()
-        x = np.repeat([0.0, 1.0, 2.0], [50, 30, 20])[:, None]  # ties: empty cells
-        y = np.random.default_rng(42).standard_normal((100, 2))
-        A = _basis_matrix(p, 0.5, x, "bins", 0, 5)
-        assert np.any(A.sum(axis=0) == 0)
-        cells = [x[:, 0] == v for v in (0.0, 1.0, 2.0)]
-        means = [y[cell].mean(axis=0) for cell in cells]
+    def test_zero_obstacle_column_is_dropped(self):
+        # l_lo = 0 gives an all-zero column: its Gram diagonal is zero
+        p = scalar_problem(l_lo=lambda t, x: np.zeros(np.shape(x)[:-1]))
+        rng = np.random.default_rng(42)
+        x = rng.normal(0.2, 0.7, (500, 1))
+        y = np.column_stack([np.sin(3 * x[:, 0]), rng.standard_normal((500, 1))])
+        A = _basis_matrix(p, 0.5, x, 3)
+        assert not A[:, -2].any()
+        ref = self.scaled_lstsq_fit(A, y)
         rank, _, fallback = _fit([A], [y], 3)
-        assert rank.tolist() == [3] and not fallback.any()
-        for cell, mean in zip(cells, means):
-            assert np.allclose(y[cell], mean, rtol=1e-13, atol=1e-15)
+        assert rank.tolist() == [4] and not fallback.any()
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_nearly_collinear_block_falls_back_to_lstsq(self):
         p = make_preset("linear-quadratic", {})
         rng = np.random.default_rng(0)
         x = [rng.normal(0.0, 1.0, (500, 1)), 1.0 + 0.01 * rng.random((2000, 1))]
         y = [rng.standard_normal((500, 2)), rng.standard_normal((2000, 2))]
-        designs = [_basis_matrix(p, 0.5, xb, "poly", 3, 0) for xb in x]
+        designs = [_basis_matrix(p, 0.5, xb, 3) for xb in x]
         A = designs[1]
         ref = A @ np.linalg.lstsq(A, y[1], rcond=None)[0]
         ref0 = self.scaled_lstsq_fit(designs[0], y[0])
@@ -592,7 +621,5 @@ class TestRegression:
         # the two constant obstacle columns duplicate the intercept
         assert (sol.lsmc_rank_min, sol.lsmc_fallbacks) == (4, 0)
         assert 1.0 <= sol.lsmc_cond_max < 1e3
-        sol = solve_drbsde_lsmc(p, st, mu, nu, basis="bins", n_bins=10)
-        assert (sol.lsmc_rank_min, sol.lsmc_cond_max, sol.lsmc_fallbacks) == (10, 1.0, 0)
         lat = solve_drbsde_lattice(p, build_lattice(p, 100, -2, 2, 9))
         assert lat.lsmc_rank_min is None and lat.lsmc_fallbacks is None

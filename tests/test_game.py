@@ -203,7 +203,7 @@ class TestNodeStencil:
         calls.clear()
         lat.stencil(float(lat.knots[3]), ui, vi)
         solve_drbsde_lattice(p, lat, mu, nu)
-        lattice_occupancy(lat, mu, nu)
+        lattice_occupancy(lat, mu, nu, root_index=lat.n_nodes // 2)
         assert calls == []
 
     def test_gathered_stencil_matches_the_per_layer_one_bit_for_bit(self):
@@ -369,8 +369,8 @@ class TestSharedStencil:
                 b = solve_drbsde_lattice(p, per_layer, mu, nu)
                 for field in ("Y", "Z", "K_lo", "K_hi"):
                     assert same_bits(getattr(a, field), getattr(b, field)), (name, field)
-                pi_a, fold_a = lattice_occupancy(lat, mu, nu)
-                pi_b, fold_b = lattice_occupancy(per_layer, mu, nu)
+                pi_a, fold_a = lattice_occupancy(lat, mu, nu, root_index=n // 2)
+                pi_b, fold_b = lattice_occupancy(per_layer, mu, nu, root_index=n // 2)
                 assert same_bits(pi_a, pi_b) and fold_a == fold_b, name
 
     def test_time_dependent_diffusion_has_no_shared_stencil(self):
@@ -774,15 +774,24 @@ class TestOccupancy:
     def test_distribution_is_normalized(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 50, -6, 6, 41)
-        pi, folded = lattice_occupancy(lat)
+        pi, folded = lattice_occupancy(lat, root_index=20)
         assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
         assert folded < 1e-6  # six-sigma domain: edges unreachable in probability
 
     def test_folded_mass_reported_for_narrow_domain(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 100, -1.0, 1.0, 21)
-        _, folded = lattice_occupancy(lat)
+        _, folded = lattice_occupancy(lat, root_index=10)
         assert folded > 1e-3
+
+    def test_the_chain_starts_at_root_index(self):
+        # x0 = 0 on [-2, 3] is node 8 of 21, not the middle node 10
+        lat = build_lattice(make_preset("dynkin-flat", {}), 50, -2, 3, 21)
+        pi, _ = lattice_occupancy(lat, root_index=8)
+        assert lat.x_nodes[8] == 0.0
+        assert pi[0].tolist() == [float(i == 8) for i in range(21)]
+        with pytest.raises(TypeError, match="root_index"):
+            lattice_occupancy(lat)
 
     @pytest.mark.parametrize("root", [-1, 41, 2.0])
     def test_root_index_outside_the_nodes_is_rejected(self, root):
@@ -794,4 +803,4 @@ class TestOccupancy:
         lat = build_lattice(make_preset("linear-quadratic", {}), 50, -4, 4, 21)
         for mu in (0.9, np.full((50, 21), 1.0)):
             with pytest.raises(ProblemError, match="mu control indices must be integers"):
-                lattice_occupancy(lat, mu=mu)
+                lattice_occupancy(lat, mu=mu, root_index=10)

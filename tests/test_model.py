@@ -7,9 +7,9 @@ import pytest
 
 from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
                     ProblemError, TimeGrid, build_lattice, constant_controls,
-                    euler_forward, lattice_occupancy, make_preset, paste_controls,
+                    euler_forward, lattice_occupancy, make_preset,
                     preset_names, simulate_brownian, solve_drbsde_lattice,
-                    solve_drbsde_lsmc, validate_problem)
+                    solve_drbsde_lsmc, stability_gap, validate_problem)
 from drgame.model import _CSV_BLOCK, _control_pairs, _control_tables, _csv
 
 
@@ -385,8 +385,8 @@ CONTROL_ERRORS = {"fraction": "mu control indices must be integers",
                   "past the grid": "mu control index out of range",
                   "wrong shape": "mu controls of shape .* do not fit the tables",
                   "3-d table": "mu controls of shape .* do not fit the tables"}
-TABLE_ENTRIES = ("solve_drbsde_lattice", "lattice_occupancy", "euler_forward",
-                 "solve_drbsde_lsmc", "paste_controls")
+TABLE_ENTRIES = ("solve_drbsde_lattice", "lattice_occupancy", "stability_gap",
+                 "euler_forward", "solve_drbsde_lsmc")
 
 
 def bad_controls(kind, shape):
@@ -415,21 +415,19 @@ class TestControlTables:
         if entry == "solve_drbsde_lattice":
             solve_drbsde_lattice(p, lat, mu=mu)
         elif entry == "lattice_occupancy":
-            lattice_occupancy(lat, mu=mu)
+            lattice_occupancy(lat, mu=mu, root_index=3)
+        elif entry == "stability_gap":
+            sol = solve_drbsde_lattice(p, lat)
+            stability_gap(lat, p, sol, p, sol, mu=mu, root_index=3)
         elif entry == "euler_forward":
             euler_forward(p, ens, [0.0], mu, 0)
-        elif entry == "solve_drbsde_lsmc":
-            solve_drbsde_lsmc(p, euler_forward(p, ens, [0.0], 0, 0), mu, 0)
         else:
-            paste_controls(mu, [])
+            solve_drbsde_lsmc(p, euler_forward(p, ens, [0.0], 0, 0), mu, 0)
 
-    # paste_controls knows no control grid: the solver that uses the pasted
-    # table rejects an index past it
     @pytest.mark.parametrize("entry,kind", [
-        (entry, kind) for entry in TABLE_ENTRIES for kind in CONTROL_ERRORS
-        if (entry, kind) != ("paste_controls", "past the grid")])
+        (entry, kind) for entry in TABLE_ENTRIES for kind in CONTROL_ERRORS])
     def test_same_bad_controls_same_error_everywhere(self, entry, kind):
-        shape = (16, 7) if entry in TABLE_ENTRIES[:2] else (5, 4)
+        shape = (16, 7) if entry in TABLE_ENTRIES[:3] else (5, 4)
         with pytest.raises(ProblemError, match=CONTROL_ERRORS[kind]):
             self.call(entry, bad_controls(kind, shape))
 

@@ -5,7 +5,7 @@ import pytest
 
 from drgame import (ProblemError, TimeGrid,
                     constant_controls, euler_forward, make_preset,
-                    paste_controls, simulate_brownian)
+                    simulate_brownian)
 from drgame.model import ControlGrid, GameProblem, _evaluate
 from drgame.paths import _DRAW_CHUNK
 
@@ -263,12 +263,9 @@ class TestEulerForward:
         grid = TimeGrid(0.0, 1.0, 50)
         n = 20_000
         ens = simulate_brownian(grid, n, 1, seed=6)
-        mu_hi = constant_controls(n, 50, index=1)
-        nu = constant_controls(n, 50)
-        mu_mixed = paste_controls(
-            mu_hi, [(np.arange(n), grid.index_of(0.5),
-                     np.zeros(25, dtype=int))])
-        st = euler_forward(p, ens, [0.0], mu_mixed, nu)
+        mu = np.ones((n, 50), int)  # sigma = 2, then sigma = 1 from t = 0.5
+        mu[:, grid.index_of(0.5):] = 0
+        st = euler_forward(p, ens, [0.0], mu, constant_controls(n, 50))
         v = st.X[:, -1, 0].var(ddof=1)
         expect = 4.0 * 0.5 + 1.0 * 0.5
         se = expect * np.sqrt(2.0 / (n - 1))
@@ -350,63 +347,18 @@ class TestEulerForward:
             euler_forward(plain_problem(), change(ens), [0.0], 0, 0)
 
 
-class TestPaste:
+class TestControlTables:
     def test_constant_controls_are_a_read_only_zero_stride_view(self):
         mu = constant_controls(1000, 50, index=1)
         assert mu.strides == (0, 0)
         assert not mu.flags.writeable
         assert np.all(mu == 1)
-        out = paste_controls(mu, [([0], 49, [0])])
-        assert out.flags.writeable and out[0, 49] == 0
-
-    def test_empty_replacement_list_is_identity(self):
-        mu = np.arange(12).reshape(3, 4) % 2
-        out = paste_controls(mu, [])
-        assert np.array_equal(out, mu)
-
-    def test_full_replacement_from_t0(self):
-        mu = np.zeros((3, 4), dtype=int)
-        out = paste_controls(mu, [(np.arange(3), 0, np.ones(4, dtype=int))])
-        assert np.all(out == 1)
-
-    def test_single_path_midpoint_replacement(self):
-        mu = np.zeros((2, 4), dtype=int)
-        out = paste_controls(mu, [([0], 2, np.array([1, 1]))])
-        assert np.array_equal(out[0], [0, 0, 1, 1])
-        assert np.array_equal(out[1], [0, 0, 0, 0])
-
-    def test_idempotent(self):
-        mu = np.zeros((4, 6), dtype=int)
-        repl = [([1, 2], 3, np.array([1, 1, 1]))]
-        once = paste_controls(mu, repl)
-        twice = paste_controls(once, repl)
-        assert np.array_equal(once, twice)
-
-    def test_overlapping_sets_rejected(self):
-        mu = np.zeros((4, 6), dtype=int)
-        with pytest.raises(ProblemError, match="overlap"):
-            paste_controls(mu, [([0, 1], 2, np.zeros(4, dtype=int)),
-                                ([1, 3], 2, np.zeros(4, dtype=int))])
-
-    def test_out_of_range_index(self):
-        mu = np.zeros((4, 6), dtype=int)
-        with pytest.raises(ProblemError, match="out of range"):
-            paste_controls(mu, [([9], 2, np.zeros(4, dtype=int))])
 
     def test_fractional_indices_are_rejected(self):
-        mu = np.zeros((4, 6), dtype=int)
         p = make_preset("uncertain-volatility", {})
         ens = simulate_brownian(TimeGrid(0.0, 1.0, 2), 1, 1, seed=0)
         with pytest.raises(ProblemError, match="mu control indices must be integers"):
             euler_forward(p, ens, [0.0], [[0.7, 1.2]], 0)
-        with pytest.raises(ProblemError, match="mu control indices must be integers"):
-            paste_controls([[0.7, 1.2]], [])
-        with pytest.raises(ProblemError, match="replacement control indices must be"):
-            paste_controls(mu, [([1], 2, [0.5, 1.0, 1.0, 1.0])])
-        with pytest.raises(ProblemError, match="path indices must be integers"):
-            paste_controls(mu, [([1.5], 2, [1, 1, 1, 1])])
-        with pytest.raises(ProblemError, match="knot index must be integers"):
-            paste_controls(mu, [([0], 2.5, [1, 1, 1])])
 
     def test_euler_rejects_a_fractional_table(self):
         p = make_preset("uncertain-volatility", {})

@@ -206,8 +206,8 @@ class TestGridProblem:
                      lambda q: solve_obstacle_pde(q, g, "supinf"),
                      lambda q: viscosity_residual(q, g, w, "supinf"),
                      lambda q: solve_drbsde_lattice(q, g, mu=0),
-                     lambda q: stability_gap(g, q, sol, p, sol),
-                     lambda q: stability_gap(g, p, sol, q, sol))
+                     lambda q: stability_gap(g, q, sol, p, sol, root_index=20),
+                     lambda q: stability_gap(g, p, sol, q, sol, root_index=20))
         others = [replace(p, u_grid=ControlGrid(points=(1.0,))),  # fewer points
                   replace(p, u_grid=ControlGrid(points=(-1.0, 0.0, 1.0))),
                   replace(p, u_grid=ControlGrid(points=(-2.0, 2.0))),  # same size
