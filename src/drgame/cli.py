@@ -115,17 +115,12 @@ def _convert(raw, fld, lineno, key):
         ) from None
 
 
-def _convert_problem_param(raw, key, preset, lineno):
-    default = PRESETS[preset][key]
-    if isinstance(default, str) or key == "h":
-        # terminal spec may be a named function or a numeric constant
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
+def _convert_problem_param(raw, key, lineno):
     try:
         return float(raw)
     except ValueError:
+        if key == "h":  # the terminal spec may also name a function
+            return raw
         raise ConfigError(
             f"line {lineno}: key {key!r} expects a number, got {raw!r}"
         ) from None
@@ -179,7 +174,7 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: unknown key {key!r} for preset "
                 f"{cfg.preset!r}; documented keys: {sorted(table)}"
             )
-        params[key] = _convert_problem_param(raw, key, cfg.preset, lineno)
+        params[key] = _convert_problem_param(raw, key, lineno)
         del pairs[(section, key)]
     cfg.problem_params = params
 
@@ -389,7 +384,7 @@ def _cmd_dpp_check(cfg, out):
 def _cmd_crosscheck(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
-    rep = cross_check(prob, lat, lat, cfg.order, cfg.x0)
+    rep = cross_check(prob, lat, cfg.order, cfg.x0)
     _write_text(out / "crosscheck.csv",
                 _csv("lattice_root,pde_root,rel_gap",
                      [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))

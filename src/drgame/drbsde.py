@@ -206,8 +206,7 @@ def _lsmc_backward(p, states, mu, nu, degree, edges, stats):
     steps also advance a batch lane: the recursion on each block of paths
     [edges[b], edges[b + 1]), keeping only its current layer.  Per step the
     lanes share the state layer, the design (each block's is a row slice),
-    whose last two columns are the obstacle bounds, and one batched fit of
-    all blocks.
+    the obstacle bounds and one batched fit of all blocks.
 
     Returns Y, Z, K_lo, K_hi and the batch lane's initial layer (None
     without blocks).  Appends each step's (smallest kept rank, largest
@@ -239,9 +238,15 @@ def _lsmc_backward(p, states, mu, nu, degree, edges, stats):
         if blocks:
             targets(fit_b, nxt if y_b is None else y_b, dWj)
         design = _basis_matrix(p, t, xj, degree, out=design)
-        if not np.all(np.isfinite(design)):
-            raise RegressionError(f"non-finite design matrix at step {j}")
         bounds = design[:, -2], design[:, -1]
+        if not np.all(np.isfinite(design)):
+            # an obstacle not finite on the layer still clamps, from a copy,
+            # but regresses as a zero column, which the fit drops
+            bounds = tuple(b.copy() for b in bounds)
+            obstacles = design[:, -2:]
+            obstacles[:, ~np.all(np.isfinite(obstacles), axis=0)] = 0.0
+            if not np.all(np.isfinite(design)):
+                raise RegressionError(f"non-finite design matrix at step {j}")
         rank, cond, fallback = _fit([design] + [design[s] for s in blocks],
                                     [fit] + [fit_b[s] for s in blocks], j)
         if j:
@@ -261,10 +266,11 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
 
     Conditional expectations of Y_{j+1} (and of Y_{j+1} dW_j for Z) are
     least-squares projections on the monomials of X_j up to ``degree`` and
-    the two obstacle values at X_j; clamping and the K increments proceed
-    exactly as in lattice mode.  At the initial layer the cross-section is
-    a point, so the projection degenerates to the plain sample mean, which
-    is the correct conditional expectation there.
+    the two obstacle values at X_j (one that is not finite on the layer
+    regresses as a zero column, which the fit drops); clamping and the K
+    increments proceed exactly as in lattice mode.  At the initial layer
+    the cross-section is a point, so the projection degenerates to the
+    plain sample mean, which is the correct conditional expectation there.
     ``mu``/``nu`` are each one grid index or an (n_paths, n_steps) index
     table, as for :func:`euler_forward`.
 

@@ -236,8 +236,8 @@ class GameProblem:
     def __post_init__(self):
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ProblemError("state_dim and noise_dim must be positive")
-        if not self.horizon > 0:
-            raise ProblemError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ProblemError(f"horizon must be finite and positive, got {self.horizon}")
         if not self.lipschitz > 0:
             raise ProblemError("lipschitz constant must be positive")
         if not (1.0 < self.holder_q <= 2.0):
@@ -420,20 +420,24 @@ def _require(cond, msg):
 def make_preset(name, params=None) -> GameProblem:
     """Build a catalog problem.
 
-    Presets (all one-dimensional, ``holder_q`` defaulting to 2, each with
-    scalar control points and callables that broadcast over them):
+    Every preset is one-dimensional with unit noise, horizon ``T``,
+    ``holder_q = q`` (default 2), constant barriers ``l_lo < l_hi`` and a
+    terminal ``h``: ``square``, ``neg-square``, ``identity``, ``abs`` or a
+    constant in [l_lo, l_hi] (a named one is checked at T by every
+    backward route).  Control points are scalars and the callables
+    broadcast over them.  Drift and generator default to zero and the
+    control grids to singletons; the presets differ in the rest:
 
     ``dynkin-flat``
-        Pure stopping game: ``f = 0``, singleton control grids, unit noise
-        and constant barriers ``l_lo < l_hi`` around a constant terminal
-        value ``h``.
+        Pure stopping game: constant diffusion ``sigma``.
     ``uncertain-volatility``
         One controller picks the diffusion level directly, ``sigma(t,x,u) =
         u`` with ``u`` on the two-point grid ``{sigma_lo, sigma_hi}``; the
-        drift is the constant ``drift`` and the other grid is a singleton.
+        drift is the constant ``drift``.
     ``bsb-convex``
-        Geometric variant: ``sigma(t,x,u) = u * x`` and drift ``rate * x``,
-        the usual convex-payoff volatility-selection setup.
+        Geometric variant on the same grid: ``sigma(t,x,u) = u * x`` and
+        drift ``rate * x``, the usual convex-payoff volatility-selection
+        setup.
     ``linear-quadratic``
         Genuine two-player family: drift ``a*x + b_u*u`` steered by the
         first player, diffusion ``v`` picked by the second from
@@ -443,85 +447,52 @@ def make_preset(name, params=None) -> GameProblem:
         the diffusion grid).
     """
     p = _merge_params(name, params)
-    T = float(p["T"])
-    q = float(p["q"])
+    T, q, lo, hi = (float(p[k]) for k in ("T", "q", "l_lo", "l_hi"))
     _require(T > 0, f"T must be positive, got {T}")
     _require(1.0 < q <= 2.0, f"q must lie in (1, 2], got {q}")
+    _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
+    if not isinstance(p["h"], str):
+        hval = float(p["h"])
+        _require(lo <= hval <= hi, f"terminal h={hval} not between obstacles [{lo}, {hi}]")
+    drift, generator = _zero_drift, _zero_generator
+    u_grid = v_grid = ControlGrid.singleton()
 
     if name == "dynkin-flat":
-        lo, hi, hval, sig = (float(p[k]) for k in ("l_lo", "l_hi", "h", "sigma"))
-        _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
-        _require(lo <= hval <= hi, f"terminal h={hval} not between obstacles [{lo}, {hi}]")
+        sig = float(p["sigma"])
         _require(sig >= 0, "sigma must be nonnegative")
-        l_lo, l_hi = _const_obstacles(lo, hi)
+        gamma = max(1.0, sig)
 
         def diffusion(t, x, u, v):
             return np.full(np.shape(x)[:-1] + (1, 1), sig)
 
-        return GameProblem(
-            state_dim=1, noise_dim=1, horizon=T,
-            drift=_zero_drift, diffusion=diffusion, generator=_zero_generator,
-            terminal=_terminal_map(hval), lower_obstacle=l_lo, upper_obstacle=l_hi,
-            lipschitz=max(1.0, sig), holder_q=q,
-            u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
-        )
-
-    if name == "uncertain-volatility":
-        s_lo, s_hi, b0 = float(p["sigma_lo"]), float(p["sigma_hi"]), float(p["drift"])
-        lo, hi = float(p["l_lo"]), float(p["l_hi"])
+    elif name in ("uncertain-volatility", "bsb-convex"):
+        s_lo, s_hi = float(p["sigma_lo"]), float(p["sigma_hi"])
+        b0 = float(p["drift" if name == "uncertain-volatility" else "rate"])
         _require(0 < s_lo < s_hi, "need 0 < sigma_lo < sigma_hi")
-        _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
-        l_lo, l_hi = _const_obstacles(lo, hi)
+        u_grid = ControlGrid(points=(s_lo, s_hi))
+        gamma = max(1.0, abs(b0) + s_hi)
+        if name == "uncertain-volatility":
+            def drift(t, x, u, v):
+                return np.full_like(x, b0)
 
-        def drift(t, x, u, v):
-            return np.full_like(x, b0)
+            def diffusion(t, x, u, v):
+                return u * np.ones(np.shape(x)[:-1] + (1, 1))
+        else:
+            def drift(t, x, u, v):
+                return b0 * x
 
-        def diffusion(t, x, u, v):
-            return u * np.ones(np.shape(x)[:-1] + (1, 1))
+            def diffusion(t, x, u, v):
+                return u * x[..., None]
 
-        return GameProblem(
-            state_dim=1, noise_dim=1, horizon=T,
-            drift=drift, diffusion=diffusion, generator=_zero_generator,
-            terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
-            lipschitz=max(1.0, abs(b0) + s_hi), holder_q=q,
-            u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
-        )
-
-    if name == "bsb-convex":
-        s_lo, s_hi, rate = float(p["sigma_lo"]), float(p["sigma_hi"]), float(p["rate"])
-        lo, hi = float(p["l_lo"]), float(p["l_hi"])
-        _require(0 < s_lo < s_hi, "need 0 < sigma_lo < sigma_hi")
-        _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
-        l_lo, l_hi = _const_obstacles(lo, hi)
-
-        def drift(t, x, u, v):
-            return rate * x
-
-        def diffusion(t, x, u, v):
-            return u * x[..., None]
-
-        return GameProblem(
-            state_dim=1, noise_dim=1, horizon=T,
-            drift=drift, diffusion=diffusion, generator=_zero_generator,
-            terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
-            lipschitz=max(1.0, abs(rate) + s_hi), holder_q=q,
-            u_grid=ControlGrid(points=(s_lo, s_hi)), v_grid=ControlGrid.singleton(),
-            name=name, params=p,
-        )
-
-    if name == "linear-quadratic":
+    else:  # linear-quadratic
         a, b_u = float(p["a"]), float(p["b_u"])
         u_lo, u_hi = float(p["u_lo"]), float(p["u_hi"])
         s_lo, s_hi = float(p["sigma_lo"]), float(p["sigma_hi"])
         c_x, c_uv = float(p["c_x"]), float(p["c_uv"])
-        lo, hi = float(p["l_lo"]), float(p["l_hi"])
         _require(u_lo < u_hi, "need u_lo < u_hi")
         _require(0 < s_lo < s_hi, "need 0 < sigma_lo < sigma_hi")
-        _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
         v_mid = 0.5 * (s_lo + s_hi)
-        l_lo, l_hi = _const_obstacles(lo, hi)
+        u_grid, v_grid = ControlGrid(points=(u_lo, u_hi)), ControlGrid(points=(s_lo, s_hi))
 
         def drift(t, x, u, v):
             return a * x + b_u * u
@@ -539,17 +510,12 @@ def make_preset(name, params=None) -> GameProblem:
         grow_f = abs(c_uv) * max(abs(u_lo), abs(u_hi)) * (s_hi - v_mid)
         gamma = max(1.0, abs(a), abs(c_x), grow_b, s_hi, grow_f, abs(b_u) * u_span)
 
-        return GameProblem(
-            state_dim=1, noise_dim=1, horizon=T,
-            drift=drift, diffusion=diffusion, generator=generator,
-            terminal=_terminal_map(p["h"]), lower_obstacle=l_lo, upper_obstacle=l_hi,
-            lipschitz=gamma, holder_q=q,
-            u_grid=ControlGrid(points=(u_lo, u_hi)),
-            v_grid=ControlGrid(points=(s_lo, s_hi)),
-            name=name, params=p,
-        )
-
-    raise AssertionError("unreachable")
+    l_lo, l_hi = _const_obstacles(lo, hi)
+    return GameProblem(
+        state_dim=1, noise_dim=1, horizon=T, drift=drift, diffusion=diffusion,
+        generator=generator, terminal=_terminal_map(p["h"]), lower_obstacle=l_lo,
+        upper_obstacle=l_hi, lipschitz=gamma, holder_q=q, u_grid=u_grid,
+        v_grid=v_grid, name=name, params=p)
 
 
 # ---------------------------------------------------------------------------

@@ -346,10 +346,8 @@ def test_criterion_10_lattice_pde_equivalence():
     worst = 0.0
     for name in PRESET_NAMES:
         p, lat = preset_lattice(name)
-        g = make_pde_grid(p, lat.grid.n_steps, float(lat.x_nodes[0]),
-                          float(lat.x_nodes[-1]), lat.n_nodes)
         for order in ("supinf", "infsup"):
-            rep = cross_check(p, lat, g, order, 0.0)
+            rep = cross_check(p, lat, order, 0.0)
             worst = max(worst, rep.rel_gap)
     ok = worst <= 1e-10
     assert report(10, "lattice/PDE algebraic equivalence", ok,

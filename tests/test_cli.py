@@ -218,6 +218,25 @@ class TestRun:
         assert "status=3" in manifest
         assert any(line.startswith("error=obstacle separation") for line in manifest)
 
+    @pytest.mark.parametrize("problem, error", [
+        ("h = square\n", "error=h leaves [l_lo, l_hi] at the terminal layer by 3.000e+00"),
+        ("T = inf\n", "error=horizon must be finite and positive, got inf")])
+    def test_ill_posed_problem_exits_3_with_its_manifest(self, tmp_path, problem, error):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINIMAL + problem)
+        out = tmp_path / "o"
+        assert main(["value", "--config", str(conf), "--out", str(out)]) == 3
+        manifest = (out / "run.txt").read_text().splitlines()
+        assert "status=3" in manifest and error in manifest
+
+    def test_dynkin_flat_runs_on_a_named_terminal(self, tmp_path):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINIMAL + "h = abs\n[grid]\nx_min = -1\nx_max = 1\n")
+        out = tmp_path / "o"
+        assert main(["value", "--config", str(conf), "--out", str(out)]) == 0
+        root = float((out / "run.txt").read_text().split("result.root=")[1].split()[0])
+        assert root == pytest.approx(0.508452, abs=1e-6)  # the 500 x 41 lattice's root
+
     def test_dynkin_oracle(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         assert run("dynkin-oracle", cfg) == 0

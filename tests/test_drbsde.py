@@ -408,12 +408,32 @@ class TestLsmc:
         assert sol.K_lo[-1].max() > 0.0
         assert check_flat_off(sol, p, st) == (0.0, 0.0)
 
-    def test_an_infinite_obstacle_gives_a_non_finite_design(self):
-        # the obstacles are regressors, so LSMC cannot take an infinite one
-        p = scalar_problem(l_hi=lambda t, x: np.full(np.shape(x)[:-1], np.inf))
-        st, mu, nu = simulate(p, 500, 5, seed=27)
-        with pytest.raises(RegressionError, match="non-finite design matrix"):
-            solve_drbsde_lsmc(p, st, mu, nu)
+    def test_infinite_obstacles_leave_the_basis(self):
+        # the console script's lsmc drbsde run with l_lo = -inf, l_hi = inf:
+        # both obstacle columns drop out of every fit, nothing is clamped,
+        # and Y0 estimates E[X_T^2] = 1 under sigma = sigma_lo = 1
+        p = make_preset("uncertain-volatility", {"l_lo": -np.inf, "l_hi": np.inf})
+        st, mu, nu = simulate(p, 10_000, 500, seed=0)
+        sol = solve_drbsde_lsmc(p, st, mu, nu)
+        assert abs(sol.root - 1.0) <= 3.0 * sol.se_root
+        assert sol.lsmc_rank_min == 4 and sol.lsmc_fallbacks == 0
+        assert check_flat_off(sol, p, st) == (0.0, 0.0)
+
+    def test_an_infinite_obstacle_beside_a_pushing_one(self):
+        # the infinite side regresses as a zero column and the constant BIG
+        # side as a copy of the intercept: the fit drops either, so both
+        # solves clamp the same values into the same finite barrier
+        barrier = lambda t, x: x[..., 0] - 0.3
+        p = scalar_problem(b0=-0.5, l_lo=barrier,
+                           l_hi=lambda t, x: np.full(np.shape(x)[:-1], np.inf))
+        st, mu, nu = simulate(p, 2_000, 15, seed=24)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, se_batches=4)
+        ref = solve_drbsde_lsmc(replace(p, upper_obstacle=scalar_problem().upper_obstacle),
+                                st, mu, nu, se_batches=4)
+        assert sol.K_lo[-1].max() > 0.0 and not sol.K_hi.any()
+        assert check_flat_off(sol, p, st) == (0.0, 0.0)
+        assert np.max(np.abs(sol.Y - ref.Y)) <= 1e-9
+        assert abs(sol.se_root - ref.se_root) <= 1e-9
 
     def test_insufficient_paths_raise(self):
         p = scalar_problem()
@@ -605,10 +625,14 @@ class TestRegression:
             solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
 
     def test_non_finite_design_names_the_step(self):
-        p = scalar_problem(l_lo=lambda t, x: np.full(np.shape(x)[:-1], -np.inf))
+        # finite states whose cube overflows: dropping columns cannot mend that
+        p = scalar_problem()
         st, mu, nu = simulate(p, 50, 4, seed=27)
-        with pytest.raises(RegressionError, match=r"^non-finite design matrix at step 3$"):
-            solve_drbsde_lsmc(p, st, mu, nu, se_batches=0)
+        X = np.array(st.X)
+        X[:, :-1] = 1e120
+        with np.errstate(over="ignore"), pytest.raises(
+                RegressionError, match=r"^non-finite design matrix at step 3$"):
+            solve_drbsde_lsmc(p, replace(st, X=X), mu, nu, se_batches=0)
 
     def test_zero_design_is_rank_zero(self):
         with pytest.raises(RegressionError, match=r"^rank-deficient regression at step 7$"):

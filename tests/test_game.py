@@ -743,7 +743,7 @@ class TestRootReader:
             return [(rep.direct, x, W0), (rep.composed, x, head.W[0])]
         w = solve_obstacle_pde(p, lat, "supinf")
         if route == "cross_check":
-            rep = cross_check(p, lat, lat, "supinf", x0)
+            rep = cross_check(p, lat, "supinf", x0)
             return [(rep.lattice_root, x, W0), (rep.pde_root, x, w.W[0])]
         study = refinement_study(p, lat, w, "supinf", x0, levels=2)
         fine = solve_obstacle_pde(p, build_lattice(p, 400, -2.0, 3.0, 41), "supinf")

@@ -85,13 +85,47 @@ class TestPresets:
         assert p.diffusion(0.0, x, 2.0, 0.0)[0, 0, 0] == 2.0
         assert p.terminal(x)[0] == 0.25
 
+    def test_bsb_convex_structure(self):
+        p = make_preset("bsb-convex", {"sigma_lo": 0.2, "sigma_hi": 0.4, "rate": 0.8})
+        assert tuple(p.u_grid.points) == (0.2, 0.4)
+        assert tuple(p.v_grid.points) == (0.0,)
+        assert p.lipschitz == 0.8 + 0.4
+        x = np.array([[1.5]])
+        assert p.drift(0.0, x, 0.2, 0.0)[0, 0] == 0.8 * 1.5
+        assert p.diffusion(0.0, x, 0.4, 0.0)[0, 0, 0] == 0.4 * 1.5
+        assert p.generator(0.0, x, np.ones(1), np.ones((1, 1)), 0.4, 0.0)[0] == 0.0
+        assert p.terminal(x)[0] == 2.25
+        assert p.lower_obstacle(0.0, x)[0] == -1e6 and p.upper_obstacle(0.0, x)[0] == 1e6
+
+    def test_linear_quadratic_structure(self):
+        p = make_preset("linear-quadratic", {"a": 0.5, "b_u": 2.0, "u_lo": -1.0,
+                                             "u_hi": 1.5, "sigma_lo": 1.0, "sigma_hi": 3.0,
+                                             "c_x": 0.25, "c_uv": 2.0})
+        assert tuple(p.u_grid.points) == (-1.0, 1.5)
+        assert tuple(p.v_grid.points) == (1.0, 3.0)
+        assert p.lipschitz == 5.0  # b_u * (u_hi - u_lo) dominates
+        x = np.array([[2.0]])
+        assert p.drift(0.0, x, 1.5, 3.0)[0, 0] == 0.5 * 2.0 + 2.0 * 1.5
+        assert p.diffusion(0.0, x, 1.5, 3.0)[0, 0, 0] == 3.0
+        # v_mid = 2: c_x x + c_uv u (v - v_mid)
+        assert p.generator(0.0, x, np.ones(1), np.ones((1, 1)), 1.5, 3.0)[0] == 3.5
+        assert p.terminal(x)[0] == 2.0
+        assert p.lower_obstacle(0.0, x)[0] == -20.0 and p.upper_obstacle(0.0, x)[0] == 20.0
+
+    @pytest.mark.parametrize("h", ["abs", "square"])
+    def test_dynkin_flat_takes_a_named_terminal(self, h):
+        # a named h is checked at T by the backward routes, not here
+        p = make_preset("dynkin-flat", {"h": h})
+        assert p.terminal(np.array([[-0.5]]))[0] == (0.25 if h == "square" else 0.5)
+
     def test_obstacle_separation_enforced(self):
         with pytest.raises(ProblemError, match="separation"):
             make_preset("dynkin-flat", {"l_lo": 1.0, "l_hi": 1.0})
 
     def test_terminal_must_sit_between_obstacles(self):
-        with pytest.raises(ProblemError, match="between"):
-            make_preset("dynkin-flat", {"l_lo": -1.0, "l_hi": 1.0, "h": 5.0})
+        for name in preset_names():  # a constant h, on every preset
+            with pytest.raises(ProblemError, match="between"):
+                make_preset(name, {"l_lo": -1.0, "l_hi": 1.0, "h": 5.0})
 
     def test_unknown_preset(self):
         with pytest.raises(ProblemError, match="unknown preset"):
@@ -104,6 +138,10 @@ class TestPresets:
     def test_invalid_horizon(self):
         with pytest.raises(ProblemError):
             make_preset("dynkin-flat", {"T": -1.0})
+
+    def test_horizon_must_be_finite(self):
+        with pytest.raises(ProblemError, match="^horizon must be finite and positive, got inf$"):
+            make_preset("dynkin-flat", {"T": np.inf})
 
     def test_q_range(self):
         with pytest.raises(ProblemError):

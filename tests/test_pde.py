@@ -278,28 +278,20 @@ class TestCrossCheck:
         for name, params, steps, (lo, hi), nodes in cases:
             p = make_preset(name, params)
             lat = build_lattice(p, steps, lo, hi, nodes)
-            g = make_pde_grid(p, steps, lo, hi, nodes)
-            rep = cross_check(p, lat, g, "supinf", 0.0)
+            rep = cross_check(p, lat, "supinf", 0.0)
             assert rep.rel_gap <= 1e-10, f"{name}: {rep}"
 
     def test_flat_game_roots_are_zero(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 100, -4, 4, 41)
-        g = make_pde_grid(p, 100, -4, 4, 41)
-        rep = cross_check(p, lat, g, "supinf", 0.0)
+        rep = cross_check(p, lat, "supinf", 0.0)
         assert rep.lattice_root == 0.0 and rep.pde_root == 0.0
 
     def test_lattice_at_double_resolution(self):
         p = replace(make_preset("uncertain-volatility", {}),
                     terminal=lambda x: np.cos(x[..., 0]))
-        lat = build_lattice(p, 1024, -6, 6, 97)
-        g = make_pde_grid(p, 256, -6, 6, 49)
-        rep = cross_check(p, lat, g, "supinf", 0.0)
-        assert rep.rel_gap < 5e-3  # scheme-consistency level, not identity
-
-    def test_domain_mismatch_rejected(self):
-        p = make_preset("dynkin-flat", {})
-        lat = build_lattice(p, 100, -4, 4, 41)
-        g = make_pde_grid(p, 100, -3, 3, 31)
-        with pytest.raises(ProblemError):
-            cross_check(p, lat, g, "supinf", 0.0)
+        v_lat = value_backward_induction(p, build_lattice(p, 1024, -6, 6, 97),
+                                         "supinf").root(0.0)
+        v_pde = solve_obstacle_pde(p, make_pde_grid(p, 256, -6, 6, 49), "supinf").root(0.0)
+        rel_gap = abs(v_lat - v_pde) / max(1.0, abs(v_lat), abs(v_pde))
+        assert rel_gap < 5e-3  # scheme-consistency level, not identity
