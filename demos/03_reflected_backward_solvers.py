@@ -55,8 +55,8 @@ print()
 # comparison: lift terminal and upper barrier -> solution moves up everywhere
 lifted = reflected_problem(shift=0.4)
 sol_up = solve_drbsde_lattice(lifted, lat)
-rep = compare_drbsde(sol, sol_up)
-print(f"comparison with lifted data: max (Y1 - Y2)^+ = {rep.max_violation} "
+violation = compare_drbsde(sol, sol_up)
+print(f"comparison with lifted data: max (Y1 - Y2)^+ = {violation} "
       "(monotone recursion, exactly zero)")
 
 # stability: the response to a terminal shift never beats the driver

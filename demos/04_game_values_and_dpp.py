@@ -5,7 +5,9 @@ The linear-quadratic preset couples the players through a bilinear
 generator term, so the stepwise sup-inf and inf-sup optima genuinely
 differ: the lower value sits strictly below the upper value on a band of
 states.  Splitting the horizon at any knot and feeding the continuation
-value back as terminal data reproduces the direct solve to the last bit.
+value back as terminal data reproduces the direct solve to the last bit;
+taking the continuation value from a finer lattice instead lands within
+the scheme's discretisation error.
 """
 
 import numpy as np
@@ -26,8 +28,10 @@ print(f"largest saddle-point gap:    {gap.max():.4f} "
       "(nonzero: the two optimisation orders disagree)")
 print()
 
-print("dynamic programming identity at x=0 (direct vs solve-compose):")
+print("dynamic programming identity at x=0 (direct vs solve-compose, with the")
+print("continuation value from the lattice's own tail or a (dt/4, dx/2) one):")
 for t_mid in (0.25, 0.5, 0.75):
     rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
-    print(f"  split at t={t_mid}: direct {rep.direct:+.12f}  "
-          f"composed {rep.composed:+.12f}  gap {rep.gap:.1e}")
+    print(f"  split at t={t_mid:.2f}: direct  {rep.direct:+.12f}")
+    for name, root in (("matched", rep.matched), ("refined", rep.refined)):
+        print(f"                   {name} {root:+.12f}  gap {abs(rep.direct - root):.1e}")

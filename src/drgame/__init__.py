@@ -19,13 +19,12 @@ from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
 from .paths import (PathEnsemble, StatePaths, TimeGrid, constant_controls,
                     euler_forward, simulate_brownian)
 from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
-                   ValueSurface, build_lattice, dpp_check,
-                   dpp_cross_resolution, dynkin_brute_force,
+                   ValueSurface, build_lattice, dpp_check, dynkin_brute_force,
                    dynkin_oracle_corpus, enumerate_stopping_rules,
                    lattice_occupancy, value_backward_induction)
-from .drbsde import (DrbsdeSolution, OrderingReport, RegressionError,
-                     StabilityReport, check_flat_off, compare_drbsde,
-                     solve_drbsde_lattice, solve_drbsde_lsmc, stability_gap)
+from .drbsde import (DrbsdeSolution, RegressionError, StabilityReport,
+                     check_flat_off, compare_drbsde, solve_drbsde_lattice,
+                     solve_drbsde_lsmc, stability_gap)
 from .pde import (CrossCheckReport, RefinementStudy, ResidualReport,
                   cross_check, hamiltonian, isaacs_hamiltonian, make_pde_grid,
                   refinement_study, solve_obstacle_pde, viscosity_residual)
@@ -39,10 +38,9 @@ __all__ = [
     "PathEnsemble", "StatePaths", "TimeGrid",
     "constant_controls", "euler_forward", "simulate_brownian",
     "BinaryTree", "CflError", "DppReport", "Lattice", "OracleCase",
-    "ValueSurface", "build_lattice", "dpp_check", "dpp_cross_resolution",
-    "dynkin_brute_force", "dynkin_oracle_corpus", "enumerate_stopping_rules",
+    "ValueSurface", "build_lattice", "dpp_check", "dynkin_brute_force", "dynkin_oracle_corpus", "enumerate_stopping_rules",
     "lattice_occupancy", "value_backward_induction",
-    "DrbsdeSolution", "OrderingReport", "RegressionError", "StabilityReport",
+    "DrbsdeSolution", "RegressionError", "StabilityReport",
     "check_flat_off", "compare_drbsde", "solve_drbsde_lattice",
     "solve_drbsde_lsmc", "stability_gap",
     "CrossCheckReport", "RefinementStudy", "ResidualReport",

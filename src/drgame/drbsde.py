@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GameProblem, NumericsError, ProblemError, _control_tables, _csv,
-                    _evaluate, _point_index)
+                    _evaluate, _integer, _point_index)
 from .game import (Lattice, _check_grid, _clamp, _layer_stencils, backward_sweep,
                    lattice_occupancy)
 from .paths import StatePaths, TimeGrid
 
 __all__ = [
     "DrbsdeSolution",
-    "OrderingReport",
     "StabilityReport",
     "RegressionError",
     "solve_drbsde_lattice",
@@ -286,6 +285,8 @@ def solve_drbsde_lsmc(p: GameProblem, states: StatePaths, mu, nu,
     refitted by ``lstsq`` (``lsmc_fallbacks``), over the root and the
     batches; with one step there is no such fit and they stay None.
     """
+    if _integer(degree, "degree") < 0:
+        raise ProblemError(f"degree must be >= 0, got {degree}")
     if states.ens is None:
         raise ProblemError("states must carry their driving ensemble "
                            "(produce them with euler_forward)")
@@ -342,32 +343,19 @@ def check_flat_off(sol: DrbsdeSolution, p: GameProblem, support):
     return residual(sol.K_lo, p.lower_obstacle), residual(sol.K_hi, p.upper_obstacle)
 
 
-@dataclass
-class OrderingReport:
-    max_violation: float
-    terminal_violation: float
-    mode: str
-
-
-def compare_drbsde(sol1: DrbsdeSolution, sol2: DrbsdeSolution) -> OrderingReport:
+def compare_drbsde(sol1: DrbsdeSolution, sol2: DrbsdeSolution) -> float:
     """Largest positive part of Y1 - Y2 over every retained point.
 
     The caller guarantees the data were ordered (terminal, obstacles and
-    generator of the second dominating the first); the terminal layers are
-    re-verified here since they are stored.  In lattice mode the monotone
-    clamp recursion makes the reported violation exactly zero whenever the
+    generator of the second dominating the first).  In lattice mode the
+    monotone clamp recursion makes the violation exactly zero whenever the
     ordering hypothesis holds.
     """
     if sol1.Y.shape != sol2.Y.shape or sol1.grid != sol2.grid:
         raise ProblemError("solutions do not live on a common grid")
     if sol1.mode != sol2.mode:
         raise ProblemError("solutions were produced by different modes")
-    diff = sol1.Y - sol2.Y
-    return OrderingReport(
-        max_violation=float(max(diff.max(), 0.0)),
-        terminal_violation=float(max(diff[-1].max(), 0.0)),
-        mode=sol1.mode,
-    )
+    return float(max((sol1.Y - sol2.Y).max(), 0.0))
 
 
 @dataclass

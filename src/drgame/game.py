@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    _control_tables, _csv, _evaluate, _one_index, _point_index)
+                    _control_tables, _csv, _evaluate, _integer, _one_index, _point_index)
 from .paths import TimeGrid
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "dynkin_oracle_corpus",
     "enumerate_stopping_rules",
     "dpp_check",
-    "dpp_cross_resolution",
     "lattice_occupancy",
 ]
 
@@ -200,10 +199,10 @@ def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
 
 
 def _space_grid(n_nodes, x_min, x_max):
-    if n_nodes < 3:
+    if _integer(n_nodes, "n_nodes") < 3:
         raise ProblemError("need at least 3 space nodes")
-    if not x_min < x_max:
-        raise ProblemError("need x_min < x_max")
+    if not -np.inf < x_min < x_max < np.inf:
+        raise ProblemError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
     return np.linspace(x_min, x_max, n_nodes)
 
 
@@ -743,39 +742,36 @@ def dynkin_oracle_corpus(n_trees: int = 24, seed: int = 2024):
 
 @dataclass
 class DppReport:
+    """Roots at x0 of the direct solve and of its two compositions at t_mid."""
+
     direct: float
-    composed: float
-    gap: float
+    matched: float
+    refined: float
 
 
 def dpp_check(p: GameProblem, lat: Lattice, t_mid: float, order: str,
               x0: float) -> DppReport:
     """Solve-compose-compare at a deterministic intermediate knot.
 
-    The direct route solves on [t0, T]; the composed route solves [t_mid, T]
-    first and feeds W(t_mid, .) as terminal data to a solve on [t0, t_mid].
-    The halves of a split step on the parent's clock, so the two recursions
-    perform the same arithmetic and the reported gap is exactly zero.  Both
-    roots are read at ``x0`` by :meth:`ValueSurface.root`.
+    The direct route solves on [t0, T].  Each composed route solves [t_mid,
+    T] first and feeds W(t_mid, .) as terminal data to a solve on [t0,
+    t_mid].  ``matched`` takes W(t_mid, .) from the tail of ``lat`` itself:
+    the halves of a split step on the parent's clock, so the two recursions
+    perform the same arithmetic and equal ``direct`` exactly.  ``refined``
+    takes it from a (dt / 4, dx / 2) lattice on [t_mid, T], interpolated
+    linearly onto ``lat``'s nodes, so its distance from ``direct`` measures
+    scheme consistency rather than an algebraic identity.  Every root is
+    read at ``x0`` by :meth:`ValueSurface.root`.
     """
     head, tail = lat.split(lat.grid.index_of(t_mid))
     direct = value_backward_induction(p, lat, order).root(x0)
-    tail_surf = value_backward_induction(p, tail, order)
-    composed = value_backward_induction(p, head, order, terminal=tail_surf.W[0]).root(x0)
-    return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
-
-
-def dpp_cross_resolution(p: GameProblem, lat: Lattice, t_mid: float, order: str,
-                         x0: float) -> DppReport:
-    """Composed route with a (dx/2, dt/4) lattice on [t_mid, T].
-
-    The fine continuation value is interpolated linearly onto the coarse
-    nodes before the head solve, so the gap measures scheme consistency
-    rather than an algebraic identity.  Both roots are read at ``x0``.
-    """
-    composed = _refined_composition(p, lat, t_mid, order).root(x0)
-    direct = value_backward_induction(p, lat, order).root(x0)
-    return DppReport(direct=direct, composed=composed, gap=abs(direct - composed))
+    tail_mid = value_backward_induction(p, tail, order).W[0]
+    matched = value_backward_induction(p, head, order, terminal=tail_mid).root(x0)
+    fine = _refine(p, tail)
+    fine_mid = np.interp(lat.x_nodes, fine.x_nodes,
+                         value_backward_induction(p, fine, order).W[0])
+    refined = value_backward_induction(p, head, order, terminal=fine_mid).root(x0)
+    return DppReport(direct=direct, matched=matched, refined=refined)
 
 
 def _refine(p: GameProblem, lat: Lattice) -> Lattice:
@@ -783,16 +779,6 @@ def _refine(p: GameProblem, lat: Lattice) -> Lattice:
     2n - 1 nodes, so dt / 4 and dx / 2."""
     return build_lattice(p, 4 * lat.grid.n_steps, float(lat.x_nodes[0]),
                          float(lat.x_nodes[-1]), 2 * lat.n_nodes - 1, t0=lat.grid.t0)
-
-
-def _refined_composition(p: GameProblem, lat: Lattice, t_mid: float,
-                         order: str) -> ValueSurface:
-    """Head surface of the composed route of :func:`dpp_cross_resolution`."""
-    head, tail = lat.split(lat.grid.index_of(t_mid))
-    fine_tail = _refine(p, tail)
-    tail_surf = value_backward_induction(p, fine_tail, order)
-    terminal = np.interp(lat.x_nodes, fine_tail.x_nodes, tail_surf.W[0])
-    return value_backward_induction(p, head, order, terminal=terminal)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -155,9 +156,22 @@ def _indices(values, what):
     return a.astype(np.int64, copy=False)
 
 
+def _integer(value, what) -> int:
+    """``value`` as a Python int; ProblemError for a bool, float or other
+    non-integer (numpy integers are accepted)."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ProblemError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ProblemError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _point_index(i, n, name):
-    """``i`` when it is an integer index in [0, n); ProblemError otherwise."""
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+    """``i`` as a Python int when it is an integer index in [0, n);
+    ProblemError otherwise."""
+    i = _integer(i, name)
+    if not 0 <= i < n:
         raise ProblemError(f"{name} must be an index in [0, {n}), got {i!r}")
     return i
 
@@ -231,7 +245,6 @@ class GameProblem:
     u_grid: ControlGrid
     v_grid: ControlGrid
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.state_dim < 1 or self.noise_dim < 1:
@@ -448,8 +461,6 @@ def make_preset(name, params=None) -> GameProblem:
     """
     p = _merge_params(name, params)
     T, q, lo, hi = (float(p[k]) for k in ("T", "q", "l_lo", "l_hi"))
-    _require(T > 0, f"T must be positive, got {T}")
-    _require(1.0 < q <= 2.0, f"q must lie in (1, 2], got {q}")
     _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
     if not isinstance(p["h"], str):
         hval = float(p["h"])
@@ -515,7 +526,7 @@ def make_preset(name, params=None) -> GameProblem:
         state_dim=1, noise_dim=1, horizon=T, drift=drift, diffusion=diffusion,
         generator=generator, terminal=_terminal_map(p["h"]), lower_obstacle=l_lo,
         upper_obstacle=l_hi, lipschitz=gamma, holder_q=q, u_grid=u_grid,
-        v_grid=v_grid, name=name, params=p)
+        v_grid=v_grid, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ too, but pays one strided copy per step.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (GameProblem, NumericsError, ProblemError, _control_tables, _csv,
-                    _evaluate, _indices)
+                    _evaluate, _indices, _integer)
 
 __all__ = [
     "TimeGrid",
@@ -38,17 +37,6 @@ __all__ = [
 ]
 
 _DRAW_CHUNK = 4096  # paths per contiguous draw buffer: 1.6 MB at 50 steps, d = 1
-
-
-def _integer(value, what) -> int:
-    """``value`` as a Python int; ProblemError for a bool, float or other
-    non-integer (numpy integers are accepted)."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ProblemError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ProblemError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,8 +62,10 @@ class TimeGrid:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
 
     def index_of(self, s, tol=1e-9) -> int:
-        """Index of the knot equal to ``s`` (error if ``s`` is off-grid)."""
-        idx = int(round((s - self.t0) / self.dt))
+        """Index of the knot equal to ``s`` (error if ``s`` is off-grid or
+        not finite)."""
+        k = (s - self.t0) / self.dt
+        idx = int(round(k)) if np.isfinite(k) else -1
         if idx < 0 or idx > self.n_steps or abs(self.t0 + idx * self.dt - s) > tol:
             raise ProblemError(f"{s!r} is not a knot of {self}")
         return idx

@@ -24,7 +24,7 @@ from scipy.special import binom
 import drgame as dg
 from drgame import (BinaryTree, TimeGrid, build_lattice, check_flat_off,
                     compare_drbsde, constant_controls, cross_check, dpp_check,
-                    dpp_cross_resolution, dynkin_oracle_corpus, euler_forward,
+                    dynkin_oracle_corpus, euler_forward,
                     lattice_occupancy, make_preset, make_pde_grid,
                     simulate_brownian, solve_drbsde_lattice,
                     solve_drbsde_lsmc, solve_obstacle_pde,
@@ -138,9 +138,9 @@ def test_criterion_03_comparison_theorem():
         p1 = mk(0.0, 0.0, 0.0, 0.0)
         p2 = mk(d_xi, d_f, d_lo, d_hi)
         lat = build_lattice(p1, 60, -3, 3, 31)
-        rep = compare_drbsde(solve_drbsde_lattice(p1, lat),
-                             solve_drbsde_lattice(p2, lat))
-        worst = max(worst, rep.max_violation)
+        violation = compare_drbsde(solve_drbsde_lattice(p1, lat),
+                                   solve_drbsde_lattice(p2, lat))
+        worst = max(worst, violation)
     ok = worst == 0.0
     assert report(3, "comparison theorem", ok,
                   f"50 ordered pairs, max violation {worst:.2e}")
@@ -313,7 +313,7 @@ def test_criterion_08_dpp_identity():
         for j in (1, n // 2, n - 1):
             t_mid = float(lat.grid.knots[j])
             rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
-            worst = max(worst, rep.gap)
+            worst = max(worst, abs(rep.direct - rep.matched))
     matched_ok = worst <= 1e-12
 
     p = replace(make_preset("uncertain-volatility", {}),
@@ -321,7 +321,8 @@ def test_criterion_08_dpp_identity():
     gaps = []
     for dx, steps in ((0.2, 100), (0.1, 400)):
         lat = build_lattice(p, steps, -10, 10, int(round(20 / dx)) + 1)
-        gaps.append(dpp_cross_resolution(p, lat, 0.5, "supinf", 0.0).gap)
+        rep = dpp_check(p, lat, 0.5, "supinf", 0.0)
+        gaps.append(abs(rep.direct - rep.refined))
     shrink_ok = gaps[1] <= gaps[0] / 2.0
     ok = matched_ok and shrink_ok
     assert report(8, "dynamic programming identity", ok,

@@ -69,6 +69,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="outside"):
             parse_config("n_steps = 5\n")
 
+    @pytest.mark.parametrize("t_mid", ["nan", "inf", "-inf"])
+    def test_non_finite_t_mid_rejected(self, t_mid):
+        with pytest.raises(ConfigError, match="'t_mid' must be finite"):
+            parse_config(MINIMAL + f"[solver]\nt_mid = {t_mid}\n")
+
     def test_q_constraint(self):
         with pytest.raises(ConfigError, match="q"):
             parse_config("[problem]\npreset = dynkin-flat\nq = 2.5\n")
@@ -229,6 +234,23 @@ class TestRun:
         manifest = (out / "run.txt").read_text().splitlines()
         assert "status=3" in manifest and error in manifest
 
+    @pytest.mark.parametrize("t_mid", ["nan", "inf"])
+    def test_non_finite_t_mid_exits_3(self, tmp_path, t_mid):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINIMAL + f"[solver]\nt_mid = {t_mid}\n")
+        assert main(["dpp-check", "--config", str(conf), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("sub", ["value", "pde", "dpp-check"])
+    @pytest.mark.parametrize("bound", ["x_min = -inf", "x_max = inf"])
+    def test_infinite_grid_bound_exits_3_with_its_manifest(self, tmp_path, sub, bound):
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINIMAL + f"[grid]\nn_steps = 25\nn_nodes = 21\n{bound}\n")
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(conf), "--out", str(out)]) == 3
+        manifest = (out / "run.txt").read_text().splitlines()
+        assert "status=3" in manifest
+        assert any(line.startswith("error=need finite x_min < x_max") for line in manifest)
+
     def test_dynkin_flat_runs_on_a_named_terminal(self, tmp_path):
         conf = tmp_path / "c.ini"
         conf.write_text(MINIMAL + "h = abs\n[grid]\nx_min = -1\nx_max = 1\n")
@@ -249,9 +271,21 @@ class TestRun:
         cfg = tiny_cfg(tmp_path)
         assert run("dpp-check", cfg) == 0
 
+    def test_dpp_check_writes_both_rows_from_one_report(self, tmp_path):
+        cfg = RunConfig(preset="uncertain-volatility", x_min=-2.0, x_max=3.0,
+                        out_dir=str(tmp_path))
+        assert run("dpp-check", cfg) == 0
+        p = make_preset("uncertain-volatility", {})
+        rep = game.dpp_check(p, game.build_lattice(p, 500, -2.0, 3.0, 41), 0.5,
+                             "supinf", 0.0)
+        direct, refined = f"{rep.direct:.17g}", f"{rep.refined:.17g}"
+        assert (tmp_path / "dpp.csv").read_text().splitlines() == [
+            "variant,direct,composed,gap", f"matched,{direct},{rep.matched:.17g},0",
+            f"refined,{direct},{refined},{abs(rep.direct - rep.refined):.17g}"]
+
     def test_dpp_check_solves_the_full_lattice_once(self, tmp_path, monkeypatch):
-        # full, tail and head of the matched route; fine tail and head of
-        # the refined route, which reuses the matched route's direct value
+        # one dpp_check: the full lattice, the tail and head of the matched
+        # route, and the fine tail and head of the refined route
         calls = []
         solve = game.value_backward_induction
 

@@ -186,8 +186,7 @@ class TestComparison:
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 50, -3, 3, 31)
         sol = solve_drbsde_lattice(p, lat)
-        rep = compare_drbsde(sol, sol)
-        assert rep.max_violation == 0.0
+        assert compare_drbsde(sol, sol) == 0.0
 
     def test_shifted_terminal_orders_everywhere(self):
         base = scalar_problem(h=lambda x: np.sin(x[..., 0]),
@@ -199,8 +198,7 @@ class TestComparison:
         lat = build_lattice(base, 100, -4, 4, 41)
         s1 = solve_drbsde_lattice(base, lat)
         s2 = solve_drbsde_lattice(lifted, lat)
-        rep = compare_drbsde(s1, s2)
-        assert rep.max_violation == 0.0
+        assert compare_drbsde(s1, s2) == 0.0
         assert np.all(s2.Y >= s1.Y)
 
     def test_constant_generator_offset_integrates_exactly(self):
@@ -217,6 +215,16 @@ class TestComparison:
         for j in (0, 50, 100):
             expect = 0.5 * (T - knots[j])
             assert np.max(np.abs((s2.Y[j] - s1.Y[j]) - expect)) < 1e-12
+
+    def test_comparison_returns_the_largest_violation(self):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 50, -3, 3, 31)
+        shifted = replace(p, terminal=lambda x: np.full(np.shape(x)[:-1], -0.5))
+        low = solve_drbsde_lattice(shifted, lat)
+        high = solve_drbsde_lattice(p, lat)
+        gap = compare_drbsde(high, low)
+        assert type(gap) is float and gap == float((high.Y - low.Y).max()) > 0.0
+        assert compare_drbsde(low, high) == 0.0
 
     def test_grid_mismatch_rejected(self):
         p = make_preset("dynkin-flat", {})
@@ -248,9 +256,8 @@ class TestComparison:
             p1 = mk(0.0, 0.0, 0.0, 0.0)
             p2 = mk(d_xi, d_f, d_lo, d_hi)
             lat = build_lattice(p1, 100, -4, 4, 41)
-            rep = compare_drbsde(solve_drbsde_lattice(p1, lat),
-                                 solve_drbsde_lattice(p2, lat))
-            assert rep.max_violation == 0.0
+            assert compare_drbsde(solve_drbsde_lattice(p1, lat),
+                                  solve_drbsde_lattice(p2, lat)) == 0.0
 
 
 class TestStability:
@@ -280,9 +287,19 @@ class TestStability:
         p = make_preset("dynkin-flat", {})
         sol = solve_drbsde_lattice(p, build_lattice(p, 50, -3, 3, 31))
         assert sol.root_at(30) == sol.Y[0, 30]
-        for index in (-1, 31, 2.0):
+        for index in (-1, 31):
             with pytest.raises(ProblemError, match="index must be an index in"):
                 sol.root_at(index)
+
+    @pytest.mark.parametrize("index", [True, np.True_, 2.0])
+    def test_a_bool_or_fractional_index_is_rejected(self, index):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 50, -3, 3, 31)
+        sol = solve_drbsde_lattice(p, lat)
+        with pytest.raises(ProblemError, match="^index must be an integer"):
+            sol.root_at(index)
+        with pytest.raises(ProblemError, match="^root_index must be an integer"):
+            stability_gap(lat, p, sol, p, sol, varpi=2.0, root_index=index)
 
     def test_uniform_terminal_shift_is_exact(self):
         eps = 0.25
@@ -508,6 +525,18 @@ class TestLsmc:
             mu = nu = constant_controls(50, n_steps)
             with pytest.raises(ProblemError, match="mu controls of shape .* do not fit"):
                 solve_drbsde_lsmc(p, st, mu, nu)
+
+    @pytest.mark.parametrize("degree, error", [
+        (-1, "degree must be >= 0, got -1"), (-2, "degree must be >= 0, got -2"),
+        (2.0, "degree must be an integer, got 2.0"),
+        (True, "degree must be an integer, got True")])
+    def test_degree_is_an_integer_of_at_least_zero(self, degree, error):
+        p = scalar_problem()
+        st, mu, nu = simulate(p, 50, 4, seed=27)
+        with pytest.raises(ProblemError, match=f"^{error}$"):
+            solve_drbsde_lsmc(p, st, mu, nu, degree)
+        sol = solve_drbsde_lsmc(p, st, mu, nu, np.int64(0), se_batches=0)
+        assert np.isfinite(sol.root)
 
     def test_states_must_carry_ensemble(self):
         p = scalar_problem()

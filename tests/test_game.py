@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
-from dataclasses import replace
-from functools import partial
+from dataclasses import fields, replace
 
-from drgame import (BinaryTree, CflError, ProblemError, TimeGrid,
-                    build_lattice, cross_check, dpp_check, dpp_cross_resolution,
+from drgame import (BinaryTree, CflError, DppReport, ProblemError, TimeGrid,
+                    build_lattice, cross_check, dpp_check,
                     dynkin_brute_force, dynkin_oracle_corpus,
                     lattice_occupancy, make_preset, refinement_study,
                     solve_drbsde_lattice, solve_obstacle_pde, value_backward_induction)
-from drgame.game import _refined_composition, _stencil, backward_sweep
+from drgame.game import _refine, _stencil, backward_sweep
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -111,6 +110,17 @@ class TestStencil:
         p = scalar_problem(T=10.0, sig=0.1, gamma=1.0)
         with pytest.raises(CflError, match="gamma"):
             build_lattice(p, n_steps=5, x_min=-10, x_max=10, n_nodes=11)
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 2.0), (-2.0, np.inf),
+                                        (-np.inf, np.inf), (np.nan, 2.0)])
+    def test_grid_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ProblemError, match="need finite x_min < x_max"):
+            build_lattice(make_preset("dynkin-flat", {}), 50, lo, hi, 21)
+
+    @pytest.mark.parametrize("n_nodes", [21.0, True])
+    def test_node_count_must_be_an_integer(self, n_nodes):
+        with pytest.raises(ProblemError, match="n_nodes must be an integer"):
+            build_lattice(make_preset("dynkin-flat", {}), 50, -2, 2, n_nodes)
 
 
 def slice_moments(st, vals, dt):
@@ -673,7 +683,7 @@ class TestDpp:
             for j in (1, 32, 63):
                 t_mid = float(lat.grid.knots[j])
                 rep = dpp_check(p, lat, t_mid, "supinf", 0.0)
-                assert rep.gap <= 1e-12
+                assert abs(rep.direct - rep.matched) <= 1e-12
 
     def test_split_halves_keep_the_parent_arithmetic(self):
         # the halves' own dt differs from the parent's by ulps at most of
@@ -684,7 +694,8 @@ class TestDpp:
             for j in (2, 3, 5, 7, 388):
                 t_mid = float(lat.grid.knots[j])
                 for order in ("supinf", "infsup"):
-                    assert dpp_check(p, lat, t_mid, order, 0.0).gap == 0.0, (name, j, order)
+                    rep = dpp_check(p, lat, t_mid, order, 0.0)
+                    assert abs(rep.direct - rep.matched) == 0.0, (name, j, order)
 
     def test_interior_knot_required(self):
         p = make_preset("dynkin-flat", {})
@@ -694,6 +705,23 @@ class TestDpp:
         with pytest.raises(ProblemError):
             dpp_check(p, lat, 0.55, "supinf", 0.0)
 
+    @pytest.mark.parametrize("t_mid", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_t_mid_is_not_a_knot(self, t_mid):
+        p = make_preset("dynkin-flat", {})
+        lat = build_lattice(p, 25, -2, 2, 21)
+        with pytest.raises(ProblemError, match="is not a knot"):
+            lat.grid.index_of(t_mid)
+        with pytest.raises(ProblemError, match="is not a knot"):
+            dpp_check(p, lat, t_mid, "supinf", 0.0)
+
+    def test_report_holds_the_three_roots(self):
+        assert [f.name for f in fields(DppReport)] == ["direct", "matched", "refined"]
+        p = make_preset("uncertain-volatility", {})
+        lat = build_lattice(p, 100, -2.0, 3.0, 21)
+        rep = dpp_check(p, lat, 0.5, "infsup", 0.0)
+        assert rep.matched == rep.direct
+        assert rep.refined != rep.direct  # a consistency gap, not an identity
+
     def test_non_interior_knot_is_rejected_before_any_solve(self, monkeypatch):
         from drgame import game
         calls = []
@@ -702,11 +730,9 @@ class TestDpp:
                             lambda *a, **k: calls.append(a) or solve(*a, **k))
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 25, -2, 2, 21)
-        for check in (partial(dpp_check, x0=0.0), partial(dpp_cross_resolution, x0=0.0),
-                      game._refined_composition):
-            for t_mid in (lat.grid.t0, lat.grid.T):
-                with pytest.raises(ProblemError, match="strictly interior"):
-                    check(p, lat, t_mid, "supinf")
+        for t_mid in (lat.grid.t0, lat.grid.T):
+            with pytest.raises(ProblemError, match="strictly interior"):
+                dpp_check(p, lat, t_mid, "supinf", 0.0)
         assert calls == []
 
     def test_cross_resolution_gap_shrinks(self):
@@ -715,11 +741,11 @@ class TestDpp:
         gaps = []
         for dx, steps in ((0.2, 100), (0.1, 400)):
             lat = build_lattice(p, steps, -10, 10, int(round(20 / dx)) + 1)
-            rep = dpp_cross_resolution(p, lat, 0.5, "supinf", 0.0)
-            gaps.append(rep.gap)
+            rep = dpp_check(p, lat, 0.5, "supinf", 0.0)
+            gaps.append(abs(rep.direct - rep.refined))
         assert gaps[1] <= gaps[0] / 2.0
 
-ROOT_ROUTES = ["ValueSurface.root", "dpp_check", "dpp_cross_resolution",
+ROOT_ROUTES = ["ValueSurface.root", "dpp_check", "dpp_check.refined",
                "cross_check", "refinement_study"]
 
 
@@ -736,11 +762,15 @@ class TestRootReader:
             return [(surf.root(x0), x, W0)]
         if route == "dpp_check":
             rep = dpp_check(p, lat, 0.5, "supinf", x0)
-            return [(rep.direct, x, W0), (rep.composed, x, W0)]
-        if route == "dpp_cross_resolution":
-            rep = dpp_cross_resolution(p, lat, 0.5, "supinf", x0)
-            head = _refined_composition(p, lat, 0.5, "supinf")
-            return [(rep.direct, x, W0), (rep.composed, x, head.W[0])]
+            return [(rep.direct, x, W0), (rep.matched, x, W0)]
+        if route == "dpp_check.refined":
+            rep = dpp_check(p, lat, 0.5, "supinf", x0)
+            head, tail = lat.split(lat.grid.index_of(0.5))
+            fine = _refine(p, tail)
+            fine_mid = value_backward_induction(p, fine, "supinf").W[0]
+            refined = value_backward_induction(
+                p, head, "supinf", terminal=np.interp(x, fine.x_nodes, fine_mid))
+            return [(rep.direct, x, W0), (rep.refined, x, refined.W[0])]
         w = solve_obstacle_pde(p, lat, "supinf")
         if route == "cross_check":
             rep = cross_check(p, lat, "supinf", x0)
@@ -771,6 +801,12 @@ class TestRootReader:
 
 
 class TestOccupancy:
+    @pytest.mark.parametrize("root", [True, False, np.True_, 2.0])
+    def test_root_index_must_be_an_integer(self, root):
+        lat = build_lattice(make_preset("dynkin-flat", {}), 50, -2, 2, 21)
+        with pytest.raises(ProblemError, match="root_index must be an integer"):
+            lattice_occupancy(lat, root_index=root)
+
     def test_distribution_is_normalized(self):
         p = make_preset("dynkin-flat", {})
         lat = build_lattice(p, 50, -6, 6, 41)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import tracemalloc
 
@@ -33,6 +33,14 @@ class TestExports:
         for mod in (drgame, cli, drbsde, game, linalg, model, paths, pde):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+    @pytest.mark.parametrize("name", ["dpp_cross_resolution", "_refined_composition",
+                                      "OrderingReport"])
+    def test_removed_names_are_gone(self, name):
+        import drgame
+        from drgame import drbsde, game
+        for mod in (drgame, drbsde, game):
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 class TestControlGrid:
@@ -146,6 +154,20 @@ class TestPresets:
     def test_q_range(self):
         with pytest.raises(ProblemError):
             make_preset("dynkin-flat", {"q": 2.5})
+
+    @pytest.mark.parametrize("param, error", [
+        ({"T": -1.0}, "^horizon must be finite and positive, got -1.0$"),
+        ({"T": 0.0}, "^horizon must be finite and positive, got 0.0$"),
+        ({"q": 2.5}, r"^holder_q must lie in \(1, 2\], got 2.5$"),
+        ({"q": 1.0}, r"^holder_q must lie in \(1, 2\], got 1.0$")])
+    def test_horizon_and_q_are_checked_by_the_problem(self, param, error):
+        with pytest.raises(ProblemError, match=error):
+            make_preset("linear-quadratic", param)
+
+    def test_a_preset_keeps_no_parameter_table(self):
+        p = make_preset("dynkin-flat", {"sigma": 0.5})
+        assert not hasattr(p, "params")
+        assert "params" not in {f.name for f in fields(GameProblem)}
 
 
 class TestValidateProblem:
