@@ -31,7 +31,8 @@ regression diagnostics ``diag.lsmc_rank_min``, ``diag.lsmc_cond_max`` and
 ``diag.broadcast_controls`` (``true`` when every control point is a
 scalar, so the problem's callables took every control pair in one call).
 Exit status: 0 success, 1 a check failed, 2 numerical failure (CFL/NaN),
-3 configuration error.
+3 configuration error; ``run`` checks a ``RunConfig`` built in code as
+``parse_config`` checks a document.
 ``--threads`` is accepted as a hint and recorded, but solvers are
 deterministic and its value never changes any artifact.
 """
@@ -298,7 +299,7 @@ def _snap_t_mid(cfg, grid: TimeGrid) -> float:
 def _cmd_validate(cfg, out):
     prob = _problem(cfg)
     rep = validate_problem(prob, samples=cfg.samples, seed=cfg.seed)
-    _write_text(out / "validation.csv", rep.to_csv())
+    rep.to_csv(out / "validation.csv")
     return (0 if rep.passed else 1), {"result.validation_passed": str(rep.passed).lower()}
 
 def _states(cfg, prob):
@@ -311,8 +312,8 @@ def _states(cfg, prob):
 
 def _cmd_simulate(cfg, out):
     states, _, _ = _states(cfg, _problem(cfg))
-    _write_text(out / "increments.csv", states.ens.to_csv())
-    _write_text(out / "states.csv", states.to_csv())
+    states.ens.to_csv(out / "increments.csv")
+    states.to_csv(out / "states.csv")
     return 0, {}
 
 def _cmd_drbsde(cfg, out):
@@ -329,7 +330,7 @@ def _cmd_drbsde(cfg, out):
         res_lo, res_hi = check_flat_off(sol, prob, states)
         diag = {}
         root = sol.root
-    _write_text(out / "drbsde.csv", sol.to_csv())
+    sol.to_csv(out / "drbsde.csv")
     extra = {"result.root": f"{root:.17g}", "result.flat_off_lo": f"{res_lo:.17g}",
              "result.flat_off_hi": f"{res_hi:.17g}"}
     if sol.se_root is not None:
@@ -344,7 +345,7 @@ def _cmd_value(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
     surf = value_backward_induction(prob, lat, cfg.order)
-    _write_text(out / "surface.csv", surf.to_csv())
+    surf.to_csv(out / "surface.csv")
     return 0, {"result.root": f"{surf.root(cfg.x0):.17g}", **_lattice_diag(lat)}
 
 def _cmd_pde(cfg, out):
@@ -353,9 +354,9 @@ def _cmd_pde(cfg, out):
     surf = solve_obstacle_pde(prob, g, cfg.order)
     resid = viscosity_residual(prob, g, surf, cfg.order)
     study = refinement_study(prob, g, surf, cfg.order, cfg.x0, levels=2)
-    _write_text(out / "surface.csv", surf.to_csv())
-    _write_text(out / "residual.csv", resid.to_csv())
-    _write_text(out / "convergence.csv", study.to_csv())
+    surf.to_csv(out / "surface.csv")
+    resid.to_csv(out / "residual.csv")
+    study.to_csv(out / "convergence.csv")
     return 0, {"result.root": f"{study.roots[0]:.17g}",
                "result.max_residual": f"{resid.max_abs:.17g}", **_lattice_diag(g)}
 
@@ -365,9 +366,8 @@ def _cmd_dynkin_oracle(cfg, out):
     bf = np.array([case.brute_force_value() for case in cases])
     diff = np.abs(rec - bf)
     worst = max(0.0, *diff.tolist())
-    _write_text(out / "oracle.csv",
-                _csv("tree,depth,recursion_value,brute_force_value,abs_diff",
-                     range(len(cases)), [case.tree.depth for case in cases], rec, bf, diff))
+    _csv(out / "oracle.csv", "tree,depth,recursion_value,brute_force_value,abs_diff",
+         range(len(cases)), [case.tree.depth for case in cases], rec, bf, diff)
     return (0 if worst <= 1e-12 else 1), {"result.worst_abs_diff": f"{worst:.17g}"}
 
 def _cmd_dpp_check(cfg, out):
@@ -377,7 +377,7 @@ def _cmd_dpp_check(cfg, out):
     gap = abs(rep.direct - rep.matched)
     rows = [("matched", rep.direct, rep.matched, gap),
             ("refined", rep.direct, rep.refined, abs(rep.direct - rep.refined))]
-    _write_text(out / "dpp.csv", _csv("variant,direct,composed,gap", *zip(*rows)))
+    _csv(out / "dpp.csv", "variant,direct,composed,gap", *zip(*rows))
     return (0 if gap <= 1e-12 else 1), {"result.matched_gap": f"{gap:.17g}",
                                         **_lattice_diag(lat)}
 
@@ -385,9 +385,8 @@ def _cmd_crosscheck(cfg, out):
     prob = _problem(cfg)
     lat = _lattice(cfg, prob)
     rep = cross_check(prob, lat, cfg.order, cfg.x0)
-    _write_text(out / "crosscheck.csv",
-                _csv("lattice_root,pde_root,rel_gap",
-                     [rep.lattice_root], [rep.pde_root], [rep.rel_gap]))
+    _csv(out / "crosscheck.csv", "lattice_root,pde_root,rel_gap",
+         [rep.lattice_root], [rep.pde_root], [rep.rel_gap])
     return (0 if rep.rel_gap <= 1e-10 else 1), {"result.root": f"{rep.lattice_root:.17g}",
                                                 "result.rel_gap": f"{rep.rel_gap:.17g}",
                                                 **_lattice_diag(lat)}
@@ -404,7 +403,7 @@ def _cmd_sqrt_check(cfg, out):
     resid = [float(np.linalg.norm(roots[i] @ roots[i] - g) / np.linalg.norm(g))
              for i, g in enumerate(mats)]
     worst = max(0.0, *resid)
-    _write_text(out / "sqrt.csv", _csv("trial,residual", range(cfg.trials), resid))
+    _csv(out / "sqrt.csv", "trial,residual", range(cfg.trials), resid)
     return (0 if worst <= 1e-8 else 1), {"result.worst_residual": f"{worst:.17g}"}
 
 
@@ -441,6 +440,7 @@ def run(subcommand: str, cfg: RunConfig, threads: int = 1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
+        _validate_config(cfg)
         status, extra = _BODIES[subcommand](cfg, out)
     except tuple(_FAILURES) as exc:
         extra = {"status": _failure(exc)[0], "error": " ".join(str(exc).split())}

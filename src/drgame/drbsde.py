@@ -82,13 +82,12 @@ class DrbsdeSolution:
     def root_at(self, index: int) -> float:
         return float(self.Y[0, _point_index(index, self.Y.shape[1], "index")])
 
-    def to_csv(self) -> str:
+    def to_csv(self, path):
         d = self.Z.shape[2]
         zcols = ",".join(f"Z{c}" for c in range(d))
-        j, i = np.indices(self.Y.shape).reshape(2, -1)
-        return _csv(f"time,point,Y,{zcols},K_lo,K_hi", self.grid.knots[j], i,
-                    self.Y.ravel(), *self.Z.reshape(-1, d).T,
-                    self.K_lo.ravel(), self.K_hi.ravel())
+        _csv(path, f"time,point,Y,{zcols},K_lo,K_hi", self.grid.knots[:, None],
+             np.arange(self.Y.shape[1]), self.Y, *np.moveaxis(self.Z, 2, 0),
+             self.K_lo, self.K_hi)
 
 
 # ---------------------------------------------------------------------------

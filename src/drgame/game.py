@@ -86,10 +86,9 @@ class ValueSurface:
         """W(t0, x0), by linear interpolation between nodes (exact at a node)."""
         return _value_at(self.x_nodes, self.W[0], x0)
 
-    def to_csv(self) -> str:
-        j, i = np.indices(self.W.shape).reshape(2, -1)
-        return _csv("time,x,value,kind", self.grid.knots[j], self.x_nodes[i],
-                    self.W.ravel(), self.kind)
+    def to_csv(self, path):
+        _csv(path, "time,x,value,kind", self.grid.knots[:, None], self.x_nodes,
+             self.W, self.kind)
 
 
 def _value_at(x_nodes, layer, x0) -> float:

@@ -41,6 +41,7 @@ instead.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,34 +70,61 @@ class NumericsError(RuntimeError):
     """Non-finite values or a numerically unusable configuration."""
 
 
-# Rows per formatting block of ``_csv``: large enough to amortise the
-# per-block cost, small enough that the block's text and boxed values stay
-# a few MiB next to the finished table.
+# Rows per block of ``_csv``: large enough to amortise the per-block cost,
+# small enough that a block's text and boxed values stay well under a MiB.
 _CSV_BLOCK = 4096
 
 
-def _csv(header: str, *columns) -> str:
-    """CSV text: the ``header`` line, then one line per row of ``columns``.
+def _csv_shape(shapes) -> tuple:
+    """The table shape of ``_csv`` for columns of ``shapes``."""
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        shape = None
+    if not shape or shape not in shapes or (len(shape) == 1 and len(set(shapes)) > 1):
+        raise ProblemError(f"CSV columns of shapes {shapes} do not fit one table")
+    return shape
 
-    A column is a 1-d array or sequence, or a bare ``str`` that every row
-    repeats.  Float columns print as ``%.17g`` (so ``inf``, ``-inf``,
-    ``nan`` and ``-0`` for negative zero); every other column prints via
-    ``str``.  This is the one CSV writer of the package.
+
+def _csv(path, header: str, *columns):
+    """Write the CSV file ``path``: the ``header`` line, then one line per
+    cell of the table, in C order of its shape.
+
+    A column is an array or sequence, or a bare ``str`` that every row
+    repeats.  The table's shape is the largest column's shape.  Every other
+    column must broadcast to it without making it larger, so callers pass
+    their axes (``knots[:, None]``, ``x_nodes``) rather than expanded
+    copies; a 1-d table needs columns of equal length.  Columns that do not
+    fit raise ``ProblemError`` before the file is opened.
+
+    Float columns print as ``%.17g`` (so ``inf``, ``-inf``, ``nan`` and
+    ``-0`` for negative zero); every other column prints via ``str``.  A
+    column smaller than the table is formatted once per element and enters
+    the rows as text.  The file is written in blocks of about
+    ``_CSV_BLOCK`` rows, walking the leading axis, so the table is never
+    held as text.  This is the one CSV writer of the package.
     """
+    columns = [c if isinstance(c, str) else np.asarray(c) for c in columns]
+    shape = _csv_shape([c.shape for c in columns if not isinstance(c, str)])
     fields, data = [], []
     for col in columns:
         if isinstance(col, str):
             fields.append(col.replace("%", "%%"))
-        else:
-            col = np.asarray(col)
-            fields.append("%.17g" if col.dtype.kind == "f" else "%s")
-            data.append(col)
+            continue
+        fmt = "%.17g" if col.dtype.kind == "f" else "%s"
+        if col.shape != shape:
+            text = np.empty(col.size, dtype=object)
+            text[:] = [fmt % v for v in col.ravel().tolist()]
+            col, fmt = np.broadcast_to(text.reshape(col.shape), shape), "%s"
+        fields.append(fmt)
+        data.append(col)
     row = ",".join(fields) + "\n"
-    parts = [header + "\n"]
-    for s in range(0, len(data[0]), _CSV_BLOCK):
-        block = [col[s:s + _CSV_BLOCK].tolist() for col in data]
-        parts.append(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
-    return "".join(parts)
+    step = max(1, _CSV_BLOCK // max(1, math.prod(shape[1:])))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for s in range(0, shape[0], step):
+            block = [col[s:s + step].ravel().tolist() for col in data]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _point_distance(a, b):
@@ -556,10 +584,10 @@ class ValidationReport:
     def ratio(self, assumption):
         return {name: r for name, r, _ in self.rows}[assumption]
 
-    def to_csv(self) -> str:
+    def to_csv(self, path):
         names, ratios, passed = zip(*self.rows)
-        return _csv("assumption,max_ratio,pass", names, ratios,
-                    np.where(passed, "true", "false"))
+        _csv(path, "assumption,max_ratio,pass", names, ratios,
+             np.where(passed, "true", "false"))
 
 
 def _nonfinite(name, t, x):

@@ -93,9 +93,9 @@ class PathEnsemble:
     def d(self) -> int:
         return self.dW.shape[2]
 
-    def to_csv(self) -> str:
-        return _csv("path,step,coord,value",
-                    *np.indices(self.dW.shape).reshape(3, -1), self.dW.ravel())
+    def to_csv(self, path):
+        n, s, k = self.dW.shape
+        _csv(path, "path,step,coord,value", *np.ogrid[:n, :s, :k], self.dW)
 
 
 @dataclass
@@ -114,9 +114,9 @@ class StatePaths:
     X: np.ndarray
     ens: PathEnsemble = None
 
-    def to_csv(self) -> str:
-        return _csv("path,step,coord,value",
-                    *np.indices(self.X.shape).reshape(3, -1), self.X.ravel())
+    def to_csv(self, path):
+        n, s, k = self.X.shape
+        _csv(path, "path,step,coord,value", *np.ogrid[:n, :s, :k], self.X)
 
 
 def constant_controls(n_paths: int, n_steps: int, index: int = 0) -> np.ndarray:

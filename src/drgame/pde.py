@@ -157,10 +157,8 @@ class ResidualReport:
     field: np.ndarray
     max_abs: float
 
-    def to_csv(self) -> str:
-        j, i = np.indices(self.field.shape).reshape(2, -1)
-        return _csv("time,x,residual", self.times[j], self.x_inner[i],
-                    self.field.ravel())
+    def to_csv(self, path):
+        _csv(path, "time,x,residual", self.times[:, None], self.x_inner, self.field)
 
 
 def viscosity_residual(p: GameProblem, g: Lattice, w: ValueSurface,
@@ -211,9 +209,9 @@ class RefinementStudy:
     def diffs(self):
         return [abs(b - a) for a, b in zip(self.roots, self.roots[1:])]
 
-    def to_csv(self) -> str:
-        return _csv("resolution,root_value,diff", self.resolutions, self.roots,
-                    [float("nan")] + self.diffs)
+    def to_csv(self, path):
+        _csv(path, "resolution,root_value,diff", self.resolutions, self.roots,
+             [float("nan")] + self.diffs)
 
 
 def refinement_study(p: GameProblem, g: Lattice, w: ValueSurface, order: str,

@@ -240,6 +240,19 @@ class TestRun:
         conf.write_text(MINIMAL + f"[solver]\nt_mid = {t_mid}\n")
         assert main(["dpp-check", "--config", str(conf), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("sub, over", [
+        ("dpp-check", {"t_mid": float("nan")}),
+        ("value", {"n_nodes": 2}),
+        ("drbsde", {"mode": "exact"})])
+    def test_run_validates_a_config_built_in_code(self, tmp_path, sub, over):
+        cfg = tiny_cfg(tmp_path, **over)
+        with pytest.raises(ConfigError, match=f"key {next(iter(over))!r}"):
+            run(sub, cfg)
+        manifest = self.manifest(cfg.out_dir)
+        assert manifest["status"] == "3"
+        assert manifest["error"].startswith(f"key {next(iter(over))!r}")
+        assert not list(Path(cfg.out_dir).glob("*.csv"))
+
     @pytest.mark.parametrize("sub", ["value", "pde", "dpp-check"])
     @pytest.mark.parametrize("bound", ["x_min = -inf", "x_max = inf"])
     def test_infinite_grid_bound_exits_3_with_its_manifest(self, tmp_path, sub, bound):

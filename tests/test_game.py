@@ -522,11 +522,12 @@ class TestBackwardInduction:
         sol = solve_drbsde_lattice(p, lat)
         assert np.array_equal(surf.W, sol.Y)
 
-    def test_surface_csv_format(self):
+    def test_surface_csv_format(self, tmp_path):
         p = make_preset("dynkin-flat", {"T": 0.25})
         lat = build_lattice(p, 4, -1, 1, 9)
         surf = value_backward_induction(p, lat, "supinf")
-        lines = surf.to_csv().strip().split("\n")
+        surf.to_csv(tmp_path / "surface.csv")
+        lines = (tmp_path / "surface.csv").read_text().strip().split("\n")
         assert lines[0] == "time,x,value,kind"
         assert len(lines) == 1 + 5 * 9
         assert lines[1].endswith(",lower-game")

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
                     ProblemError, TimeGrid, build_lattice, constant_controls,
@@ -11,6 +12,7 @@ from drgame import (ControlGrid, DrbsdeSolution, GameProblem, NumericsError,
                     preset_names, simulate_brownian, solve_drbsde_lattice,
                     solve_drbsde_lsmc, stability_gap, validate_problem)
 from drgame.model import _CSV_BLOCK, _control_pairs, _control_tables, _csv
+from drgame.paths import StatePaths
 
 
 def custom_problem(drift, gamma=1.0, sigma_const=1.0):
@@ -211,9 +213,10 @@ class TestValidateProblem:
         with pytest.raises(ProblemError):
             validate_problem(make_preset("dynkin-flat", {}), samples=0, seed=0)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         rep = validate_problem(make_preset("dynkin-flat", {}), samples=50, seed=0)
-        lines = rep.to_csv().strip().split("\n")
+        rep.to_csv(tmp_path / "validation.csv")
+        lines = (tmp_path / "validation.csv").read_text().strip().split("\n")
         assert lines[0] == "assumption,max_ratio,pass"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 3 for line in lines[1:])
@@ -369,21 +372,50 @@ class TestValidateGolden:
         assert repr(x2)[:6] in str(err.value)
 
 
+# Float spellings the writer must keep: signed zeros, non-finite values,
+# the smallest subnormal and a larger one, and values that need 17 digits.
+_SPECIAL_FLOATS = (-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 0.1,
+                   -1e300, 1.0)
+
+
+def _per_cell_csv(header, *columns):
+    """The table ``_csv`` must write, cell by cell: every column broadcast
+    to the table's shape and flattened whole, floats as ``%.17g``, the rest
+    by ``str``."""
+    arrays = [np.asarray(c) for c in columns if not isinstance(c, str)]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    cols = [[c] * int(np.prod(shape)) if isinstance(c, str)
+            else [("%.17g" % v if c.dtype.kind == "f" else str(v))
+                  for v in np.broadcast_to(c, shape).ravel().tolist()]
+            for c in (c if isinstance(c, str) else np.asarray(c) for c in columns)]
+    return "".join([header + "\n"] + [",".join(row) + "\n" for row in zip(*cols)])
+
+
+def _sprinkled(rng, shape, specials):
+    """Random floats across many decades with ``specials`` at random cells."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    if x.size:
+        x.flat[rng.integers(0, x.size, len(specials))] = specials
+    return x
+
+
 class TestCsvWriter:
-    """The one CSV writer: float spelling, column kinds, row blocks."""
+    """The one CSV writer: float spelling, column kinds, broadcast columns,
+    row blocks, shape checks and bounded memory."""
 
-    def test_golden_small_table(self):
+    def test_golden_small_table(self, tmp_path):
         x = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 0.1])
-        text = _csv("x,n,kind", x, np.arange(6), "5%")
-        assert text == ("x,n,kind\n"
-                        "inf,0,5%\n"
-                        "-inf,1,5%\n"
-                        "nan,2,5%\n"
-                        "-0,3,5%\n"
-                        "4.9406564584124654e-324,4,5%\n"
-                        "0.10000000000000001,5,5%\n")
+        _csv(tmp_path / "t.csv", "x,n,kind", x, np.arange(6), "5%")
+        assert (tmp_path / "t.csv").read_text() == (
+            "x,n,kind\n"
+            "inf,0,5%\n"
+            "-inf,1,5%\n"
+            "nan,2,5%\n"
+            "-0,3,5%\n"
+            "4.9406564584124654e-324,4,5%\n"
+            "0.10000000000000001,5,5%\n")
 
-    def test_golden_drbsde_with_two_noise_columns(self):
+    def test_golden_drbsde_with_two_noise_columns(self, tmp_path):
         sol = DrbsdeSolution(
             grid=TimeGrid(0.0, 0.5, 1),
             Y=np.array([[1.0, 0.1], [-0.0, 2.5]]),
@@ -392,14 +424,15 @@ class TestCsvWriter:
             K_lo=np.array([[0.5, 0.0], [0.0, 0.0]]),
             K_hi=np.array([[0.0, 1e-300], [0.0, 0.0]]),
             mode="lattice")
-        assert sol.to_csv() == (
+        sol.to_csv(tmp_path / "drbsde.csv")
+        assert (tmp_path / "drbsde.csv").read_text() == (
             "time,point,Y,Z0,Z1,K_lo,K_hi\n"
             "0,0,1,0.25,-1,0.5,0\n"
             "0,1,0.10000000000000001,3,4,0,1e-300\n"
             "0.5,0,-0,0,0,0,0\n"
             "0.5,1,2.5,nan,inf,0,0\n")
 
-    def test_matches_a_per_cell_loop_across_blocks(self):
+    def test_matches_a_per_cell_loop_across_blocks(self, tmp_path):
         rng = np.random.default_rng(7)
         n = 2 * _CSV_BLOCK + 3
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -408,7 +441,75 @@ class TestCsvWriter:
         names = [f"r{k}" for k in range(n)]
         want = "a,b,c,d\n" + "".join(
             f"{k},{x[k]:.17g},{names[k]},lat\n" for k in range(n))
-        assert _csv("a,b,c,d", range(n), x, names, "lat") == want
+        _csv(tmp_path / "t.csv", "a,b,c,d", range(n), x, names, "lat")
+        assert (tmp_path / "t.csv").read_text() == want
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.sampled_from([  # 0 rows; one block; blocks straddling _CSV_BLOCK
+               (0, 1), (0, 7), (3, 0), (1, 1), (2, 3), (5, 1000), (3, _CSV_BLOCK - 1),
+               (2, _CSV_BLOCK + 1), (_CSV_BLOCK + 5, 1), (2 * _CSV_BLOCK // 3 + 1, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(),
+                             min_size=1, max_size=8))
+    def test_broadcast_columns_match_a_per_cell_loop(self, tmp_path, shape, seed, specials):
+        n_t, n_x = shape
+        rng = np.random.default_rng(seed)
+        knots = _sprinkled(rng, (n_t, 1), specials)  # broadcast along x
+        x_nodes = _sprinkled(rng, n_x, specials)     # broadcast along time
+        W = _sprinkled(rng, (n_t, n_x), specials)    # full size
+        columns = (knots, x_nodes, W, np.arange(n_x), "lat%")
+        _csv(tmp_path / "t.csv", "t,x,w,i,kind", *columns)
+        assert (tmp_path / "t.csv").read_text() == _per_cell_csv("t,x,w,i,kind", *columns)
+
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 6), n_steps=st.sampled_from([0, 1, 699, 1399]),
+           k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.sampled_from(_SPECIAL_FLOATS), min_size=1, max_size=4))
+    def test_knot_major_state_paths_match_a_per_cell_loop(self, tmp_path, n, n_steps,
+                                                          k, seed, specials):
+        rng = np.random.default_rng(seed)
+        X = _sprinkled(rng, (n_steps + 1, n, k), specials).transpose(1, 0, 2)
+        StatePaths(grid=TimeGrid(0.0, 1.0, max(n_steps, 1)), X=X).to_csv(tmp_path / "s.csv")
+        want = _per_cell_csv("path,step,coord,value", np.arange(n)[:, None, None],
+                             np.arange(n_steps + 1)[:, None], np.arange(k), X)
+        assert (tmp_path / "s.csv").read_text() == want
+
+    def test_zero_row_tables_write_the_header_only(self, tmp_path):
+        _csv(tmp_path / "a.csv", "a,b,kind", [], np.array([]), "lat")
+        _csv(tmp_path / "b.csv", "t,x,w", np.zeros((0, 1)), np.arange(5.0),
+             np.zeros((0, 5)))
+        assert (tmp_path / "a.csv").read_text() == "a,b,kind\n"
+        assert (tmp_path / "b.csv").read_text() == "t,x,w\n"
+
+    @pytest.mark.parametrize("columns", [
+        ([1], [1.0, 2.0]),                                 # 1-d, unequal lengths
+        ([1.0, 2.0], [1]),                                 # the reversed order
+        ([1.0], np.arange(3)),                             # no repeat in a 1-d table
+        (np.zeros((3, 1)), np.zeros((2, 4))),              # does not broadcast
+        (np.zeros((3, 1)), np.zeros(4)),                   # no column is the table
+        (1.0, 2.0),                                        # no axis
+        ("lat",),                                          # no array column
+    ])
+    def test_columns_that_do_not_fit_raise_before_the_file_opens(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ProblemError, match="do not fit one table"):
+            _csv(path, "header", *columns)
+        assert not path.exists()
+
+    def test_a_large_table_streams_in_bounded_memory(self, tmp_path):
+        X = np.random.default_rng(0).standard_normal((501, 2000, 1)).transpose(1, 0, 2)
+        states = StatePaths(grid=TimeGrid(0.0, 1.0, 500), X=X)
+        path = tmp_path / "states.csv"
+        tracemalloc.start()
+        try:
+            states.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text().count("\n") == 2000 * 501 + 1
+        assert peak < path.stat().st_size / 10
 
 
 class TestControlPairs:

@@ -186,10 +186,12 @@ class TestLayout:
         assert np.array_equal(st.X, X)
         assert np.ptp(X[:, -1], axis=0).min() > 0.1  # the paths really move
 
-    def test_csv_rows_stay_in_path_step_coord_order(self):
+    def test_csv_rows_stay_in_path_step_coord_order(self, tmp_path):
         ens = simulate_brownian(TimeGrid(0.0, 0.5, 2), 3, 2, 17)
         st = euler_forward(identity_noise_problem(), ens, [1.0, -1.0], 0, 0)
-        assert ens.to_csv() == """path,step,coord,value
+        ens.to_csv(tmp_path / "increments.csv")
+        st.to_csv(tmp_path / "states.csv")
+        assert (tmp_path / "increments.csv").read_text() == """path,step,coord,value
 0,0,0,-0.31453016828164593
 0,0,1,-0.081297389833981423
 0,1,0,0.12898358974520341
@@ -203,7 +205,7 @@ class TestLayout:
 2,1,0,0.32862212251077116
 2,1,1,-0.52585674720592201
 """
-        assert st.to_csv() == """path,step,coord,value
+        assert (tmp_path / "states.csv").read_text() == """path,step,coord,value
 0,0,0,1
 0,0,1,-1
 0,1,0,0.68546983171835407

@@ -151,7 +151,7 @@ class TestSolver:
         hi = solve_obstacle_pde(p, g, "infsup")
         assert np.max(lo.W - hi.W) <= 0.0
 
-    def test_refinement_convergence(self):
+    def test_refinement_convergence(self, tmp_path):
         p = replace(make_preset("uncertain-volatility", {}),
                     terminal=lambda x: np.cos(x[..., 0]))
         g = build_lattice(p, 100, -10.0, 10.0, 101)
@@ -161,7 +161,8 @@ class TestSolver:
         assert study.resolutions == ["100x101", "400x201", "1600x401"]
         d1, d2 = study.diffs
         assert d2 <= d1 / 2.0
-        lines = study.to_csv().strip().split("\n")
+        study.to_csv(tmp_path / "convergence.csv")
+        lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
         assert lines[0] == "resolution,root_value,diff"
         assert len(lines) == 4
 
