@@ -13,38 +13,13 @@ symmetric positive definite matrices, and ``cli`` the batch entry point.
 
 __version__ = "0.1.0"
 
-from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    ValidationReport, make_preset, preset_names,
-                    validate_problem)
-from .paths import (PathEnsemble, StatePaths, TimeGrid, constant_controls,
-                    euler_forward, simulate_brownian)
-from .game import (BinaryTree, CflError, DppReport, Lattice, OracleCase,
-                   ValueSurface, build_lattice, dpp_check, dynkin_brute_force,
-                   dynkin_oracle_corpus, enumerate_stopping_rules,
-                   lattice_occupancy, value_backward_induction)
-from .drbsde import (DrbsdeSolution, RegressionError, StabilityReport,
-                     check_flat_off, compare_drbsde, solve_drbsde_lattice,
-                     solve_drbsde_lsmc, stability_gap)
-from .pde import (CrossCheckReport, RefinementStudy, ResidualReport,
-                  cross_check, hamiltonian, isaacs_hamiltonian, make_pde_grid,
-                  refinement_study, solve_obstacle_pde, viscosity_residual)
-from .linalg import (SpdError, check_spd, random_spd, spd_sqrt_series,
-                     sqrt_coefficient)
+from . import model, paths, game, drbsde, pde, linalg
+from .model import *
+from .paths import *
+from .game import *
+from .drbsde import *
+from .pde import *
+from .linalg import *
 
-__all__ = [
-    "__version__",
-    "ControlGrid", "GameProblem", "NumericsError", "ProblemError",
-    "ValidationReport", "make_preset", "preset_names", "validate_problem",
-    "PathEnsemble", "StatePaths", "TimeGrid",
-    "constant_controls", "euler_forward", "simulate_brownian",
-    "BinaryTree", "CflError", "DppReport", "Lattice", "OracleCase",
-    "ValueSurface", "build_lattice", "dpp_check", "dynkin_brute_force", "dynkin_oracle_corpus", "enumerate_stopping_rules",
-    "lattice_occupancy", "value_backward_induction",
-    "DrbsdeSolution", "RegressionError", "StabilityReport",
-    "check_flat_off", "compare_drbsde", "solve_drbsde_lattice",
-    "solve_drbsde_lsmc", "stability_gap",
-    "CrossCheckReport", "RefinementStudy", "ResidualReport",
-    "cross_check", "hamiltonian", "isaacs_hamiltonian", "make_pde_grid",
-    "refinement_study", "solve_obstacle_pde", "viscosity_residual",
-    "SpdError", "check_spd", "random_spd", "spd_sqrt_series", "sqrt_coefficient",
-]
+__all__ = ["__version__", *model.__all__, *paths.__all__, *game.__all__,
+           *drbsde.__all__, *pde.__all__, *linalg.__all__]

@@ -60,9 +60,6 @@ from .linalg import random_spd, spd_sqrt_series
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
            "run", "main", "SUBCOMMANDS"]
 
-SUBCOMMANDS = ("validate", "simulate", "drbsde", "value", "pde",
-               "dynkin-oracle", "dpp-check", "crosscheck", "sqrt-check")
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
@@ -418,6 +415,7 @@ _BODIES = {
     "crosscheck": _cmd_crosscheck,
     "sqrt-check": _cmd_sqrt_check,
 }
+SUBCOMMANDS = tuple(_BODIES)
 
 
 # exit status and stderr label per failure kind

@@ -229,9 +229,7 @@ def _lsmc_backward(p, states, mu, nu, degree, edges, stats):
 
     def step(j, t, nxt):
         nonlocal design, bounds, y_b
-        # both lanes share the layer; a no-op on knot-major states, and one
-        # copy per step on a hand-made path-major X or dW
-        xj, dWj = np.ascontiguousarray(X[:, j]), np.ascontiguousarray(dW[:, j])
+        xj, dWj = X[:, j], dW[:, j]  # both lanes share the layer
         targets(fit, nxt, dWj)
         if blocks:
             targets(fit_b, nxt if y_b is None else y_b, dWj)

@@ -45,18 +45,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
-                    _control_tables, _csv, _evaluate, _integer, _one_index, _point_index)
+                    _control_tables, _csv, _evaluate, _integer, _one_index, _point_index,
+                    _zero_generator)
 from .paths import TimeGrid
 
 __all__ = [
     "CflError",
     "Lattice",
-    "Stencil",
     "ValueSurface",
     "BinaryTree",
     "DppReport",
     "OracleCase",
-    "backward_sweep",
     "build_lattice",
     "value_backward_induction",
     "dynkin_brute_force",
@@ -241,8 +240,10 @@ class Stencil:
         return {name: v for name, v in vars(self).items() if isinstance(v, np.ndarray)}
 
     def pair(self, i, k) -> "Stencil":
-        """Control pair (i, k) of an all-pairs stencil: a view, or with indices
-        per node each node's own pair's weights (folds: the end nodes')."""
+        """Control pair (i, k) of an all-pairs stencil, each index a scalar or
+        one per node: a view for one pair used by every node, else each
+        node's own pair's weights (folds: the end nodes')."""
+        i, k = _one_index(i), _one_index(k)
         if isinstance(i, int) and isinstance(k, int):
             sel = {name: v[i, k, ...] for name, v in self.arrays().items()}
         else:
@@ -326,20 +327,14 @@ class Lattice:
             return self.shared_stencil.b, self.shared_stencil.sig
         return _coefficients(self.problem, t, self.x_nodes[:, None])
 
-    def stencil(self, t: float, ui=None, vi=None) -> Stencil:
-        """Folded weights out of knot ``t`` of this lattice's problem.
-
-        The all-pairs stencil, shape (nU, nV, n), is the shared one or else
-        the one computed from :meth:`coefficients` at ``t``.  Without
-        controls it is returned as is; with control indices ``ui``/``vi``,
-        scalars or one per node, :meth:`Stencil.pair` selects from it arrays
-        of shape (n,): a view for one pair used by every node, a gather for
-        mixed per-node pairs.
-        """
-        st = self.shared_stencil
-        if st is None:
-            st = _stencil(*self.coefficients(t), self.dt, self.dx)
-        return st if ui is None else st.pair(_one_index(ui), _one_index(vi))
+    def stencil(self, t: float) -> Stencil:
+        """Folded weights out of knot ``t`` of this lattice's problem: the
+        all-pairs stencil, shape (nU, nV, n), shared or else computed from
+        :meth:`coefficients` at ``t``.  :meth:`Stencil.pair` selects the
+        weights of fixed or per-node controls from it."""
+        if self.shared_stencil is not None:
+            return self.shared_stencil
+        return _stencil(*self.coefficients(t), self.dt, self.dx)
 
     def moments(self, st: Stencil, vals):
         """One-step conditional expectation of next-layer values per node,
@@ -682,14 +677,11 @@ def _affine_obstacle_problem(T, sig, b0, slope, mid, gap_lo, gap_hi, theta):
     def diffusion(t, x, u, v):
         return np.full(np.shape(x)[:-1] + (1, 1), sig)
 
-    def gen(t, x, y, z, u, v):
-        return np.zeros(np.shape(x)[:-1])
-
     gamma = max(1.0, abs(b0) + sig, abs(slope))
     return GameProblem(
         state_dim=1, noise_dim=1, horizon=T, drift=drift, diffusion=diffusion,
-        generator=gen, terminal=h, lower_obstacle=l_lo, upper_obstacle=l_hi,
-        lipschitz=gamma, holder_q=2.0,
+        generator=_zero_generator, terminal=h, lower_obstacle=l_lo,
+        upper_obstacle=l_hi, lipschitz=gamma, holder_q=2.0,
         u_grid=ControlGrid.singleton(), v_grid=ControlGrid.singleton(),
         name="oracle-case",
     )
@@ -793,7 +785,7 @@ def _layer_stencils(lat: Lattice, mu, nu):
         st = lat.shared_stencil.pair(ui, vi)
         return lambda j: st
     knots = lat.knots
-    return lambda j: lat.stencil(float(knots[j]), mu[j], nu[j])
+    return lambda j: lat.stencil(float(knots[j])).pair(mu[j], nu[j])
 
 
 def lattice_occupancy(lat: Lattice, mu=0, nu=0, *, root_index):

@@ -26,8 +26,8 @@ class SpdError(ValueError):
     """Input is not symmetric positive definite."""
 
 
-def check_spd(mat, sym_tol: float = 1e-12) -> np.ndarray:
-    """Validate symmetry (to ``sym_tol``) and positive definiteness.
+def check_spd(mat) -> np.ndarray:
+    """Validate symmetry (to 1e-12 * max(1, max|m|)) and positive definiteness.
 
     Definiteness is established by attempting a Cholesky factorisation of
     the symmetrised matrix, which succeeds exactly for positive definite
@@ -39,7 +39,7 @@ def check_spd(mat, sym_tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise SpdError("matrix contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > sym_tol * scale:
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
         raise SpdError("matrix is not symmetric to the required tolerance")
     sym = 0.5 * (m + m.T)
     try:

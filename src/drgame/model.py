@@ -55,7 +55,6 @@ __all__ = [
     "ValidationReport",
     "ProblemError",
     "NumericsError",
-    "PRESETS",
     "make_preset",
     "preset_names",
     "validate_problem",
@@ -153,8 +152,8 @@ class ControlGrid:
             raise ProblemError("control grid points must be distinct")
 
     @classmethod
-    def singleton(cls, point=0.0):
-        return cls(points=(point,))
+    def singleton(cls):
+        return cls(points=(0.0,))
 
     @property
     def size(self):
@@ -465,9 +464,11 @@ def make_preset(name, params=None) -> GameProblem:
     ``holder_q = q`` (default 2), constant barriers ``l_lo < l_hi`` and a
     terminal ``h``: ``square``, ``neg-square``, ``identity``, ``abs`` or a
     constant in [l_lo, l_hi] (a named one is checked at T by every
-    backward route).  Control points are scalars and the callables
-    broadcast over them.  Drift and generator default to zero and the
-    control grids to singletons; the presets differ in the rest:
+    backward route).  Every numeric parameter but the barriers, a
+    constant ``h`` included, must be finite.  Control points are scalars
+    and the callables broadcast over them.  Drift and generator default to
+    zero and the control grids to singletons; the presets differ in the
+    rest:
 
     ``dynkin-flat``
         Pure stopping game: constant diffusion ``sigma``.
@@ -488,6 +489,9 @@ def make_preset(name, params=None) -> GameProblem:
         the diffusion grid).
     """
     p = _merge_params(name, params)
+    for key, val in p.items():  # T and q are checked by GameProblem
+        if key not in ("T", "q", "l_lo", "l_hi") and not isinstance(val, str):
+            _require(np.isfinite(float(val)), f"parameter {key!r} must be finite, got {val}")
     T, q, lo, hi = (float(p[k]) for k in ("T", "q", "l_lo", "l_hi"))
     _require(lo < hi, f"obstacle separation violated: l_lo={lo} >= l_hi={hi}")
     if not isinstance(p["h"], str):
@@ -636,14 +640,17 @@ def validate_problem(p: GameProblem, samples: int, seed: int) -> ValidationRepor
     Draws ``samples`` tuples ``(t, x, x', y, y', z, z', u, v)`` from
     ``numpy.random.default_rng(seed)`` (each coordinate of x, y and z
     uniform on [-2, 2]) and reports, per assumption, the worst ratio of the
-    observed difference quotient to its assumed bound.  Identical calls
-    return identical reports.  Per sample, drift, diffusion and generator
-    see the (3, k) batch of states (0, x, x') once each, the obstacles x;
-    the first non-finite value, in sample order, raises.  With scalar
-    control points, one call of each of the three with every control pair,
-    and one with random per-state grid indices (drawn after the samples),
-    must then give the per-pair bits on all sampled states at the first
-    sampled time, or :class:`ProblemError` names the callable."""
+    observed difference quotient to its assumed bound.  The sample ignores
+    the grids the routes run on: the assumptions, l_lo(T, .) <= h <=
+    l_hi(T, .) included, are stated for every x, and a grid only truncates
+    the routes.  Identical calls return identical reports.  Per sample,
+    drift, diffusion and generator see the (3, k) batch of states (0, x,
+    x') once each, the obstacles x; the first non-finite value, in sample
+    order, raises.  With scalar control points, one call of each of the
+    three with every control pair, and one with random per-state grid
+    indices (drawn after the samples), must then give the per-pair bits on
+    all sampled states at the first sampled time, or :class:`ProblemError`
+    names the callable."""
     if samples < 1:
         raise ProblemError("samples must be >= 1")
     rng = np.random.default_rng(seed)

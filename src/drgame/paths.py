@@ -15,7 +15,7 @@ are stored knot-major, as transposed views of (n_steps, n_paths, d) and
 (n_steps + 1, n_paths, k) arrays.  So ``dW[:, j]`` and ``X[:, j]``, the
 layers that the forward step and every backward sweep read one knot at a
 time, are C-contiguous.  A hand-made path-major array works everywhere
-too, but pays one strided copy per step.
+too: its layers are read strided, not copied.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ class TimeGrid:
     def knots(self) -> np.ndarray:
         return np.linspace(self.t0, self.T, self.n_steps + 1)
 
-    def index_of(self, s, tol=1e-9) -> int:
-        """Index of the knot equal to ``s`` (error if ``s`` is off-grid or
-        not finite)."""
+    def index_of(self, s) -> int:
+        """Index of the knot within 1e-9 of ``s`` (error if ``s`` is off-grid
+        or not finite)."""
         k = (s - self.t0) / self.dt
         idx = int(round(k)) if np.isfinite(k) else -1
-        if idx < 0 or idx > self.n_steps or abs(self.t0 + idx * self.dt - s) > tol:
+        if idx < 0 or idx > self.n_steps or abs(self.t0 + idx * self.dt - s) > 1e-9:
             raise ProblemError(f"{s!r} is not a knot of {self}")
         return idx
 
@@ -77,7 +77,7 @@ class PathEnsemble:
 
     ``simulate_brownian`` stores dW knot-major, as a transposed view of an
     (n_steps, n_paths, d) array, so each step's layer ``dW[:, j]`` is
-    C-contiguous; a path-major dW works too, at one copy per step.
+    C-contiguous; a path-major dW works too, read strided, not copied.
     ``n_paths`` and ``d`` are read from dW, so they cannot disagree with it.
     """
 
@@ -104,7 +104,7 @@ class StatePaths:
 
     ``euler_forward`` stores X knot-major, as a transposed view of an
     (n_steps + 1, n_paths, k) array, so each knot's layer ``X[:, j]`` is
-    C-contiguous; a path-major X works too, at one copy per step.
+    C-contiguous; a path-major X works too, read strided, not copied.
 
     ``ens`` keeps a reference to the driving ensemble so backward solvers
     can reuse the same increments.

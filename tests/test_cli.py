@@ -4,10 +4,16 @@ from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
 from drgame import ProblemError, cli, game, make_preset, pde
+from drgame.model import PRESETS
 from drgame.cli import (ConfigError, RunConfig, SUBCOMMANDS, main,
                         parse_config, run, serialize_config)
 
 MINIMAL = "[problem]\npreset = dynkin-flat\n"
+
+# every preset's coefficient keys, a constant terminal h included; T and q
+# are checked by GameProblem and the barriers may be infinite
+PRESET_COEFFICIENTS = [(name, key) for name in sorted(PRESETS) for key in PRESETS[name]
+                       if key not in ("T", "q", "l_lo", "l_hi")]
 
 
 def tiny_cfg(tmp_path, **over):
@@ -271,6 +277,32 @@ class TestRun:
         assert main(["value", "--config", str(conf), "--out", str(out)]) == 0
         root = float((out / "run.txt").read_text().split("result.root=")[1].split()[0])
         assert root == pytest.approx(0.508452, abs=1e-6)  # the 500 x 41 lattice's root
+
+    @pytest.mark.parametrize("name, key", PRESET_COEFFICIENTS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_is_a_config_error(self, tmp_path, name, key, value):
+        error = f"parameter {key!r} must be finite, got {value}"
+        with pytest.raises(ProblemError, match=f"^{error}$"):
+            make_preset(name, {key: float(value)})
+        conf = tmp_path / "c.ini"
+        conf.write_text(f"[problem]\npreset = {name}\n{key} = {value}\n"
+                        "[grid]\nn_steps = 50\nn_nodes = 11\n")
+        for sub in ("value", "validate"):
+            out = tmp_path / sub
+            assert main([sub, "--config", str(conf), "--out", str(out)]) == 3
+            manifest = (out / "run.txt").read_text().splitlines()
+            assert "status=3" in manifest and f"error={error}" in manifest
+
+    def test_validate_samples_beyond_the_grid(self, tmp_path):
+        # |x| leaves the corridor [-1, 1] beyond the grid [-1, 1]: the
+        # assumptions fail there, while the value on the grid is well posed
+        conf = tmp_path / "c.ini"
+        conf.write_text(MINIMAL + "h = abs\n[grid]\nx_min = -1\nx_max = 1\n")
+        assert main(["value", "--config", str(conf), "--out", str(tmp_path / "v")]) == 0
+        assert main(["validate", "--config", str(conf), "--out", str(tmp_path / "c")]) == 1
+        rows = (tmp_path / "c" / "validation.csv").read_text().splitlines()
+        row = next(r for r in rows if r.startswith("terminal_between_obstacles,"))
+        assert row.endswith(",false") and float(row.split(",")[1]) > 0.9
 
     def test_dynkin_oracle(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

@@ -191,12 +191,20 @@ class TestNodeStencil:
         nodes = np.arange(lat.n_nodes)
         for t in lat.knots[:-1:9]:
             full = lat.stencil(float(t))
-            mixed = lat.stencil(float(t), ui, vi)
+            mixed = lat.stencil(float(t)).pair(ui, vi)
             for name in ("p_up", "p_dn", "p_stay", "b", "sig"):
                 assert np.array_equal(getattr(mixed, name),
                                       getattr(full, name)[ui, vi, nodes]), name
             assert mixed.fold_dn == full.fold_dn[ui[0], vi[0]]
             assert mixed.fold_up == full.fold_up[ui[-1], vi[-1]]
+
+    def test_one_pair_on_every_node_selects_a_view(self):
+        lat = build_lattice(make_preset("linear-quadratic", {}), 100, -4, 4, 41)
+        full = lat.stencil(0.5)
+        st = full.pair(np.full(lat.n_nodes, 1), np.zeros(lat.n_nodes, dtype=int))
+        for name, a in full.arrays().items():
+            assert np.shares_memory(getattr(st, name), a), name
+            assert np.array_equal(getattr(st, name), a[1, 0]), name
 
     def test_mixed_tables_on_a_shared_lattice_call_no_coefficient(self):
         base = make_preset("linear-quadratic", {})
@@ -211,7 +219,7 @@ class TestNodeStencil:
         ui, vi = self.mixed(lat.n_nodes)
         mu, nu = np.tile(ui, (100, 1)), np.tile(vi, (100, 1))
         calls.clear()
-        lat.stencil(float(lat.knots[3]), ui, vi)
+        lat.stencil(float(lat.knots[3])).pair(ui, vi)
         solve_drbsde_lattice(p, lat, mu, nu)
         lattice_occupancy(lat, mu, nu, root_index=lat.n_nodes // 2)
         assert calls == []
@@ -227,8 +235,8 @@ class TestNodeStencil:
             nv = p.v_grid.size
             for ui, vi in [(rng.integers(0, 2, 41), rng.integers(0, nv, 41)),
                            (rng.integers(0, 2, 41), nv - 1), (0, rng.integers(0, nv, 41))]:
-                a = lat.stencil(0.5, ui, vi)
-                b = per_layer.stencil(0.5, ui, vi)
+                a = lat.stencil(0.5).pair(ui, vi)
+                b = per_layer.stencil(0.5).pair(ui, vi)
                 for name, arr in b.arrays().items():
                     assert same_bits(getattr(a, name), arr), name
                 assert a.all_move == b.all_move == bool(np.all(b.moves))
@@ -428,7 +436,7 @@ class TestSharedStencil:
 
     def test_shared_stencil_is_read_only(self):
         lat, _ = self.lattices("linear-quadratic")
-        for st in (lat.shared_stencil, lat.stencil(0.0, 1, 0)):
+        for st in (lat.shared_stencil, lat.stencil(0.0).pair(1, 0)):
             for name, a in st.arrays().items():
                 with pytest.raises(ValueError):
                     a[...] = 0.0

@@ -36,6 +36,35 @@ class TestExports:
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
+    def test_package_surface_is_the_module_lists(self):
+        import drgame
+        from drgame import drbsde, game, linalg, model, paths, pde
+        assert drgame.__all__ == ["__version__", *model.__all__, *paths.__all__,
+                                  *game.__all__, *drbsde.__all__, *pde.__all__,
+                                  *linalg.__all__]
+        assert set(drgame.__all__) == {
+            "__version__", "BinaryTree", "CflError", "ControlGrid", "CrossCheckReport",
+            "DppReport", "DrbsdeSolution", "GameProblem", "Lattice", "NumericsError",
+            "OracleCase", "PathEnsemble", "ProblemError", "RefinementStudy",
+            "RegressionError", "ResidualReport", "SpdError", "StabilityReport",
+            "StatePaths", "TimeGrid", "ValidationReport", "ValueSurface",
+            "build_lattice", "check_flat_off", "check_spd", "compare_drbsde",
+            "constant_controls", "cross_check", "dpp_check", "dynkin_brute_force",
+            "dynkin_oracle_corpus", "enumerate_stopping_rules", "euler_forward",
+            "hamiltonian", "isaacs_hamiltonian", "lattice_occupancy", "make_pde_grid",
+            "make_preset", "preset_names", "random_spd", "refinement_study",
+            "simulate_brownian", "solve_drbsde_lattice", "solve_drbsde_lsmc",
+            "solve_obstacle_pde", "spd_sqrt_series", "sqrt_coefficient",
+            "stability_gap", "validate_problem", "value_backward_induction",
+            "viscosity_residual"}
+        assert len(drgame.__all__) == 51
+
+    def test_module_level_names_stay_importable_by_path(self):
+        from drgame.game import Stencil, backward_sweep
+        from drgame.model import PRESETS
+        assert callable(backward_sweep) and callable(Stencil.pair)
+        assert sorted(PRESETS) == preset_names()
+
     @pytest.mark.parametrize("name", ["dpp_cross_resolution", "_refined_composition",
                                       "OrderingReport"])
     def test_removed_names_are_gone(self, name):
@@ -165,6 +194,11 @@ class TestPresets:
     def test_horizon_and_q_are_checked_by_the_problem(self, param, error):
         with pytest.raises(ProblemError, match=error):
             make_preset("linear-quadratic", param)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_infinite_barriers_are_allowed(self, name):
+        p = make_preset(name, {"l_lo": -np.inf, "l_hi": np.inf})
+        assert p.upper_obstacle(0.0, np.zeros((1, 1)))[0] == np.inf
 
     def test_a_preset_keeps_no_parameter_table(self):
         p = make_preset("dynkin-flat", {"sigma": 0.5})
