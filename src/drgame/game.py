@@ -46,7 +46,7 @@ import numpy as np
 
 from .model import (ControlGrid, GameProblem, NumericsError, ProblemError,
                     _control_tables, _csv, _evaluate, _integer, _one_index, _point_index,
-                    _zero_generator)
+                    _table, _unfilled, _zero_generator)
 from .paths import TimeGrid
 
 __all__ = [
@@ -163,37 +163,47 @@ def _same_bits(a, b) -> bool:
 def _scan_grid(p: GameProblem, tgrid: TimeGrid, x_nodes: np.ndarray):
     """Check every layer of a lattice once, for both grid routes.
 
-    Coefficients are evaluated at every knot for all control pairs, one
+    Drift and diffusion are called once per knot for all control pairs, one
     layer at a time, so the scan holds O(nU nV n) memory at any step count.
-    A layer whose drift and diffusion are bit-equal to the layer before it
-    would give the same check result, so only the first layer and the
-    layers that differ from their predecessor are checked.
+    Each knot is keyed by the shape and bytes of the two raw results, before
+    they are filled to (nU, nV, n) tables; the key is a copy, so a callable
+    may rewrite one output buffer on every call.  A knot whose key equals
+    the one before it has the same tables and is skipped.  Any other knot
+    is filled into new arrays, and checked unless its tables are bit-equal
+    to the previous filled ones (a result that only changed its broadcast
+    shape), so only the first layer and the layers that differ from their
+    predecessor are checked.
 
-    Returns ``(coefficients, margins)``: the first layer's (b, sig) when
-    every layer is bit-equal to it (a time-homogeneous problem), else None;
-    and the largest dt * sig^2 / dx^2 and dt * |b| / dx over all layers,
-    which the checked layers attain.
+    Returns ``(coefficients, margins)``: the first layer's (b, sig), arrays
+    of their own, when every layer is bit-equal to it (a time-homogeneous
+    problem), else None; and the largest dt * sig^2 / dx^2 and dt * |b| / dx
+    over all layers, which the checked layers attain.
     """
     if p.state_dim != 1 or p.noise_dim != 1:
         raise ProblemError("lattice and PDE solvers support state_dim = noise_dim = 1")
     dt = tgrid.dt
     dx = float(x_nodes[1] - x_nodes[0])
     xb = x_nodes[:, None]
-    knots = tgrid.knots[:-1]
-    first = prev = _coefficients(p, float(knots[0]), xb)
-    margins = _check_monotone(*first, dt, dx)
-    homogeneous = True
-    for t in knots[1:]:
-        cur = _coefficients(p, float(t), xb)
-        if not (_same_bits(cur[0], prev[0]) and _same_bits(cur[1], prev[1])):
+    first = prev = key = margins = None
+    for t in tgrid.knots[:-1].tolist():
+        raw = [_unfilled(p, name, t, xb) for name in ("drift", "diffusion")]
+        cur_key = [(f.shape, f.tobytes()) for f, _ in raw]
+        if cur_key == key:
+            continue
+        key = cur_key
+        b, sig = (_table(*r) for r in raw)
+        cur = b[..., 0], sig[..., 0, 0]
+        if prev is None:
+            first, margins = cur, _check_monotone(*cur, dt, dx)
+        elif not (_same_bits(cur[0], prev[0]) and _same_bits(cur[1], prev[1])):
             margins = tuple(map(max, margins, _check_monotone(*cur, dt, dx)))
-            homogeneous = False
+            first = None
         prev = cur
     if p.lipschitz * dt >= 1.0:
         raise CflError(
             f"gamma*dt = {p.lipschitz * dt:.6g} must be < 1; shrink the time step"
         )
-    return (first if homogeneous else None), margins
+    return first, margins
 
 
 def _space_grid(n_nodes, x_min, x_max):
@@ -255,7 +265,9 @@ class Stencil:
 
 
 def _stencil(b, sig, dt: float, dx: float) -> Stencil:
-    """Folded weights and move increments for coefficients of any shape."""
+    """Folded weights and move increments for coefficients of any shape.
+    The stencil keeps copies of ``b`` and ``sig``, which may be a
+    callable's own buffers."""
     p_up, p_dn = _up_down(b, sig, dt, dx)
     np.maximum(p_up, 0.0, out=p_up)
     np.maximum(p_dn, 0.0, out=p_dn)
@@ -271,7 +283,7 @@ def _stencil(b, sig, dt: float, dx: float) -> Stencil:
     dw_dn, dw_up = (-dx - bdt) / safe, (dx - bdt) / safe
     dw_dn[..., 0] = 1.0
     dw_up[..., -1] = 1.0
-    return Stencil(p_up, p_dn, p_stay, b, sig, fold_dn, fold_up,
+    return Stencil(p_up, p_dn, p_stay, b.copy(), sig.copy(), fold_dn, fold_up,
                    -bdt / safe, dw_dn, dw_up, moves, bool(moves.all()))
 
 
@@ -322,7 +334,8 @@ class Lattice:
 
     def coefficients(self, t: float):
         """Drift and diffusion of every control pair at knot ``t``, each of
-        shape (nU, nV, n)."""
+        shape (nU, nV, n); without a shared stencil they may be the
+        callables' own buffers, valid until their next call."""
         if self.shared_stencil is not None:
             return self.shared_stencil.b, self.shared_stencil.sig
         return _coefficients(self.problem, t, self.x_nodes[:, None])

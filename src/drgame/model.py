@@ -27,7 +27,9 @@ r`` for every control pair at once (``r`` is the rank of one pair's result
 on ``x`` of shape ``(m, k)``: drift 2, diffusion 3, generator 1), or the
 points of one pair per state, of shape ``(m,) + (1,) * (r - 1)``, and must
 give the per-pair bits, which :func:`validate_problem` checks.
-Array-valued points are passed one pair at a time.
+Array-valued points are passed one pair at a time.  A callable may return
+one output buffer that it rewrites on each call: every route uses a result
+before it calls that callable again, and the lattice keeps only copies.
 
 Each player's control is one grid index or an integer index table of the
 route's shape, checked for every solver by one rule (:func:`_control_tables`).
@@ -98,6 +100,8 @@ def _csv(path, header: str, *columns):
 
     Float columns print as ``%.17g`` (so ``inf``, ``-inf``, ``nan`` and
     ``-0`` for negative zero); every other column prints via ``str``.  A
+    float column whose elements all have the same bits is formatted once
+    and enters every row as a literal field, like a ``str``; any other
     column smaller than the table is formatted once per element and enters
     the rows as text.  The file is written in blocks of about
     ``_CSV_BLOCK`` rows, walking the leading axis, so the table is never
@@ -107,6 +111,8 @@ def _csv(path, header: str, *columns):
     shape = _csv_shape([c.shape for c in columns if not isinstance(c, str)])
     fields, data = [], []
     for col in columns:
+        if not isinstance(col, str) and _one_value(col):
+            col = "%.17g" % col.flat[0].item()
         if isinstance(col, str):
             fields.append(col.replace("%", "%%"))
             continue
@@ -118,12 +124,23 @@ def _csv(path, header: str, *columns):
         fields.append(fmt)
         data.append(col)
     row = ",".join(fields) + "\n"
-    step = max(1, _CSV_BLOCK // max(1, math.prod(shape[1:])))
+    cells = math.prod(shape[1:])
+    step = max(1, _CSV_BLOCK // max(1, cells))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for s in range(0, shape[0], step):
             block = [col[s:s + step].ravel().tolist() for col in data]
-            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+            rows = (min(s + step, shape[0]) - s) * cells
+            fh.write(row * rows % tuple(chain.from_iterable(zip(*block))))
+
+
+def _one_value(col) -> bool:
+    """True when ``col`` is a non-empty float64 array whose elements all
+    have the bits of its first, so -0.0 and 0.0 differ."""
+    if col.dtype != np.float64 or col.size == 0:
+        return False
+    bits = col.view(np.int64)
+    return bool(bits.flat[-1] == bits.flat[0] and (bits == bits.flat[0]).all())
 
 
 def _point_distance(a, b):
@@ -291,7 +308,13 @@ def _scalar_controls(p: GameProblem) -> bool:
 
 def _broadcast(p: GameProblem, name, t, x, args, ui=None, vi=None):
     """One call of ``p``'s callable ``name`` with the points of every control
-    pair, or of each state's pair, shaped as in the module docstring."""
+    pair, or of each state's pair, shaped as in the module docstring.
+
+    Returns ``(f, shape)``: the callable's result as a float array, before
+    any fill, and the shape of the table it stands for, (nU, nV) + one
+    pair's shape, or one pair's shape under grid indices.  ``f`` may be
+    smaller than the table (it broadcasts to it) and may be a buffer that
+    the callable rewrites on its next call."""
     k, d = p.state_dim, p.noise_dim
     one = x.shape[:-1] + {"drift": (k,), "diffusion": (k, d), "generator": ()}[name]
     U, V = p.u_grid._scalars, p.v_grid._scalars
@@ -300,9 +323,11 @@ def _broadcast(p: GameProblem, name, t, x, args, ui=None, vi=None):
     pad = (1,) * (len(one) - 1)
     f = np.asarray(getattr(p, name)(t, x, *args, u.reshape(u.shape + pad),
                                     v.reshape(v.shape + pad)), dtype=float)
-    shape = one if ui is not None else (len(U), len(V)) + one
-    if f.shape == shape:
-        return f
+    return f, (one if ui is not None else (len(U), len(V)) + one)
+
+
+def _table(f, shape):
+    """A new array of ``shape`` holding ``f`` broadcast to it."""
     table = np.empty(shape)  # far cheaper than np.broadcast_to on small tables
     table[...] = f
     return table
@@ -310,7 +335,8 @@ def _broadcast(p: GameProblem, name, t, x, args, ui=None, vi=None):
 
 def _per_pair(p: GameProblem, name, t, x, args, ui=None, vi=None):
     """``p``'s callable ``name`` called once per control pair in use
-    (:func:`_control_pairs`), each pair on its own states."""
+    (:func:`_control_pairs`), each pair on its own states; returns the
+    filled table and its shape, as :func:`_broadcast` does."""
     fn, out = getattr(p, name), None
     for u, v, cell, nodes in _control_pairs(p, ui, vi):
         f = np.asarray(fn(t, x[nodes], *[a[cell] if a.ndim > x.ndim else a[nodes]
@@ -319,7 +345,14 @@ def _per_pair(p: GameProblem, name, t, x, args, ui=None, vi=None):
             out = np.empty((p.u_grid.size, p.v_grid.size) + f.shape if ui is None
                            else (len(x),) + f.shape[1:])
         out[cell] = f
-    return out
+    return out, out.shape
+
+
+def _unfilled(p: GameProblem, name, t, x, *args, ui=None, vi=None):
+    """``p``'s callable ``name`` as :func:`_evaluate` calls it, returned as
+    ``(f, shape)`` before the fill: with scalar control points the one
+    call's result (:func:`_broadcast`), else the per-pair table."""
+    return (_broadcast if _scalar_controls(p) else _per_pair)(p, name, t, x, args, ui, vi)
 
 
 def _evaluate(p: GameProblem, name, t, x, *args, ui=None, vi=None):
@@ -327,8 +360,10 @@ def _evaluate(p: GameProblem, name, t, x, *args, ui=None, vi=None):
     on the states ``x`` (m, k), for every control pair as an (nU, nV) table
     or, with grid indices ``ui``/``vi`` (scalars or one per state), for each
     state's own pair.  ``args`` with more axes than ``x`` are (nU, nV) tables,
-    the others shared.  Every solver passes control points through here."""
-    return (_broadcast if _scalar_controls(p) else _per_pair)(p, name, t, x, args, ui, vi)
+    the others shared.  Every solver passes control points through here.
+    The table may be the callable's own buffer, valid until its next call."""
+    f, shape = _unfilled(p, name, t, x, *args, ui=ui, vi=vi)
+    return f if f.shape == shape else _table(f, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +657,9 @@ def _check_broadcast(p: GameProblem, t, x, y, z, rng):
     for name, args in (("drift", ()), ("diffusion", ()), ("generator", (y, z))):
         for form, idx in (("every control pair", (None, None)),
                           ("a control pair per state", drawn)):
-            want = _per_pair(p, name, t, x, args, *idx)
+            want = _per_pair(p, name, t, x, args, *idx)[0]
             try:  # a callable that cannot take arrays fails the check too
-                got = _broadcast(p, name, t, x, args, *idx)
+                got = _table(*_broadcast(p, name, t, x, args, *idx))
                 same = np.array_equal(got.view(np.int64), want.view(np.int64))
             except (TypeError, ValueError):
                 same = False

@@ -4,10 +4,13 @@ state equation.
 Randomness is counter-based: the increments of path ``p`` are the standard
 normals of a Philox stream keyed ``(seed mod 2**64, p)``, reshaped to
 ``(n_steps, d)`` and scaled by ``sqrt(dt)``.  One generator is re-keyed for
-each path, which draws exactly what a fresh ``Philox(key=(seed mod 2**64,
-p))`` would.  The draw for one path never depends on how many other paths
-exist or in which order they are filled, so output is bit-reproducible
-across platforms and any worker layout.
+each path from a state of plain ints, which draws exactly what a fresh
+``Philox(key=(seed mod 2**64, p))`` would.  The draw for one path never
+depends on how many other paths exist or in which order they are filled,
+so output is bit-reproducible across platforms and any worker layout.
+Paths are drawn into a buffer of at most ``_DRAW_BYTES`` (at least one
+path) and scaled into dW one buffer at a time, so a draw of any length
+holds little memory beyond dW.
 
 Memory layout: ``PathEnsemble.dW`` and ``StatePaths.X`` keep their logical
 path-first shapes (n_paths, n_steps, d) and (n_paths, n_steps + 1, k), but
@@ -36,7 +39,13 @@ __all__ = [
     "constant_controls",
 ]
 
-_DRAW_CHUNK = 4096  # paths per contiguous draw buffer: 1.6 MB at 50 steps, d = 1
+# Bytes of one draw buffer: 4096 paths at 50 steps and d = 1 (1.6 MB).
+_DRAW_BYTES = 4096 * 50 * 8
+
+
+def _draw_chunk(n_steps: int, d: int) -> int:
+    """Paths per draw buffer: as many as fit ``_DRAW_BYTES``, at least one."""
+    return max(1, _DRAW_BYTES // (n_steps * d * 8))
 
 
 @dataclass(frozen=True)
@@ -135,28 +144,32 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int, seed: int) -> PathEn
         raise ProblemError("n_paths must be >= 1")
     if _integer(d, "d") < 1:
         raise ProblemError("d must be >= 1")
-    key = np.array([_integer(seed, "seed") % 2 ** 64, 0], dtype=np.uint64)
     dW = np.empty((grid.n_steps, n_paths, d)).transpose(1, 0, 2)
     # a path's normals fill a contiguous row of the buffer; each chunk of
-    # paths is then scaled into the knot-major dW in one pass
-    buf = np.empty((min(n_paths, _DRAW_CHUNK), grid.n_steps, d))
+    # paths is then scaled into the knot-major dW in one pass, in dW's order
+    chunk = _draw_chunk(grid.n_steps, d)
+    buf = np.empty((min(n_paths, chunk), grid.n_steps, d))
     sqrt_dt = np.sqrt(grid.dt)
     # one generator, re-keyed per path to the state of a fresh Philox keyed
-    # (seed, p): zero counter, empty buffer; building a Philox per path took
-    # about 70% of the draw at 50 steps
-    bitgen = np.random.Philox(key=key)
+    # (seed, p): zero counter, empty buffer.  The state holds plain ints,
+    # which the setter casts directly; numpy arrays there cost an indexing
+    # round-trip per path.  Building a Philox per path instead took most of
+    # the draw at 50 steps.
+    key = [_integer(seed, "seed") % 2 ** 64, 0]
+    bitgen = np.random.Philox(key=0)  # re-keyed before every path
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for a in range(0, n_paths, _DRAW_CHUNK):
-        b = min(a + _DRAW_CHUNK, n_paths)
-        for ip in range(a, b):
+    for a in range(0, n_paths, chunk):
+        b = min(a + chunk, n_paths)
+        for ip, row in zip(range(a, b), buf):
             key[1] = ip
             bitgen.state = state
-            gen.standard_normal(out=buf[ip - a])
-        np.multiply(buf[:b - a], sqrt_dt, out=dW[a:b])
+            gen.standard_normal(out=row)
+        np.multiply(buf[:b - a].transpose(1, 0, 2), sqrt_dt,
+                    out=dW.transpose(1, 0, 2)[:, a:b])
     return PathEnsemble(grid=grid, seed=seed, dW=dW)
 
 

@@ -7,7 +7,7 @@ from drgame import (BinaryTree, CflError, DppReport, ProblemError, TimeGrid,
                     dynkin_brute_force, dynkin_oracle_corpus,
                     lattice_occupancy, make_preset, refinement_study,
                     solve_drbsde_lattice, solve_obstacle_pde, value_backward_induction)
-from drgame.game import _refine, _stencil, backward_sweep
+from drgame.game import _check_monotone, _coefficients, _refine, _stencil, backward_sweep
 from drgame.model import ControlGrid, GameProblem
 
 
@@ -441,6 +441,118 @@ class TestSharedStencil:
                 with pytest.raises(ValueError):
                     a[...] = 0.0
                 assert not a.flags.writeable, name
+
+
+def reused_buffer_drift(p, n_nodes, time_dependent):
+    """``p``'s linear-quadratic drift, (1 + t) u or u, written into one
+    (nU, nV, n, 1) array that every call rewrites and returns."""
+    buf = np.empty((p.u_grid.size, p.v_grid.size, n_nodes, 1))
+
+    def drift(t, x, u, v):
+        buf[...] = (1.0 + t if time_dependent else 1.0) * u
+        return buf
+    return drift, buf
+
+
+def scan_cases(n_steps, n_nodes):
+    """Problems for the scan: every preset, a drift that changes at one
+    interior knot only, a drift whose result alternates between its
+    broadcast shape and the full table, 1-element control points (the
+    per-pair path) and a drift that rewrites one output buffer."""
+    lq = make_preset("linear-quadratic", {})
+    cases = {name: make_preset(name, {}) for name in TestSharedStencil.PRESETS}
+
+    def one_knot(t, x, u, v):
+        return lq.drift(t, x, u, v) + (0.5 if round(t * n_steps) == n_steps // 3 else 0.0)
+
+    def alternating(t, x, u, v):
+        f = lq.drift(t, x, u, v)
+        return np.broadcast_to(f, (2, 2) + f.shape[2:]).copy() if round(t * n_steps) % 2 else f
+
+    cases["one-knot"] = replace(lq, drift=one_knot)
+    cases["alternating"] = replace(lq, drift=alternating)
+    cases["per-pair"] = replace(lq, **{g: replace(getattr(lq, g), points=tuple(
+        np.array([u]) for u in getattr(lq, g).points)) for g in ("u_grid", "v_grid")})
+    cases["reused-buffer"] = replace(lq, drift=reused_buffer_drift(lq, n_nodes, True)[0])
+    return cases
+
+
+def reference_scan(p, n_steps, n_nodes):
+    """The scan's CFL margins and homogeneity on [-4, 4], from
+    ``_coefficients`` and ``_check_monotone`` at every knot (each layer
+    copied, as a callable may reuse its output buffer)."""
+    tgrid, x = TimeGrid(0.0, p.horizon, n_steps), np.linspace(-4, 4, n_nodes)
+    layers = [tuple(np.array(c) for c in _coefficients(p, t, x[:, None]))
+              for t in tgrid.knots[:-1].tolist()]
+    margins = [_check_monotone(b, sig, tgrid.dt, x[1] - x[0]) for b, sig in layers]
+    homogeneous = all(same_bits(b, layers[0][0]) and same_bits(sig, layers[0][1])
+                      for b, sig in layers)
+    return (max(m[0] for m in margins), max(m[1] for m in margins)), homogeneous
+
+
+class TestScan:
+    """``build_lattice`` keys each knot by its raw coefficients' bytes; it
+    must agree with checking every knot's filled coefficients."""
+
+    N_STEPS, N_NODES = 120, 41
+    CASES = scan_cases(N_STEPS, N_NODES)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_scan_matches_the_every_knot_reference(self, name):
+        p = self.CASES[name]
+        cfl, homogeneous = reference_scan(p, self.N_STEPS, self.N_NODES)
+        lat = build_lattice(p, self.N_STEPS, -4, 4, self.N_NODES)
+        assert lat.cfl == cfl
+        assert (lat.shared_stencil is not None) == homogeneous
+        assert homogeneous == (name in TestSharedStencil.PRESETS + ("alternating", "per-pair"))
+        per_layer = replace(lat, shared_stencil=None)
+        for order in ("supinf", "infsup"):
+            assert same_bits(value_backward_induction(p, lat, order).W,
+                             value_backward_induction(p, per_layer, order).W), order
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_knot_breaking_cfl_is_reported(self, name):
+        p = self.CASES[name]
+        j = self.N_STEPS // 2 + 1
+
+        def spiked(t, x, u, v):
+            return p.drift(t, x, u, v) + (50.0 if round(t * self.N_STEPS) == j else 0.0)
+
+        q = replace(p, drift=spiked)
+        with pytest.raises(CflError) as want:
+            reference_scan(q, self.N_STEPS, self.N_NODES)
+        with pytest.raises(CflError) as got:
+            build_lattice(q, self.N_STEPS, -4, 4, self.N_NODES)
+        assert str(got.value) == str(want.value)
+        assert "dt*max|b|" in str(got.value)
+
+    def test_a_reused_output_buffer_is_read_at_every_knot(self):
+        lq = make_preset("linear-quadratic", {})
+        fresh = replace(lq, drift=lambda t, x, u, v: (1.0 + t) * u + 0.0 * x)
+        reused = replace(lq, drift=reused_buffer_drift(lq, 21, True)[0])
+        a, b = (build_lattice(p, 50, -4, 4, 21) for p in (fresh, reused))
+        assert a.shared_stencil is None and b.shared_stencil is None
+        assert a.cfl == b.cfl and a.cfl[1] == pytest.approx(0.099)
+        assert (value_backward_induction(reused, b, "supinf").root(0.0)
+                == value_backward_induction(fresh, a, "supinf").root(0.0))
+
+    def test_a_per_layer_stencil_keeps_its_coefficients(self):
+        lq = make_preset("linear-quadratic", {})
+        lat = build_lattice(replace(lq, drift=reused_buffer_drift(lq, 21, True)[0]),
+                            50, -4, 4, 21)
+        first = lat.stencil(0.0)
+        b = first.b.copy()
+        lat.stencil(0.5)
+        assert same_bits(first.b, b)
+
+    def test_the_shared_stencil_owns_its_first_layer(self):
+        lq = make_preset("linear-quadratic", {})
+        drift, buf = reused_buffer_drift(lq, 21, False)
+        lat = build_lattice(replace(lq, drift=drift), 50, -4, 4, 21)
+        b = lat.shared_stencil.b.copy()
+        assert not np.shares_memory(lat.shared_stencil.b, buf)
+        drift(0.0, None, np.full((2, 1, 1, 1), 7.0), None)  # the buffer stays writable
+        assert same_bits(lat.shared_stencil.b, b)
 
 
 class TestBackwardInduction:

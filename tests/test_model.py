@@ -510,6 +510,26 @@ class TestCsvWriter:
                              np.arange(n_steps + 1)[:, None], np.arange(k), X)
         assert (tmp_path / "s.csv").read_text() == want
 
+    def test_an_all_constant_table_matches_a_per_cell_loop(self, tmp_path):
+        n_t, n_x = 2 * _CSV_BLOCK // 7 + 2, 7  # rows straddle blocks
+        for columns in (
+                (np.full(2 * _CSV_BLOCK + 3, 0.5), np.full(2 * _CSV_BLOCK + 3, -0.0),
+                 np.full(2 * _CSV_BLOCK + 3, np.nan), "lat"),
+                (np.full((n_t, 1), 0.1), np.full(n_x, -np.inf),
+                 np.broadcast_to(5e-324, (n_t, n_x)), np.zeros((n_t, n_x)))):
+            _csv(tmp_path / "t.csv", "a,b,c,d", *columns)
+            assert (tmp_path / "t.csv").read_text() == _per_cell_csv("a,b,c,d", *columns)
+
+    def test_a_column_of_mixed_signed_zeros_matches_a_per_cell_loop(self, tmp_path):
+        n = _CSV_BLOCK + 5
+        mixed, first, last = np.zeros(n), np.zeros(n), np.zeros(n)
+        mixed[1::7] = -0.0
+        first[0] = last[-1] = -0.0
+        _csv(tmp_path / "t.csv", "a,b,c,d", mixed, first, last, np.full(n, -0.0))
+        text = (tmp_path / "t.csv").read_text()
+        assert text == _per_cell_csv("a,b,c,d", mixed, first, last, np.full(n, -0.0))
+        assert text.splitlines()[1:3] == ["0,-0,0,-0", "-0,0,0,-0"]
+
     def test_zero_row_tables_write_the_header_only(self, tmp_path):
         _csv(tmp_path / "a.csv", "a,b,kind", [], np.array([]), "lat")
         _csv(tmp_path / "b.csv", "t,x,w", np.zeros((0, 1)), np.arange(5.0),

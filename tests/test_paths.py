@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from drgame import (ProblemError, TimeGrid,
                     constant_controls, euler_forward, make_preset,
                     simulate_brownian)
 from drgame.model import ControlGrid, GameProblem, _evaluate
-from drgame.paths import _DRAW_CHUNK
+from drgame.paths import _draw_chunk
 
 
 def plain_problem(b0=0.0, sig=1.0):
@@ -75,9 +76,9 @@ class TestBrownian:
     def test_path_p_is_the_philox_stream_keyed_seed_and_p(self, d, n_steps, seed):
         grid = TimeGrid(0.0, 0.7, n_steps)
         # the second ensemble crosses a block of the draw buffer
+        chunk = _draw_chunk(n_steps, d)
         for n_paths, checked in ((5, range(5)),
-                                 (_DRAW_CHUNK + 7, (0, _DRAW_CHUNK - 1, _DRAW_CHUNK,
-                                                    _DRAW_CHUNK + 6))):
+                                 (chunk + 7, (0, chunk - 1, chunk, chunk + 6))):
             ens = simulate_brownian(grid, n_paths, d, seed)
             for p in checked:
                 key = np.array([seed % 2 ** 64, p], dtype=np.uint64)
@@ -111,6 +112,21 @@ class TestBrownian:
         small = simulate_brownian(grid, 8, 1, seed=3)
         large = simulate_brownian(grid, 32, 1, seed=3)
         assert np.array_equal(small.dW, large.dW[:8])
+
+    def test_draw_buffer_is_sized_in_bytes(self):
+        assert _draw_chunk(50, 1) == 4096  # the 1.6 MB chunk of 50-step draws
+        assert _draw_chunk(100, 2) == 1024 and _draw_chunk(10 ** 6, 1) == 1
+        simulate_brownian(TimeGrid(0.0, 1.0, 2), 2, 1, seed=5)  # numpy.random's imports
+        tracemalloc.start()
+        try:
+            ens = simulate_brownian(TimeGrid(0.0, 1.0, 20000), 300, 1, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ens.dW.nbytes + 2 * 2 ** 20
+        key = np.array([5, 299], dtype=np.uint64)
+        last = np.random.Generator(np.random.Philox(key=key)).standard_normal((20000, 1))
+        assert np.array_equal(ens.dW[299], last * np.sqrt(1.0 / 20000))
 
 
 def identity_noise_problem():
@@ -167,7 +183,8 @@ class TestLayout:
                              ids=["scalar-points", "vector-points"])
     def test_euler_equals_the_path_major_loop_bit_for_bit(self, points):
         p = coupled_problem(points)
-        n_paths, n_steps = _DRAW_CHUNK + 7, 8
+        n_steps = 8
+        n_paths = _draw_chunk(n_steps, 3) + 7  # crosses a block of the draw buffer
         grid = TimeGrid(0.0, 1.0, n_steps)
         ens = simulate_brownian(grid, n_paths, 3, seed=12)
         rng = np.random.default_rng(12)
